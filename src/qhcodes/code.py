@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_budget
-from .geom import dot_rows, span_rank
+from .geom import _digit_matrix, dot_rows, span_rank
 from .gf import FiniteField
-from .variety import (Variety, hyperplane_section_sizes, line_section_sizes,
-                      resolve_engine)
+from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
 
 WORDS_HARD_CAP = 2 ** 24
 
@@ -64,10 +63,7 @@ class LinearCode:
 
     def message_block(self, lo: int, hi: int) -> np.ndarray:
         """Messages lo .. hi-1 as base-q digit rows, most significant first."""
-        q = self.ctx.order
-        idx = np.arange(lo, hi, dtype=np.int64)
-        return np.stack([(idx // q ** (self.k - 1 - i)) % q
-                         for i in range(self.k)], axis=1)
+        return _digit_matrix(self.ctx.order, self.k, hi - lo, lo)
 
     def codeword_block(self, msgs: np.ndarray) -> np.ndarray:
         """Codewords of a block of messages, one row per message."""
@@ -208,8 +204,6 @@ class HigherWeightReport:
 def higher_weight(v: Variety, k: int, engine: str = "auto", parallel: int = 1,
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|."""
-    from .geom import gaussian_binomial, rref_bases, subspace_points
-
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
@@ -217,25 +211,10 @@ def higher_weight(v: Variety, k: int, engine: str = "auto", parallel: int = 1,
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
     if k == 1:
         sizes = hyperplane_section_sizes(v, engine, parallel, budget)
-        return HigherWeightReport(1, v.n - int(sizes.max()), int(sizes.max()),
-                                  len(sizes))
-    if k == r - 1:
-        sizes = line_section_sizes(v, budget)
-        return HigherWeightReport(k, v.n - int(sizes.max()), int(sizes.max()),
-                                  len(sizes))
-    nrows = r + 1 - k
-    q = v.ctx.order
-    total = gaussian_binomial(r + 1, nrows, q)
-    check_budget(f"enumerating {total} subspaces", total, budget)
-    memb = v.membership()
-    best = 0
-    count = 0
-    for basis in rref_bases(v.ctx, r, nrows, budget):
-        pts = subspace_points(v.ctx, basis)
-        sec = int(memb[v.space.index_array(pts)].sum())
-        best = max(best, sec)
-        count += 1
-    return HigherWeightReport(k, v.n - best, best, count)
+    else:
+        sizes = subspace_section_sizes(v, r + 1 - k, budget)
+    best = int(sizes.max())
+    return HigherWeightReport(k, v.n - best, best, len(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +310,10 @@ def minimality_bruteforce(code: LinearCode, budget: int | None = None,
     if n_words > WORDS_HARD_CAP:
         raise CodeError(f"codeword enumeration of {n_words} words exceeds "
                         f"the hard cap {WORDS_HARD_CAP}")
+    # at most one support class per scalar class of nonzero words
+    max_cls = (n_words - 1) // (q - 1)
+    pair_ops = max_cls * (max_cls - 1) // 2
+    check_budget(f"up to {pair_ops} support containment tests", pair_ops, budget)
     packs = []
     for lo in range(0, n_words, chunk):
         hi = min(lo + chunk, n_words)
@@ -343,8 +326,6 @@ def minimality_bruteforce(code: LinearCode, budget: int | None = None,
     mult = np.bincount(inverse)
     sizes = np.unpackbits(classes, axis=1).sum(axis=1).astype(np.int64)
     n_cls = len(classes)
-    pair_ops = n_cls * (n_cls - 1) // 2
-    check_budget(f"{pair_ops} support containment tests", pair_ops, budget)
     order = np.argsort(sizes, kind="stable")
     classes = classes[order]
     sizes = sizes[order]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -44,10 +44,10 @@ def normalize_point(ctx: FiniteField, vec) -> tuple:
     raise ValueError("the zero vector is not a projective point")
 
 
-def _digit_matrix(q: int, width: int, count: int) -> np.ndarray:
-    """Rows 0..count-1 written base q, most significant digit first."""
+def _digit_matrix(q: int, width: int, count: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+count-1 written base q, most significant digit first."""
     cols = []
-    n = np.arange(count, dtype=np.int64)
+    n = np.arange(start, start + count, dtype=np.int64)
     for i in range(width - 1, -1, -1):
         cols.append((n // q ** i) % q)
     return np.stack(cols, axis=1) if width else np.zeros((count, 0), dtype=np.int64)
@@ -81,11 +81,6 @@ class ProjectiveSpace:
         self.keys = self.points @ weights
         assert bool(np.all(np.diff(self.keys) > 0))
 
-    @property
-    def hyperplanes(self) -> np.ndarray:
-        """Dual coordinate vectors, same normalization and order as points."""
-        return self.points
-
     def key_of(self, vec) -> int:
         q = self.ctx.order
         k = 0
@@ -116,14 +111,6 @@ def pg_space(ctx: FiniteField, r: int) -> ProjectiveSpace:
     return ProjectiveSpace(ctx, r)
 
 
-def enumerate_points(ctx: FiniteField, r: int) -> np.ndarray:
-    return pg_space(ctx, r).points
-
-
-def enumerate_hyperplanes(ctx: FiniteField, r: int) -> np.ndarray:
-    return pg_space(ctx, r).hyperplanes
-
-
 def dot_rows(ctx: FiniteField, h, pts: np.ndarray) -> np.ndarray:
     """Evaluate the functional h on every row of pts."""
     acc = None
@@ -136,13 +123,6 @@ def dot_rows(ctx: FiniteField, h, pts: np.ndarray) -> np.ndarray:
     if acc is None:
         raise ValueError("zero functional")
     return acc
-
-
-def incident(ctx: FiniteField, point, hyperplane) -> bool:
-    acc = 0
-    for a, b in zip(point, hyperplane):
-        acc = ctx.add(acc, ctx.mul(int(a), int(b)))
-    return acc == 0
 
 
 @dataclass(frozen=True)
@@ -191,82 +171,50 @@ def span_rank(ctx: FiniteField, vectors) -> SubspaceBasis:
     return SubspaceBasis(rank, tuple(tuple(int(v) for v in row) for row in rows))
 
 
-def veronese2(ctx: FiniteField, point) -> tuple:
-    """Degree-2 Veronese image: all monomials x_i * x_j, i <= j, in
-    lexicographic order.  Normalized inputs map to normalized outputs."""
-    pt = tuple(int(v) for v in point)
-    out = []
-    for i in range(len(pt)):
-        for j in range(i, len(pt)):
-            out.append(ctx.mul(pt[i], pt[j]))
-    return tuple(out)
-
-
 def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
-    """All nrows-dimensional row spaces in PG(r, q), one reduced basis each.
+    """All nrows-dimensional row spaces in PG(r, q), one pivot pattern at a time.
 
-    Yields (nrows, r+1) integer matrices in reduced row echelon form,
-    every subspace exactly once.
+    For each choice of pivot columns, yields a tuple of nrows arrays of
+    shape (count, r+1): array t holds row t of the reduced row echelon
+    basis of every subspace with those pivots, one subspace per array
+    row.  Over all patterns every subspace appears exactly once.
     """
     q = ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
     for pivots in combinations(range(r + 1), nrows):
-        free = []
-        for t, p in enumerate(pivots):
-            free.extend((t, c) for c in range(p + 1, r + 1) if c not in pivots)
-        for values in product(range(q), repeat=len(free)):
-            mat = np.zeros((nrows, r + 1), dtype=np.int64)
-            for t, p in enumerate(pivots):
-                mat[t, p] = 1
-            for (t, c), v in zip(free, values):
-                mat[t, c] = v
-            yield mat
+        free = [[c for c in range(p + 1, r + 1) if c not in pivots] for p in pivots]
+        width = sum(len(cols) for cols in free)
+        digits = _digit_matrix(q, width, q ** width)
+        rows, at = [], 0
+        for p, cols in zip(pivots, free):
+            row = np.zeros((len(digits), r + 1), dtype=np.int64)
+            row[:, p] = 1
+            row[:, cols] = digits[:, at:at + len(cols)]
+            at += len(cols)
+            rows.append(row)
+        yield tuple(rows)
 
 
-def subspace_points(ctx: FiniteField, basis: np.ndarray) -> np.ndarray:
-    """Normalized points of the projective subspace spanned by basis rows.
+def subspace_points(ctx: FiniteField, rows: tuple):
+    """Normalized points of a block of subspaces from rref_bases.
 
-    The basis must be in reduced row echelon form (as from rref_bases);
-    the combinations it produces are then already normalized.
+    Yields one (count, r+1) array per coefficient pattern: for every
+    subspace of the block, rows[lead] + sum_j c_j rows[j] over j > lead.
+    Reduced echelon form makes these combinations normalized, and over
+    all patterns each subspace's points appear exactly once.
     """
-    s = basis.shape[0]
-    q = ctx.order
-    chunks = []
-    for lead in range(s):
-        width = s - lead - 1
-        coeffs = _digit_matrix(q, width, q ** width)
-        pts = np.broadcast_to(basis[lead], (q ** width, basis.shape[1])).copy()
-        for j in range(width):
-            col = coeffs[:, j]
-            row = basis[lead + 1 + j]
-            scaled = ctx.vmul(col[:, None], row[None, :])
-            pts = ctx.vadd(pts, scaled)
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)
+    for lead in range(len(rows)):
+        yield from _combinations(ctx, rows[lead], rows[lead + 1:])
 
 
-def enumerate_lines(ctx: FiniteField, r: int, budget: int | None = None):
-    """All lines of PG(r, q) as canonical point pairs (a, b).
-
-    a and b are the two lexicographically smallest points on the line;
-    the full point set is a plus the q combinations b + t*a.
-    """
-    for mat in rref_bases(ctx, r, 2, budget):
-        # row 1 pivots later, so it is the smaller point; row 0 is the
-        # smallest of the q combinations row0 + t*row1
-        yield (tuple(int(v) for v in mat[1]), tuple(int(v) for v in mat[0]))
-
-
-def line_points(ctx: FiniteField, a, b) -> list:
-    """The q+1 points of the line through canonical pair (a, b)."""
-    pts = [tuple(a)]
-    arr_a = np.array(a, dtype=np.int64)
-    arr_b = np.array(b, dtype=np.int64)
-    for t in range(ctx.order):
-        combo = ctx.vadd(arr_b, ctx.scalar_mul_row(t)[arr_a])
-        pts.append(tuple(int(v) for v in combo))
-    return pts
+def _combinations(ctx: FiniteField, base: np.ndarray, rest: tuple):
+    if not rest:
+        yield base
+        return
+    for c in range(ctx.order):
+        part = base if c == 0 else ctx.vadd(base, ctx.scalar_mul_row(c)[rest[0]])
+        yield from _combinations(ctx, part, rest[1:])
 
 
 def line_count(ctx: FiniteField, r: int) -> int:

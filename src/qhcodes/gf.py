@@ -303,10 +303,6 @@ class FiniteField:
         return range(self.order)
 
     @property
-    def one(self):
-        return 1
-
-    @property
     def generator(self):
         """The class of x, a primitive element."""
         return int(self.exp[1])
@@ -467,21 +463,3 @@ def factor_prime_power(q: int):
     if n != 1:
         raise FieldError(f"{q} is not a prime power")
     return p, m
-
-
-# module-level spellings of the context operations
-
-def frobenius_q(ctx: FiniteField, a: int) -> int:
-    return ctx.frobenius_q(a)
-
-
-def trace_norm(ctx: FiniteField, a: int):
-    return ctx.trace_norm(a)
-
-
-def is_square(ctx: FiniteField, a: int) -> bool:
-    return ctx.is_square(a)
-
-
-def trace_to_prime(ctx: FiniteField, a: int) -> int:
-    return ctx.trace_to_prime(a)

@@ -25,12 +25,12 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .budget import check_budget
-from .geom import ProjectiveSpace, dot_rows, line_count, num_points, pg_space
+from .geom import (ProjectiveSpace, dot_rows, num_points, pg_space, rref_bases,
+                   subspace_points)
 from .gf import FiniteField, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
@@ -205,6 +205,7 @@ class Variety:
     coords: np.ndarray = field(repr=False)
     params: TwistedParams | None = None
     _hyp_sizes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _hyp_engine: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -492,12 +493,16 @@ def resolve_engine(v: Variety, engine: str = "auto") -> str:
 
 def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1,
                              budget: int | None = None) -> np.ndarray:
-    """|Sigma meet v| for every hyperplane Sigma, in canonical order."""
-    if v._hyp_sizes is not None:
-        return v._hyp_sizes
+    """|Sigma meet v| for every hyperplane Sigma, in canonical order.
+
+    The last result is kept on v and reused only for the same engine,
+    after the budget check.
+    """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
     engine = resolve_engine(v, engine)
+    if v._hyp_sizes is not None and v._hyp_engine == engine:
+        return v._hyp_sizes
     if engine == "wht":
         sizes = _sizes_wht(ctx, space, v.coords)
     elif engine == "direct":
@@ -516,7 +521,7 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1
             sizes = _sizes_direct(ctx, space, v.coords, 0, n_h)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    v._hyp_sizes = sizes
+    v._hyp_sizes, v._hyp_engine = sizes, engine
     return sizes
 
 
@@ -529,63 +534,29 @@ def hyperplane_spectrum(v: Variety, engine: str = "auto", parallel: int = 1,
     return SpectrumReport(v.meta(), "hyperplane", counts, int(cnts.sum()), used)
 
 
-def section_bitsets(v: Variety, budget: int | None = None):
-    """Per-hyperplane bitsets of the section, over the variety's own
-    point positions.  Returns (sizes, bitsets)."""
-    ctx, space = v.ctx, v.space
-    n_h = space.n_points
-    check_budget(f"building {n_h} section bitsets", n_h * max(v.n, 1), budget)
-    hyp = space.points
-    sizes = np.empty(n_h, dtype=np.int64)
-    bits = []
-    for i in range(n_h):
-        mask = dot_rows(ctx, hyp[i], v.coords) == 0
-        sizes[i] = int(np.count_nonzero(mask))
-        bits.append(int.from_bytes(
-            np.packbits(mask, bitorder="little").tobytes(), "little"))
-    return sizes, bits
-
-
 # ---------------------------------------------------------------------------
 # line spectra
 
-def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
-    """|ell meet v| over all lines, batched by pivot pair."""
-    ctx, space, r = v.ctx, v.space, v.r
-    q = ctx.order
-    total = line_count(ctx, r)
-    check_budget(f"enumerating {total} lines", total, budget)
+def subspace_section_sizes(v: Variety, nrows: int,
+                           budget: int | None = None) -> np.ndarray:
+    """|S meet v| for every subspace S of vector dimension nrows.
+
+    Membership is summed one pivot block and one coefficient pattern
+    at a time, so memory stays at a few arrays of one block's size.
+    """
     memb = v.membership()
     out = []
-    for i, j in combinations(range(r + 1), 2):
-        f0 = [c for c in range(i + 1, r + 1) if c != j]
-        f1 = [c for c in range(j + 1, r + 1)]
-        width = len(f0) + len(f1)
-        count = q ** width
-        digits = _digit_block(q, width, count)
-        R0 = np.zeros((count, r + 1), dtype=np.int64)
-        R0[:, i] = 1
-        for t, c in enumerate(f0):
-            R0[:, c] = digits[:, t]
-        R1 = np.zeros((count, r + 1), dtype=np.int64)
-        R1[:, j] = 1
-        for t, c in enumerate(f1):
-            R1[:, c] = digits[:, len(f0) + t]
-        cnt = memb[space.index_array(R1)].astype(np.int64)
-        for t in range(q):
-            combo = ctx.vadd(R0, ctx.scalar_mul_row(t)[R1])
-            cnt += memb[space.index_array(combo)]
+    for rows in rref_bases(v.ctx, v.r, nrows, budget):
+        cnt = np.zeros(len(rows[0]), dtype=np.int64)
+        for pts in subspace_points(v.ctx, rows):
+            cnt += memb[v.space.index_array(pts)]
         out.append(cnt)
     return np.concatenate(out)
 
 
-def _digit_block(q, width, count):
-    cols = []
-    n = np.arange(count, dtype=np.int64)
-    for i in range(width - 1, -1, -1):
-        cols.append((n // q ** i) % q)
-    return (np.stack(cols, axis=1) if width
-            else np.zeros((count, 0), dtype=np.int64))
+def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
+    """|ell meet v| over all lines."""
+    return subspace_section_sizes(v, 2, budget)
 
 
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:

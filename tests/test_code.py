@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qhcodes.code import (CodeError, ab_condition, code_from_variety,
-                          cutting_blocking_check, divisibility_report,
-                          higher_weight, minimality_bruteforce,
-                          minimality_summary, weights_bruteforce,
-                          weights_from_sections)
+from qhcodes.budget import BudgetError
+from qhcodes.code import (CodeError, LinearCode, ab_condition,
+                          code_from_variety, cutting_blocking_check,
+                          divisibility_report, higher_weight,
+                          minimality_bruteforce, minimality_summary,
+                          weights_bruteforce, weights_from_sections)
 from qhcodes.gf import make_field
 from qhcodes.variety import build_hermitian
 from qhcodes.verify import get_variety
@@ -98,6 +99,17 @@ def test_bruteforce_minimality_finds_the_15_words():
     assert not rep.ok
     assert rep.non_minimal_words == 15
     assert rep.non_minimal_weights == {1024: 15}
+
+
+def test_bruteforce_minimality_refuses_before_enumerating(monkeypatch):
+    code = code_from_variety(get_variety("twisted", 4, 3))
+    calls = []
+    real = LinearCode.codeword_block
+    monkeypatch.setattr(LinearCode, "codeword_block",
+                        lambda self, msgs: calls.append(1) or real(self, msgs))
+    with pytest.raises(BudgetError):
+        minimality_bruteforce(code, budget=10 ** 6)
+    assert calls == []
 
 
 def test_minimality_summary_views_agree(herm23):

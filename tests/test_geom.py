@@ -1,10 +1,14 @@
+from functools import lru_cache
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from qhcodes.geom import (gaussian_binomial, line_count, num_points,
                           normalize_point, pg_space, dot_rows, row_reduce,
                           rref_bases, span_rank, subspace_points)
-from qhcodes.gf import make_field
+from qhcodes.gf import field_for_order, make_field
+from qhcodes.variety import build_variety, subspace_section_sizes
 
 
 def test_point_counts():
@@ -81,13 +85,90 @@ def test_span_rank_full():
 
 
 def test_rref_bases_count():
-    """Row-echelon bases enumerate each subspace exactly once."""
+    """Pivot blocks of contiguous row arrays cover each subspace once."""
     ctx = make_field(2, 2)
-    seen = set()
-    for basis in rref_bases(ctx, 2, 2):
-        pts = subspace_points(ctx, basis)
-        seen.add(tuple(sorted(tuple(int(x) for x in p) for p in pts)))
-    assert len(seen) == gaussian_binomial(3, 2, 4) == line_count(ctx, 2)
+    total = 0
+    for rows in rref_bases(ctx, 2, 2):
+        assert len(rows) == 2
+        for row in rows:
+            assert row.shape == (len(rows[0]), 3) and row.flags.c_contiguous
+        total += len(rows[0])
+    sets = batched_index_sets(4, 2, 2)
+    assert total == len(set(sets)) == gaussian_binomial(3, 2, 4)
+    assert total == line_count(ctx, 2)
+
+
+def reference_bases(ctx, r, nrows):
+    """The per-basis loop: one (nrows, r+1) reduced row echelon matrix
+    per subspace, free entries by itertools.product."""
+    for pivots in combinations(range(r + 1), nrows):
+        free = [(t, c) for t, p in enumerate(pivots)
+                for c in range(p + 1, r + 1) if c not in pivots]
+        for values in product(range(ctx.order), repeat=len(free)):
+            mat = np.zeros((nrows, r + 1), dtype=np.int64)
+            for t, p in enumerate(pivots):
+                mat[t, p] = 1
+            for (t, c), val in zip(free, values):
+                mat[t, c] = val
+            yield mat
+
+
+def reference_points(ctx, basis):
+    """Normalized points of one reduced basis: each row plus every
+    combination of the rows below it."""
+    s, q = basis.shape[0], ctx.order
+    chunks = []
+    for lead in range(s):
+        width = s - lead - 1
+        coeffs = np.array(list(product(range(q), repeat=width)), dtype=np.int64)
+        pts = np.broadcast_to(basis[lead], (len(coeffs), basis.shape[1])).copy()
+        for j in range(width):
+            scaled = ctx.vmul(coeffs[:, j][:, None], basis[lead + 1 + j][None, :])
+            pts = ctx.vadd(pts, scaled)
+        chunks.append(pts)
+    return np.concatenate(chunks, axis=0)
+
+
+@lru_cache(maxsize=None)
+def reference_index_sets(Q, r, nrows):
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    return [frozenset(space.index_array(reference_points(ctx, b)).tolist())
+            for b in reference_bases(ctx, r, nrows)]
+
+
+def batched_index_sets(Q, r, nrows):
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    out = []
+    for rows in rref_bases(ctx, r, nrows):
+        idx = np.stack([space.index_array(pts)
+                        for pts in subspace_points(ctx, rows)], axis=1)
+        out.extend(frozenset(row) for row in idx.tolist())
+    return out
+
+
+SPACES = ((4, 2), (4, 3), (4, 4), (9, 3))
+
+
+@pytest.mark.parametrize("Q,r,nrows",
+                         [(Q, r, s) for Q, r in SPACES for s in range(1, r + 1)])
+def test_batched_subspaces_match_reference(Q, r, nrows):
+    sets = batched_index_sets(Q, r, nrows)
+    assert len(sets) == gaussian_binomial(r + 1, nrows, Q)
+    assert all(len(s) == num_points(nrows - 1, Q) for s in sets)
+    assert len(set(sets)) == len(sets)
+    assert set(sets) == set(reference_index_sets(Q, r, nrows))
+
+
+@pytest.mark.parametrize("kind,q,r", [("hermitian", 2, 4), ("twisted", 3, 3)])
+def test_subspace_section_sizes_match_reference(kind, q, r):
+    v = build_variety(kind, q, r)
+    memb = v.membership()
+    for nrows in range(1, r + 1):
+        ref = sorted(int(memb[list(s)].sum())
+                     for s in reference_index_sets(q * q, r, nrows))
+        assert sorted(subspace_section_sizes(v, nrows).tolist()) == ref
 
 
 def test_line_count_pg3():

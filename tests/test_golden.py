@@ -1,0 +1,43 @@
+"""Byte-for-byte stability of the README command payloads.
+
+Each file under tests/golden/ is the stdout of one command, captured
+once from a known-good build and never regenerated: a refactor must
+reproduce it exactly.  `sss recover` reads the captured deal payload.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qhcodes.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+HERM23 = ("--q", "2", "--r", "3", "--variety", "hermitian")
+
+COMMANDS = {
+    "variety_build": ("variety", "build", "--q", "3", "--r", "3"),
+    "variety_spectrum": ("variety", "spectrum", "--q", "3", "--r", "3"),
+    "variety_lines": ("variety", "lines", "--q", "3", "--r", "3"),
+    "code_weights": ("code", "weights", "--q", "3", "--r", "3", "--cross-check"),
+    "code_minimality": ("code", "minimality", "--q", "4", "--r", "3"),
+    "code_divisibility": ("code", "divisibility", "--q", "4", "--r", "3"),
+    "code_dk": ("code", "dk", "--q", "3", "--r", "3", "--k", "2"),
+    "sss_access": ("sss", "access", *HERM23),
+    "sss_deal": ("sss", "deal", *HERM23, "--secret", "1", "--seed", "7"),
+    "sss_recover": ("sss", "recover", *HERM23, "--subset", "1,2,5",
+                    "--shares", str(GOLDEN / "sss_deal.json")),
+    "sss_democracy": ("sss", "democracy", "--q", "3", "--r", "3"),
+    "sss_develop": ("sss", "develop"),
+    "sss_verify_example": ("sss", "verify-example"),
+    # the only command on the general (1 < k < r-1) subspace path
+    "code_dk_hermitian": ("code", "dk", "--q", "2", "--r", "4", "--k", "2",
+                          "--variety", "hermitian"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_payload_matches_golden(name, capsys):
+    rc = main(list(COMMANDS[name]))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qhcodes.variety as variety_mod
+from qhcodes.budget import BudgetError
 from qhcodes.gf import make_field
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
                              build_hermitian, build_twisted,
@@ -107,6 +109,25 @@ def test_spectrum_engines_agree():
     wht = hyperplane_spectrum(v2, engine="wht")
     assert direct.counts == wht.counts
     assert direct.engine == "direct" and wht.engine == "wht"
+
+
+def test_cached_sizes_still_meet_the_budget():
+    v = build_variety("hermitian", 2, 3)
+    hyperplane_section_sizes(v)
+    with pytest.raises(BudgetError):
+        hyperplane_section_sizes(v, budget=0)
+
+
+def test_cached_sizes_keep_their_engine(monkeypatch):
+    v = build_variety("hermitian", 2, 3)
+    direct = hyperplane_spectrum(v, engine="direct")
+    calls = []
+    real = variety_mod._sizes_wht
+    monkeypatch.setattr(variety_mod, "_sizes_wht",
+                        lambda *a: calls.append(1) or real(*a))
+    wht = hyperplane_spectrum(v, engine="wht")
+    assert calls, "the wht report must come from the wht engine"
+    assert wht.engine == "wht" and wht.counts == direct.counts
 
 
 def test_spectrum_parallel_agrees(tw33):
