@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetError, check_budget
 from .geom import _digit_matrix, dot_rows, span_rank
 from .gf import FiniteField
 from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
@@ -359,7 +359,14 @@ def minimality_summary(v: Variety, engine: str = "auto", parallel: int = 1,
            "ab": ab.as_dict(), "cutting": cut.as_dict()}
     n_words = v.ctx.order ** (v.r + 1)
     if n_words <= WORDS_HARD_CAP:
-        bf = minimality_bruteforce(code_from_variety(v), budget)
-        out["bruteforce"] = bf.as_dict()
-        out["agree"] = bool(cut.ok == bf.ok)
+        # an over-budget cross-check is skipped, not a reason to drop
+        # the answers above
+        try:
+            bf = minimality_bruteforce(code_from_variety(v), budget)
+        except BudgetError as e:
+            out["bruteforce"] = {"status": "SKIP", "reason": str(e)}
+            out["agree"] = None
+        else:
+            out["bruteforce"] = bf.as_dict()
+            out["agree"] = bool(cut.ok == bf.ok)
     return out

@@ -19,6 +19,9 @@ import numpy as np
 from .budget import check_budget
 from .gf import FiniteField
 
+# subspaces per block of rref_bases; bounds the memory of every caller
+SUBSPACE_BLOCK = 1 << 16
+
 
 def num_points(r: int, q: int) -> int:
     return (q ** (r + 1) - 1) // (q - 1)
@@ -172,12 +175,13 @@ def span_rank(ctx: FiniteField, vectors) -> SubspaceBasis:
 
 
 def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
-    """All nrows-dimensional row spaces in PG(r, q), one pivot pattern at a time.
+    """All nrows-dimensional row spaces in PG(r, q), one block at a time.
 
-    For each choice of pivot columns, yields a tuple of nrows arrays of
-    shape (count, r+1): array t holds row t of the reduced row echelon
-    basis of every subspace with those pivots, one subspace per array
-    row.  Over all patterns every subspace appears exactly once.
+    For each choice of pivot columns, yields tuples of nrows arrays of
+    shape (count, r+1), count <= SUBSPACE_BLOCK: array t holds row t of
+    the reduced row echelon basis of every subspace of the block, one
+    subspace per array row.  Over all blocks every subspace appears
+    exactly once.
     """
     q = ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
@@ -185,15 +189,16 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
     for pivots in combinations(range(r + 1), nrows):
         free = [[c for c in range(p + 1, r + 1) if c not in pivots] for p in pivots]
         width = sum(len(cols) for cols in free)
-        digits = _digit_matrix(q, width, q ** width)
-        rows, at = [], 0
-        for p, cols in zip(pivots, free):
-            row = np.zeros((len(digits), r + 1), dtype=np.int64)
-            row[:, p] = 1
-            row[:, cols] = digits[:, at:at + len(cols)]
-            at += len(cols)
-            rows.append(row)
-        yield tuple(rows)
+        for lo in range(0, q ** width, SUBSPACE_BLOCK):
+            digits = _digit_matrix(q, width, min(SUBSPACE_BLOCK, q ** width - lo), lo)
+            rows, at = [], 0
+            for p, cols in zip(pivots, free):
+                row = np.zeros((len(digits), r + 1), dtype=np.int64)
+                row[:, p] = 1
+                row[:, cols] = digits[:, at:at + len(cols)]
+                at += len(cols)
+                rows.append(row)
+            yield tuple(rows)
 
 
 def subspace_points(ctx: FiniteField, rows: tuple):

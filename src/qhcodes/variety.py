@@ -31,9 +31,12 @@ import numpy as np
 from .budget import check_budget
 from .geom import (ProjectiveSpace, dot_rows, num_points, pg_space, rref_bases,
                    subspace_points)
-from .gf import FiniteField, factor_prime_power, make_field
+from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
+
+# auto runs the character transform up to this many entries, q^(r+1)
+WHT_CUTOFF = 2 ** 24
 
 
 class ParamsError(ValueError):
@@ -422,72 +425,113 @@ def _direct_worker(args):
     return lo, _sizes_direct(ctx, space, vcoords, lo, hi)
 
 
-def _wht_inplace(a: np.ndarray) -> np.ndarray:
-    h = 1
-    n = a.size
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:]
-        b[:, :h] = x + y
-        b[:, h:] = x - y
-        h *= 2
-    return a
+# Characters of GF(p)^D: a radix-p pass per digit.  Characteristic 2
+# transforms exactly in int32; odd p transforms modulo a prime M with
+# M = 1 (mod p), so zeta, a p-th root of unity mod M, stands in for
+# exp(2 pi i / p).  Blocks of at most _PASS_BLOCK entries bound every
+# temporary, so no full-size int64 copy is made.
+_PASS_BLOCK = 1 << 16
+
+
+def _transform_modulus(p: int, bound: int) -> tuple:
+    """(M, zeta): the least prime M = 1 (mod p) above 2 * bound, and a
+    primitive p-th root of unity zeta modulo M.
+
+    Integers of absolute value at most bound are then determined by
+    their residues mod M, read in (-M/2, M/2].
+    """
+    M = 2 * bound + 1
+    M += (1 - M) % p
+    while not _is_prime(M):
+        M += p
+    g = 2
+    while pow(g, (M - 1) // p, M) == 1:
+        g += 1
+    return M, pow(g, (M - 1) // p, M)
+
+
+def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
+    """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
+    vectors of the indices; zeta = -1 exactly when p = 2, else mod M."""
+    if p > 2:
+        assert p * M * M < 2 ** 63 and M < 2 ** 31
+        w = [[pow(zeta, i * j, M) for j in range(p)] for i in range(p)]
+    lead, trail = 1, f.size // p
+    while trail >= 1:
+        view = f.reshape(lead, p, trail)
+        tstep = min(trail, max(1, _PASS_BLOCK // p))
+        lstep = max(1, _PASS_BLOCK // (p * tstep))
+        for l0 in range(0, lead, lstep):
+            for t0 in range(0, trail, tstep):
+                blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
+                if p == 2:
+                    x = blk[:, 0].copy()
+                    np.add(x, blk[:, 1], out=blk[:, 0])
+                    np.subtract(x, blk[:, 1], out=blk[:, 1])
+                else:
+                    x = blk.astype(np.int64)
+                    for i in range(p):
+                        acc = x[:, 0].copy()
+                        for j in range(1, p):
+                            acc += w[i][j] * x[:, j]
+                        np.remainder(acc, M, out=acc)
+                        blk[:, i] = acc
+        lead, trail = lead * p, trail // p
 
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
                vcoords: np.ndarray) -> np.ndarray:
-    """Exact hyperplane section sizes via a Walsh-Hadamard transform.
+    """Exact hyperplane section sizes from one additive character
+    transform (Lidl & Niederreiter, Finite Fields, ch. 5).
 
-    Characteristic 2 only.  Indicator of all scalar multiples of the
-    variety's points lives on the bit-space GF(2)^(m(r+1)); the count of
-    vector solutions of u.w = 0 is recovered from character sums, then
-    divided down to projective counts.  All arithmetic stays integral,
-    and the divisibility asserts would catch any packing mistake.
+    The cone f of nonzero multiples of the points lives on
+    GF(p)^(m(r+1)) at its base-p encoding.  For a hyperplane u, with
+    a(u) the digit vector of w -> Tr(u . w), character orthogonality
+    gives (q-1) |u meet V| = ((q-1) n + sum_{c != 0} f^(a(cu))) / q, and
+    f^ is constant on GF(q)*-multiples because the cone is, so
+    |u meet V| = (n + f^(a(u))) / q.  Every f^ value is an integer of
+    absolute value at most (q-1) n; the sum and divisibility asserts
+    would catch any packing mistake.
     """
-    assert ctx.p == 2
-    m, q = ctx.m, ctx.order
-    rp1 = space.r + 1
-    nbits = m * rp1
-    shifts = [m * k for k in range(rp1)]
-    f = np.zeros(1 << nbits, dtype=np.int64)
-    for lam in range(1, q):
-        row = ctx.scalar_mul_row(lam)
-        scaled = row[vcoords]
-        packed = np.zeros(len(vcoords), dtype=np.int64)
-        for k in range(rp1):
-            packed |= scaled[:, k] << shifts[k]
-        f[packed] = 1
+    p, m, q = ctx.p, ctx.m, ctx.order
     nv = len(vcoords)
-    assert int(f.sum()) == (q - 1) * nv
-    _wht_inplace(f)
-    # tr_mask[e] packs the bits Tr(e * x^b) for b < m; the coefficient
-    # basis 1, x, ..., x^(m-1) is exactly the bit basis of the encoding
-    tr_mask = np.zeros(q, dtype=np.int64)
-    for e in range(q):
-        mask = 0
-        for b in range(m):
-            mask |= ctx.trace_to_prime(ctx.mul(e, 1 << b)) << b
-        tr_mask[e] = mask
-    hyp = space.points
-    S = np.full(space.n_points, (q - 1) * nv, dtype=np.int64)
+    weights = q ** np.arange(space.r, -1, -1, dtype=np.int64)
+    f = np.zeros(q ** (space.r + 1), dtype=np.int32)
     for lam in range(1, q):
-        row = ctx.scalar_mul_row(lam)
-        su = row[hyp]
-        idx = np.zeros(space.n_points, dtype=np.int64)
-        for k in range(rp1):
-            idx |= tr_mask[su[:, k]] << shifts[k]
-        S += f[idx]
+        f[ctx.scalar_mul_row(lam)[vcoords] @ weights] = 1
+    assert int(f.sum()) == (q - 1) * nv < 2 ** 31
+    M = zeta = 0
+    if p > 2:
+        M, zeta = _transform_modulus(p, (q - 1) * nv)
+        assert M % p == 1 and M > 2 * (q - 1) * nv
+    _radix_p_transform(f, p, M, zeta)
+    # trd[e] packs Tr(e x^b), b < m, as base-p digits: the coefficient
+    # basis 1, x, ..., x^(m-1) is the digit basis of the encoding
+    frob = ctx.pow_row(p)
+    trd = np.zeros(q, dtype=np.int64)
+    for b in range(m):
+        y = ctx.scalar_mul_row(p ** b)
+        tr = np.zeros(q, dtype=np.int64)
+        for _ in range(m):
+            tr = ctx.vadd(tr, y)
+            y = frob[y]
+        assert not np.any(tr >= p)
+        trd += tr * p ** b
+    # column by column, so no (hyperplanes, r+1) temporary is made
+    idx = np.zeros(space.n_points, dtype=np.int64)
+    for k in range(space.r + 1):
+        idx += trd[space.points[:, k]] * weights[k]
+    fhat = f[idx].astype(np.int64)
+    if p > 2:
+        fhat[fhat > M // 2] -= M
+    S = nv + fhat
     assert not np.any(S % q), "character sums must be divisible by the field order"
-    vec_counts = S // q
-    assert not np.any(vec_counts % (q - 1))
-    return vec_counts // (q - 1)
+    return S // q
 
 
 def resolve_engine(v: Variety, engine: str = "auto") -> str:
     if engine == "auto":
-        return "wht" if (v.ctx.p == 2
-                         and v.ctx.order ** (v.r + 1) <= 2 ** 24) else "direct"
+        return "wht" if v.ctx.order ** (v.r + 1) <= WHT_CUTOFF else "direct"
     return engine
 
 
@@ -501,6 +545,9 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
     engine = resolve_engine(v, engine)
+    if engine == "wht":
+        entries = ctx.order ** (v.r + 1)
+        check_budget(f"a character transform of {entries} entries", entries, budget)
     if v._hyp_sizes is not None and v._hyp_engine == engine:
         return v._hyp_sizes
     if engine == "wht":

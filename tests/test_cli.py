@@ -1,8 +1,12 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import qhcodes.variety as variety_mod
 from qhcodes.cli import main
+from qhcodes.geom import num_points
 
 
 def run(capsys, *argv):
@@ -98,6 +102,37 @@ def test_code_minimality_not_minimal_is_not_an_error(capsys):
     assert doc["report"]["minimal"] is False
     assert doc["report"]["bruteforce"]["non_minimal_words"] == 15
     assert "not minimal" in err
+
+
+def test_code_minimality_skips_an_over_budget_cross_check(capsys):
+    rc, doc, err = run_json(capsys, "code", "minimality", "--q", "4", "--r", "3",
+                            "--budget", "1000000")
+    assert rc == 0
+    assert doc["verdict"] == "PASS"
+    rep = doc["report"]
+    assert rep["bruteforce"]["status"] == "SKIP"
+    assert "support containment" in rep["bruteforce"]["reason"]
+    assert rep["agree"] is None
+    # the finished views survive the refusal
+    assert rep["ab"]["passes"] is False
+    assert rep["cutting"]["ok"] is False and rep["minimal"] is False
+    assert "skipped" in err
+
+
+def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
+    # PG(4, 64) has 17 million points: stand in an empty point list of
+    # the right count so the refusal, not the enumeration, is under test
+    monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
+        n_points=num_points(r, ctx.order), r=r,
+        points=np.zeros((0, r + 1), dtype=np.int64)))
+
+    def spy(*args):
+        raise AssertionError("the transform must not start")
+    monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
+    rc, _, err = run(capsys, "variety", "spectrum", "--q", "8", "--r", "4",
+                     "--variety", "hermitian", "--engine", "wht")
+    assert rc == 3
+    assert f"character transform of {64 ** 5} entries" in err
 
 
 def test_code_divisibility(capsys):

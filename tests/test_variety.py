@@ -102,13 +102,15 @@ def test_unknown_kind_refused():
 
 
 def test_spectrum_engines_agree():
-    # fresh objects so cached sizes cannot leak between engines
-    v1 = build_variety("twisted", 4, 3)
-    direct = hyperplane_spectrum(v1, engine="direct")
-    v2 = build_variety("twisted", 4, 3)
-    wht = hyperplane_spectrum(v2, engine="wht")
-    assert direct.counts == wht.counts
-    assert direct.engine == "direct" and wht.engine == "wht"
+    # both characteristics; fresh objects so cached sizes cannot leak
+    # between engines
+    for q in (4, 3):
+        v1 = build_variety("twisted", q, 3)
+        direct = hyperplane_spectrum(v1, engine="direct")
+        v2 = build_variety("twisted", q, 3)
+        wht = hyperplane_spectrum(v2, engine="wht")
+        assert direct.counts == wht.counts
+        assert direct.engine == "direct" and wht.engine == "wht"
 
 
 def test_cached_sizes_still_meet_the_budget():
