@@ -464,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="auto",
                      help="spectrum engine: direct evaluation, or wht, the "
                           "exact p-ary Walsh-Hadamard transform for every "
-                          "characteristic; auto picks wht up to "
-                          "(q^2)^(r+1) = 2^24 entries (default auto)")
+                          "characteristic; auto picks the cheaper one, wht "
+                          "only up to (q^2)^(r+1) = 2^24 entries "
+                          "(default auto)")
 
     p0p = argparse.ArgumentParser(add_help=False)
     p0p.add_argument("--p0", type=int, default=0, metavar="I",

@@ -25,18 +25,23 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetError, check_budget
 from .geom import (ProjectiveSpace, dot_rows, num_points, pg_space, rref_bases,
                    subspace_points)
 from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
 
-# auto runs the character transform up to this many entries, q^(r+1)
+# auto runs the character transform up to this many entries, q^(r+1),
+# and only where it is the cheaper engine (see resolve_engine)
 WHT_CUTOFF = 2 ** 24
+# direct evaluation's numpy call overhead per hyperplane, 7-10 us, in the
+# units of about 4 ns of resolve_engine's cost model
+_HYPERPLANE_OVERHEAD = 2000
 
 
 class ParamsError(ValueError):
@@ -450,12 +455,29 @@ def _transform_modulus(p: int, bound: int) -> tuple:
     return M, pow(g, (M - 1) // p, M)
 
 
+def _transform_limit(p: int) -> int:
+    """Largest modulus the transform carries exactly (for p = 2, the
+    largest absolute value): entries are int32, and for odd p a row of
+    the character matrix sums p products of residues in int64."""
+    return min(2 ** 31 - 1, isqrt((2 ** 63 - 1) // p))
+
+
+def _check_transform_range(p: int, bound: int) -> None:
+    """Refuse a transform whose values, up to bound in absolute value,
+    its integer arithmetic cannot carry exactly."""
+    need = bound if p == 2 else _transform_modulus(p, bound)[0]
+    if need > _transform_limit(p):
+        raise BudgetError(f"a character transform with sums up to {bound}",
+                          need, _transform_limit(p))
+
+
 def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
     vectors of the indices; zeta = -1 exactly when p = 2, else mod M."""
     if p > 2:
-        assert p * M * M < 2 ** 63 and M < 2 ** 31
-        w = [[pow(zeta, i * j, M) for j in range(p)] for i in range(p)]
+        assert M <= _transform_limit(p)
+        w = np.array([[pow(zeta, i * j, M) for j in range(p)]
+                      for i in range(p)], dtype=np.int64)
     lead, trail = 1, f.size // p
     while trail >= 1:
         view = f.reshape(lead, p, trail)
@@ -465,17 +487,16 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
             for t0 in range(0, trail, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
                 if p == 2:
+                    # in place in int32: 3-5 times faster than the
+                    # int64 contraction with [[1, 1], [1, -1]]
                     x = blk[:, 0].copy()
                     np.add(x, blk[:, 1], out=blk[:, 0])
                     np.subtract(x, blk[:, 1], out=blk[:, 1])
                 else:
-                    x = blk.astype(np.int64)
-                    for i in range(p):
-                        acc = x[:, 0].copy()
-                        for j in range(1, p):
-                            acc += w[i][j] * x[:, j]
-                        np.remainder(acc, M, out=acc)
-                        blk[:, i] = acc
+                    # (p, p) @ (lead, p, trail): one contraction per block
+                    y = w @ blk.astype(np.int64)
+                    np.remainder(y, M, out=y)
+                    blk[...] = y
         lead, trail = lead * p, trail // p
 
 
@@ -499,7 +520,7 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     f = np.zeros(q ** (space.r + 1), dtype=np.int32)
     for lam in range(1, q):
         f[ctx.scalar_mul_row(lam)[vcoords] @ weights] = 1
-    assert int(f.sum()) == (q - 1) * nv < 2 ** 31
+    assert int(f.sum()) == (q - 1) * nv <= _transform_limit(p)
     M = zeta = 0
     if p > 2:
         M, zeta = _transform_modulus(p, (q - 1) * nv)
@@ -530,9 +551,20 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
 
 
 def resolve_engine(v: Variety, engine: str = "auto") -> str:
-    if engine == "auto":
-        return "wht" if v.ctx.order ** (v.r + 1) <= WHT_CUTOFF else "direct"
-    return engine
+    """auto: the cheaper engine, the transform only up to WHT_CUTOFF.
+
+    Costs in units of about 4 ns on one core: the transform makes p
+    multiply-adds per entry and digit, 1.5-4 ns each; direct evaluation
+    makes r+1 field operations per hyperplane and point, 5-8 ns each,
+    plus its per-hyperplane overhead.
+    """
+    if engine != "auto":
+        return engine
+    ctx, r = v.ctx, v.r
+    entries = ctx.order ** (r + 1)
+    transform = ctx.p * ctx.m * (r + 1) * entries
+    direct = num_points(r, ctx.order) * (2 * (r + 1) * v.n + _HYPERPLANE_OVERHEAD)
+    return "wht" if entries <= WHT_CUTOFF and transform <= direct else "direct"
 
 
 def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1,
@@ -548,6 +580,7 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1
     if engine == "wht":
         entries = ctx.order ** (v.r + 1)
         check_budget(f"a character transform of {entries} entries", entries, budget)
+        _check_transform_range(ctx.p, (ctx.order - 1) * v.n)
     if v._hyp_sizes is not None and v._hyp_engine == engine:
         return v._hyp_sizes
     if engine == "wht":

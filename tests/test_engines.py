@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhcodes.variety as variety_mod
-from qhcodes.geom import pg_space
+from qhcodes.budget import BudgetError
+from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
-from qhcodes.variety import (WHT_CUTOFF, _sizes_direct, _sizes_wht,
-                             _transform_modulus, build_variety, resolve_engine)
+from qhcodes.variety import (WHT_CUTOFF, _check_transform_range, _sizes_direct,
+                             _sizes_wht, _transform_limit, _transform_modulus,
+                             build_variety, hermitian_size,
+                             hyperplane_section_sizes, resolve_engine)
 
 # (Q, r) with PG(r, Q) small enough for the direct engine
 SPACES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3),
@@ -46,14 +49,18 @@ def _both_engines(ctx, space, coords):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SPACES), st.data())
-def test_transform_equals_direct_on_random_point_sets(qr, data):
+@given(st.sampled_from(SPACES), st.sampled_from([5, 7, 36, 1 << 16]),
+       st.data())
+def test_transform_equals_direct_on_random_point_sets(qr, block, data):
     Q, r = qr
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
     chosen = sorted(data.draw(st.sets(st.integers(0, space.n_points - 1))))
     coords = space.points[np.array(chosen, dtype=np.int64)]
-    wht, direct, moduli = _both_engines(ctx, space, coords)
+    # small pass blocks split and offset both the lead and trail axes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variety_mod, "_PASS_BLOCK", block)
+        wht, direct, moduli = _both_engines(ctx, space, coords)
     assert np.array_equal(wht, direct)
     if ctx.p == 2:
         assert moduli == []
@@ -85,15 +92,50 @@ def test_transform_modulus(p, bound):
     assert not any(_prime(c) for c in range(M - p, 2 * bound, -p))
 
 
-def test_auto_engine_is_the_transform_up_to_the_cutoff():
-    def fake(Q, r):
-        return SimpleNamespace(ctx=field_for_order(Q), r=r)
-    # odd and even characteristic alike
-    for Q, r in ((9, 3), (25, 3), (49, 3), (25, 4), (16, 4), (64, 3)):
-        assert Q ** (r + 1) <= WHT_CUTOFF
-        assert resolve_engine(fake(Q, r)) == "wht"
-    for Q, r in ((81, 3), (49, 4), (64, 4), (9, 8)):
-        assert Q ** (r + 1) > WHT_CUTOFF
-        assert resolve_engine(fake(Q, r)) == "direct"
-    assert resolve_engine(fake(49, 4), "wht") == "wht"
-    assert resolve_engine(fake(9, 3), "direct") == "direct"
+def test_auto_engine_is_the_cheaper_one_up_to_the_cutoff():
+    def herm(q, r):
+        return SimpleNamespace(ctx=field_for_order(q * q), r=r,
+                               n=hermitian_size(r, q))
+    # odd and even characteristic alike, the benchmark's cases included
+    for q, r in ((3, 3), (5, 3), (7, 3), (8, 3), (4, 4), (2, 4), (11, 2),
+                 (13, 2)):
+        assert resolve_engine(herm(q, r)) == "wht"
+    # above the cutoff
+    for q, r in ((9, 3), (7, 4), (8, 4), (3, 8)):
+        assert (q * q) ** (r + 1) > WHT_CUTOFF
+        assert resolve_engine(herm(q, r)) == "direct"
+    # under it, but a few hyperplanes on a few points: the transform of
+    # hermitian(61,1) is 13.8 million entries of radix 61
+    for q, r in ((16, 1), (31, 1), (61, 1), (64, 1)):
+        assert (q * q) ** (r + 1) <= WHT_CUTOFF
+        assert resolve_engine(herm(q, r)) == "direct"
+    assert resolve_engine(herm(7, 4), "wht") == "wht"
+    assert resolve_engine(herm(3, 3), "direct") == "direct"
+
+
+def test_transform_range():
+    assert _transform_limit(2) == 2 ** 31 - 1
+    _check_transform_range(2, 2 ** 31 - 1)
+    with pytest.raises(BudgetError):
+        _check_transform_range(2, 2 ** 31)
+    for p in (3, 5, 61):
+        L = _transform_limit(p)
+        assert L < 2 ** 31 and p * L * L < 2 ** 63
+        _check_transform_range(p, 10 ** 6)
+        with pytest.raises(BudgetError):
+            _check_transform_range(p, L // 2 + 1)
+
+
+@pytest.mark.parametrize("Q, r", [(64, 5), (27, 6)])
+def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
+    # a stand-in for 2^26 points, whose character sums outgrow int32
+    # (p = 2) or the int64 products modulo M (odd p)
+    v = SimpleNamespace(ctx=field_for_order(Q), r=r, n=2 ** 26,
+                        space=SimpleNamespace(n_points=num_points(r, Q)),
+                        coords=None, _hyp_sizes=None, _hyp_engine=None)
+
+    def spy(*args):
+        raise AssertionError("the transform must not start")
+    monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
+    with pytest.raises(BudgetError, match="character transform with sums"):
+        hyperplane_section_sizes(v, "wht", budget=2 ** 40)

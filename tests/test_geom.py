@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import qhcodes.geom as geom_mod
 from qhcodes.geom import (gaussian_binomial, line_count, num_points,
                           normalize_point, pg_space, dot_rows, row_reduce,
                           rref_bases, span_rank, subspace_points)
@@ -153,7 +154,9 @@ SPACES = ((4, 2), (4, 3), (4, 4), (9, 3))
 
 @pytest.mark.parametrize("Q,r,nrows",
                          [(Q, r, s) for Q, r in SPACES for s in range(1, r + 1)])
-def test_batched_subspaces_match_reference(Q, r, nrows):
+def test_batched_subspaces_match_reference(Q, r, nrows, monkeypatch):
+    # blocks of 7 split and offset every pivot pattern wider than one
+    monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     sets = batched_index_sets(Q, r, nrows)
     assert len(sets) == gaussian_binomial(r + 1, nrows, Q)
     assert all(len(s) == num_points(nrows - 1, Q) for s in sets)
@@ -162,7 +165,8 @@ def test_batched_subspaces_match_reference(Q, r, nrows):
 
 
 @pytest.mark.parametrize("kind,q,r", [("hermitian", 2, 4), ("twisted", 3, 3)])
-def test_subspace_section_sizes_match_reference(kind, q, r):
+def test_subspace_section_sizes_match_reference(kind, q, r, monkeypatch):
+    monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     v = build_variety(kind, q, r)
     memb = v.membership()
     for nrows in range(1, r + 1):
