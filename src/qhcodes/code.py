@@ -11,6 +11,9 @@ Minimality of the whole code is checked three ways: the sufficient
 minimum/maximum weight ratio condition (q w_min > (q-1) w_max), the
 geometric cutting criterion (every hyperplane section spans its
 hyperplane), and brute-force support containment over all codewords.
+The cutting criterion needs no ranks: it is read off the hyperplane
+section sizes, one pencil of hyperplanes (a line of the dual space) at
+a time, and only its witness hyperplane is row-reduced.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import _digit_matrix, dot_rows, span_rank
+from .geom import (_digit_matrix, dot_rows, line_count, rref_bases, span_rank,
+                   subspace_points)
 from .gf import FiniteField
 from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
 
@@ -258,22 +262,49 @@ class CuttingReport:
                 "witness_rank": self.witness_rank}
 
 
-def cutting_blocking_check(v: Variety, budget: int | None = None) -> CuttingReport:
+def cutting_blocking_check(v: Variety, budget: int | None = None, *,
+                           engine: str = "auto") -> CuttingReport:
     """Does every hyperplane section of v span its hyperplane?
 
-    Equivalent to minimality of the code with columns v.  On failure the
-    witness hyperplane (as a functional coordinate vector) is reported.
+    Equivalent to minimality of the code with columns v.  Decided from
+    the hyperplane section sizes by pencils: the q+1 hyperplanes H
+    through a codimension-2 subspace S, the points of a line of the dual
+    space, satisfy sum_H |H meet v| = n + q |S meet v|.  H meet v fails
+    to span H exactly when it lies in some such S inside H, that is,
+    when |H meet v| = |S meet v|.  On failure the failing hyperplane of
+    least index (as a functional coordinate vector) is reported with the
+    rank of its section.
     """
-    ctx, space = v.ctx, v.space
-    n_h = space.n_points
-    check_budget(f"rank-checking {n_h} hyperplane sections", n_h, budget)
-    hyp = space.points
-    for i in range(n_h):
-        mask = dot_rows(ctx, hyp[i], v.coords) == 0
-        rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
-        if rank != v.r:
-            return CuttingReport(False, n_h, i, tuple(int(x) for x in hyp[i]), rank)
-    return CuttingReport(True, n_h)
+    ctx, space, q = v.ctx, v.space, v.ctx.order
+    pencils = line_count(ctx, v.r)
+    check_budget(f"scanning {pencils} pencils of hyperplanes", pencils, budget)
+    sizes = hyperplane_section_sizes(v, engine, 1, budget)
+    witness = space.n_points
+    for rows in rref_bases(ctx, v.r, 2, budget):
+        total = np.zeros(len(rows[0]), dtype=np.int64)
+        smallest = np.full(len(rows[0]), v.n, dtype=np.int64)
+        for hyps in subspace_points(ctx, rows):
+            s = sizes[space.index_array(hyps)]
+            total += s
+            np.minimum(smallest, s, out=smallest)
+        sec, rem = np.divmod(total - v.n, q)
+        assert not rem.any(), "pencil sums must be n plus q times the axis section"
+        bad = smallest == sec
+        if bad.any():
+            # only the bad pencils, again, to name their failing hyperplanes
+            rows, sec = tuple(row[bad] for row in rows), sec[bad]
+            for hyps in subspace_points(ctx, rows):
+                idx = space.index_array(hyps)
+                fail = idx[sizes[idx] == sec]
+                if fail.size:
+                    witness = min(witness, int(fail.min()))
+    if witness == space.n_points:
+        return CuttingReport(True, space.n_points)
+    h = space.points[witness]
+    mask = dot_rows(ctx, h, v.coords) == 0
+    rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
+    assert rank < v.r
+    return CuttingReport(False, space.n_points, witness, tuple(int(x) for x in h), rank)
 
 
 @dataclass
@@ -354,7 +385,7 @@ def minimality_summary(v: Variety, engine: str = "auto", parallel: int = 1,
     """All three minimality views of the code on v, cross-checked."""
     dist = weights_from_sections(v, engine, parallel, budget)
     ab = ab_condition(dist)
-    cut = cutting_blocking_check(v, budget)
+    cut = cutting_blocking_check(v, budget, engine=engine)
     out = {"variety": v.meta(), "weights": dist.as_dict(),
            "ab": ab.as_dict(), "cutting": cut.as_dict()}
     n_words = v.ctx.order ** (v.r + 1)

@@ -83,28 +83,30 @@ class ProjectiveSpace:
         weights = q ** np.arange(r, -1, -1, dtype=np.int64)
         self.keys = self.points @ weights
         assert bool(np.all(np.diff(self.keys) > 0))
-
-    def key_of(self, vec) -> int:
-        q = self.ctx.order
-        k = 0
-        for v in vec:
-            k = k * q + int(v)
-        return k
+        self._lookup = None
 
     def index_of(self, vec) -> int:
         """Canonical index of a (normalized) point."""
-        k = self.key_of(vec)
-        i = int(np.searchsorted(self.keys, k))
-        if i == self.n_points or self.keys[i] != k:
-            raise KeyError(f"{tuple(vec)} is not a normalized point")
-        return i
+        return int(self.index_array(np.array([vec], dtype=np.int64))[0])
 
     def index_array(self, pts: np.ndarray) -> np.ndarray:
+        """Canonical indices of the rows of pts, all normalized points.
+
+        A row's key, its base-q value, is below 2 q^r because its
+        leading coordinate is 1; a table over those keys, built on first
+        use, maps each key to its point's index and every other key to -1.
+        """
         q = self.ctx.order
-        weights = q ** np.arange(self.r, -1, -1, dtype=np.int64)
-        keys = pts @ weights
-        idx = np.searchsorted(self.keys, keys)
-        if np.any(idx >= self.n_points) or np.any(self.keys[idx] != keys):
+        if self._lookup is None:
+            self._lookup = np.full(2 * q ** self.r, -1, dtype=np.int64)
+            self._lookup[self.keys] = np.arange(self.n_points)
+        if pts.size and (pts.min() < 0 or pts.max() >= q):
+            raise KeyError("some rows have entries outside the field")
+        keys = pts @ (q ** np.arange(self.r, -1, -1, dtype=np.int64))
+        if keys.size and keys.max() >= len(self._lookup):
+            raise KeyError("some rows are not normalized points")
+        idx = self._lookup[keys]
+        if np.any(idx < 0):
             raise KeyError("some rows are not normalized points")
         return idx
 

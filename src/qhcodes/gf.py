@@ -18,6 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 FIELD_BUDGET = 2 ** 20
+# vadd looks sums up in a full order x order table only up to this
+# order (8 MiB of int64); larger odd-characteristic fields add digit by
+# digit, since building the table costs order^2 work and memory
+ADD_TABLE_MAX_ORDER = 1024
 
 # Conway polynomials, ascending coefficients (c0, c1, ..., 1), monic.
 # Generated once by the standard definition (minimal primitive polynomial
@@ -381,7 +385,9 @@ class FiniteField:
 
     @property
     def add_flat(self):
-        if self._add_flat is None and self.order <= 4096:
+        """Flattened addition table, or None above ADD_TABLE_MAX_ORDER,
+        where vadd adds digit by digit instead."""
+        if self._add_flat is None and self.order <= ADD_TABLE_MAX_ORDER:
             e = np.arange(self.order)
             p = self.p
             out = np.zeros((self.order, self.order), dtype=np.int64)

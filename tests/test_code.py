@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
-from qhcodes.code import (CodeError, LinearCode, ab_condition,
+from qhcodes.code import (CodeError, CuttingReport, LinearCode, ab_condition,
                           code_from_variety, cutting_blocking_check,
                           divisibility_report, higher_weight,
                           minimality_bruteforce, minimality_summary,
                           weights_bruteforce, weights_from_sections)
-from qhcodes.gf import make_field
-from qhcodes.variety import build_hermitian
+from qhcodes.geom import dot_rows, line_count, pg_space, span_rank
+from qhcodes.gf import field_for_order
+from qhcodes.variety import _variety_from_mask, build_variety
 from qhcodes.verify import get_variety
 
 
@@ -91,6 +95,81 @@ def test_cutting_blocking(tw33):
     assert not rep.ok
     assert rep.witness_coords == (1, 0, 0, 0)
     assert rep.witness_rank == 2
+
+
+def _cutting_by_ranks(v):
+    """The cutting check one hyperplane at a time: row-reduce every
+    section and stop at the first that does not span its hyperplane."""
+    ctx, space = v.ctx, v.space
+    for i, h in enumerate(space.points):
+        mask = dot_rows(ctx, h, v.coords) == 0
+        rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
+        if rank != v.r:
+            return CuttingReport(False, space.n_points, i,
+                                 tuple(int(x) for x in h), rank)
+    return CuttingReport(True, space.n_points)
+
+
+CUTTING_FIXTURES = [
+    ("twisted", 3, 3), ("twisted", 4, 3), ("twisted", 5, 3),
+    ("hermitian", 2, 3), ("hermitian", 3, 3), ("hermitian", 2, 4),
+    ("hermitian", 3, 1), ("hermitian", 2, 2), ("hermitian", 3, 2),
+    ("quasi-hermitian", 3, 3),
+    ("cone", 3, 3), ("cone", 3, 2), ("cone", 2, 4),
+    ("twisted-infinity", 3, 3), ("twisted-infinity", 2, 4),
+]
+
+
+@pytest.mark.parametrize("kind,q,r", CUTTING_FIXTURES)
+def test_pencils_agree_with_ranks_on_varieties(kind, q, r):
+    v = build_variety(kind, q, r)
+    assert cutting_blocking_check(v) == _cutting_by_ranks(v)
+
+
+@pytest.mark.parametrize("Q,r", [(4, 1), (4, 2), (9, 2), (4, 3), (9, 3), (4, 4)])
+@settings(max_examples=15, deadline=None)
+@given(dense=st.booleans(), data=st.data())
+def test_pencils_agree_with_ranks_on_random_point_sets(Q, r, dense, data):
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    # a set drawn point by point rarely cuts; the complement of a few
+    # points usually does
+    drawn = data.draw(st.sets(st.integers(0, space.n_points - 1),
+                              max_size=space.n_points // 3))
+    mask = np.full(space.n_points, dense)
+    mask[sorted(drawn)] = not dense
+    v = _variety_from_mask("subset", ctx, r, space, mask)
+    rep = cutting_blocking_check(v)
+    event(f"Q={Q} r={r} cutting={rep.ok}")
+    assert rep == _cutting_by_ranks(v)
+
+
+def _spy_on_engines(monkeypatch):
+    calls = []
+    for name in ("_sizes_wht", "_sizes_direct"):
+        real = getattr(variety_mod, name)
+        monkeypatch.setattr(variety_mod, name,
+                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    return calls
+
+
+def test_cutting_budget_refuses_before_any_spectrum(monkeypatch):
+    v = build_variety("twisted", 3, 3)
+    calls = _spy_on_engines(monkeypatch)
+    pencils = line_count(v.ctx, v.r)
+    with pytest.raises(BudgetError, match="pencils"):
+        cutting_blocking_check(v, budget=pencils - 1)
+    assert calls == []
+    assert cutting_blocking_check(v, budget=pencils).ok
+    assert len(calls) == 1
+
+
+def test_minimality_summary_keeps_its_engine(monkeypatch):
+    v = build_variety("hermitian", 2, 3)
+    calls = _spy_on_engines(monkeypatch)
+    out = minimality_summary(v, engine="direct")
+    assert out["cutting"]["ok"] and out["agree"]
+    assert calls == ["_sizes_direct"]
 
 
 def test_bruteforce_minimality_finds_the_15_words():

@@ -46,6 +46,41 @@ def test_point_lookup_roundtrip():
     assert space.index_of(np.array(normalize_point(ctx, scaled))) == 10
 
 
+@pytest.mark.parametrize("Q,r", [(2, 1), (2, 4), (3, 3), (4, 3), (9, 2), (25, 2)])
+def test_index_array_matches_a_sorted_search(Q, r):
+    """The key table gives what a binary search over the sorted keys
+    gives, on every point of PG(r, Q) in shuffled order."""
+    space = pg_space(field_for_order(Q), r)
+    order = np.random.default_rng(Q * 10 + r).permutation(space.n_points)
+    pts = space.points[order]
+    keys = pts @ (Q ** np.arange(r, -1, -1, dtype=np.int64))
+    expect = np.searchsorted(space.keys, keys)
+    assert np.array_equal(space.keys[expect], keys)
+    assert np.array_equal(space.index_array(pts), expect)
+    assert np.array_equal(expect, order)
+
+
+@pytest.mark.parametrize("Q", [3, 4, 9])
+def test_index_array_refuses_rows_that_are_not_points(Q):
+    space = pg_space(field_for_order(Q), 3)
+    good = space.points[[0, space.n_points - 1]]
+    bad_rows = {
+        "zero row": [0, 0, 0, 0],
+        "leading 2, key inside the table": [0, 0, 2, 1],
+        "leading 2, key at the table's end": [2, 0, 0, 0],
+        # its base-Q key is that of the point (0, 1, 1, 0)
+        "entry Q": [0, 1, 0, Q],
+        "negative entry": [0, 1, -1, 0],
+        "key beyond the table": [Q - 1, Q - 1, 0, 0],
+    }
+    for what, row in bad_rows.items():
+        pts = np.vstack([good, np.array([row], dtype=np.int64)])
+        with pytest.raises(KeyError):
+            space.index_array(pts)
+        with pytest.raises(KeyError):
+            space.index_of(row)
+
+
 def test_dot_rows_matches_scalar():
     ctx = make_field(3, 2)
     space = pg_space(ctx, 2)

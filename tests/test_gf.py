@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qhcodes.gf import (CONWAY_POLYNOMIALS, FieldError, FiniteField,
-                        SquareTestInEvenCharError, factor_prime_power,
-                        field_for_order, make_field)
+from qhcodes.gf import (ADD_TABLE_MAX_ORDER, CONWAY_POLYNOMIALS, FieldError,
+                        FiniteField, SquareTestInEvenCharError,
+                        factor_prime_power, field_for_order, make_field)
 
 
 def test_factor_prime_power():
@@ -123,6 +123,19 @@ def test_vectorized_matches_scalar():
     for x, y, s, m in zip(a, b, vs, vm):
         assert s == ctx.add(int(x), int(y))
         assert m == ctx.mul(int(x), int(y))
+
+
+def test_vadd_without_a_table_above_the_cutoff():
+    """GF(61^2) adds digit by digit: same sums as the scalar add, and no
+    order x order table is built."""
+    ctx = make_field(61, 2)
+    assert ctx.order > ADD_TABLE_MAX_ORDER
+    rng = np.random.default_rng(61)
+    a = rng.integers(0, ctx.order, size=500)
+    b = rng.integers(0, ctx.order, size=500)
+    got = ctx.vadd(a, b)
+    assert [int(x) for x in got] == [ctx.add(int(x), int(y)) for x, y in zip(a, b)]
+    assert ctx.add_flat is None and ctx._add_flat is None
 
 
 def test_pow_row_and_scalar_row():
