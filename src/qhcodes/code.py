@@ -11,20 +11,22 @@ Minimality of the whole code is checked three ways: the sufficient
 minimum/maximum weight ratio condition (q w_min > (q-1) w_max), the
 geometric cutting criterion (every hyperplane section spans its
 hyperplane), and brute-force support containment over all codewords.
-The cutting criterion needs no ranks: it is read off the hyperplane
-section sizes, one pencil of hyperplanes (a line of the dual space) at
-a time, and only its witness hyperplane is row-reduced.
+The cutting criterion is read off the hyperplane section sizes: only a
+hyperplane with (q-1) |H meet V| <= q s_max - n can fail, and only
+those candidates are row-reduced.  When the weight ratio condition
+holds there are none.  The brute force builds each block of codewords
+from one table of scalar multiples per row of the generator matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import (_digit_matrix, dot_rows, line_count, rref_bases, span_rank,
-                   subspace_points)
+from .geom import _digit_matrix, dot_rows, span_rank
 from .gf import FiniteField
 from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
 
@@ -69,18 +71,23 @@ class LinearCode:
         """Messages lo .. hi-1 as base-q digit rows, most significant first."""
         return _digit_matrix(self.ctx.order, self.k, hi - lo, lo)
 
+    @cached_property
+    def row_tables(self) -> tuple:
+        """Table i holds a times row i of the generator matrix in row a,
+        in the narrowest unsigned dtype that holds q - 1."""
+        scalars = np.arange(self.ctx.order)[:, None]
+        dtype = np.min_scalar_type(self.ctx.order - 1)
+        return tuple(self.ctx.vmul(scalars, self.cols[None, :, i]).astype(dtype)
+                     for i in range(self.k))
+
     def codeword_block(self, msgs: np.ndarray) -> np.ndarray:
-        """Codewords of a block of messages, one row per message."""
-        ctx = self.ctx
-        out = np.zeros((len(msgs), self.n), dtype=np.int64)
-        for j in range(self.n):
-            acc = np.zeros(len(msgs), dtype=np.int64)
-            for i in range(self.k):
-                c = int(self.cols[j, i])
-                if c:
-                    acc = ctx.vadd(acc, ctx.scalar_mul_row(c)[msgs[:, i]])
-            out[:, j] = acc
-        return out
+        """Codewords of a block of messages, one row per message: k row
+        gathers from the tables and k - 1 field additions."""
+        tables = self.row_tables
+        words = tables[0][msgs[:, 0]]
+        for i in range(1, self.k):
+            words = self.ctx.vadd(words, tables[i][msgs[:, i]])
+        return words
 
 
 def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
@@ -266,45 +273,28 @@ def cutting_blocking_check(v: Variety, budget: int | None = None, *,
                            engine: str = "auto") -> CuttingReport:
     """Does every hyperplane section of v span its hyperplane?
 
-    Equivalent to minimality of the code with columns v.  Decided from
-    the hyperplane section sizes by pencils: the q+1 hyperplanes H
-    through a codimension-2 subspace S, the points of a line of the dual
-    space, satisfy sum_H |H meet v| = n + q |S meet v|.  H meet v fails
-    to span H exactly when it lies in some such S inside H, that is,
-    when |H meet v| = |S meet v|.  On failure the failing hyperplane of
-    least index (as a functional coordinate vector) is reported with the
-    rank of its section.
+    Equivalent to minimality of the code with columns v.  A section
+    H meet v of size h that does not span H lies in a codimension-2
+    subspace S inside H.  The q+1 hyperplanes through S hold n + q h
+    points, so the other q hold n + (q-1) h <= q s_max.  Only these
+    candidates, (q-1) h <= q s_max - n, are row-reduced, in index order;
+    the first failure is the failing hyperplane of least index (as a
+    functional coordinate vector), reported with its section's rank.
+    At h = s_min the bound negates q w_min > (q-1) w_max, so when that
+    holds no hyperplane is a candidate.
     """
     ctx, space, q = v.ctx, v.space, v.ctx.order
-    pencils = line_count(ctx, v.r)
-    check_budget(f"scanning {pencils} pencils of hyperplanes", pencils, budget)
     sizes = hyperplane_section_sizes(v, engine, 1, budget)
-    witness = space.n_points
-    for rows in rref_bases(ctx, v.r, 2, budget):
-        total = np.zeros(len(rows[0]), dtype=np.int64)
-        smallest = np.full(len(rows[0]), v.n, dtype=np.int64)
-        for hyps in subspace_points(ctx, rows):
-            s = sizes[space.index_array(hyps)]
-            total += s
-            np.minimum(smallest, s, out=smallest)
-        sec, rem = np.divmod(total - v.n, q)
-        assert not rem.any(), "pencil sums must be n plus q times the axis section"
-        bad = smallest == sec
-        if bad.any():
-            # only the bad pencils, again, to name their failing hyperplanes
-            rows, sec = tuple(row[bad] for row in rows), sec[bad]
-            for hyps in subspace_points(ctx, rows):
-                idx = space.index_array(hyps)
-                fail = idx[sizes[idx] == sec]
-                if fail.size:
-                    witness = min(witness, int(fail.min()))
-    if witness == space.n_points:
-        return CuttingReport(True, space.n_points)
-    h = space.points[witness]
-    mask = dot_rows(ctx, h, v.coords) == 0
-    rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
-    assert rank < v.r
-    return CuttingReport(False, space.n_points, witness, tuple(int(x) for x in h), rank)
+    cand = np.flatnonzero((q - 1) * sizes <= q * int(sizes.max()) - v.n)
+    check_budget(f"row-reducing {len(cand)} candidate hyperplane sections of "
+                 f"{v.n} points", len(cand) * v.n, budget)
+    for i in cand:
+        h = space.points[i]
+        rank = span_rank(ctx, v.coords[dot_rows(ctx, h, v.coords) == 0]).rank
+        if rank < v.r:
+            return CuttingReport(False, space.n_points, int(i),
+                                 tuple(int(x) for x in h), rank)
+    return CuttingReport(True, space.n_points)
 
 
 @dataclass
@@ -324,6 +314,15 @@ class MinimalityReport:
                                     for w, c in sorted(self.non_minimal_weights.items())],
             "witnesses": self.witnesses[:8],
         }
+
+
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """np.unique(rows, axis=0, return_inverse=True) for 2-D uint8 rows,
+    sorted as byte strings through a 1-D void view: the same order."""
+    width = rows.shape[1]
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq.view(np.uint8).reshape(-1, width), inverse
 
 
 def minimality_bruteforce(code: LinearCode, budget: int | None = None,
@@ -352,8 +351,7 @@ def minimality_bruteforce(code: LinearCode, budget: int | None = None,
         if lo == 0:
             words = words[1:]
         packs.append(np.packbits(words != 0, axis=1))
-    supports = np.concatenate(packs, axis=0)
-    classes, inverse = np.unique(supports, axis=0, return_inverse=True)
+    classes, inverse = _unique_rows(np.concatenate(packs, axis=0))
     mult = np.bincount(inverse)
     sizes = np.unpackbits(classes, axis=1).sum(axis=1).astype(np.int64)
     n_cls = len(classes)

@@ -372,10 +372,12 @@ class FiniteField:
             return np.bitwise_xor(a, b)
         flat = self.add_flat
         if flat is not None:
-            return flat[a * self.order + b]
+            # an intp index, since a * order wraps in a narrow dtype
+            return flat[np.asarray(a, dtype=np.intp) * self.order + b]
         p = self.p
-        out = np.zeros_like(a)
-        x, y, shift = a.copy(), b.copy(), 1
+        dtype = np.result_type(a, b)
+        out = np.zeros_like(a, dtype=dtype)
+        x, y, shift = a.astype(dtype), b.astype(dtype), 1
         for _ in range(self.m):
             out += ((x % p + y % p) % p) * shift
             x //= p

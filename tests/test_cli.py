@@ -104,6 +104,18 @@ def test_code_minimality_not_minimal_is_not_an_error(capsys):
     assert "not minimal" in err
 
 
+def test_code_minimality_at_twisted_44(capsys):
+    """One candidate hyperplane, row-reduced after the spectrum; the
+    exhaustive cross-check is over budget and skipped."""
+    rc, doc, err = run_json(capsys, "code", "minimality", "--q", "4", "--r", "4")
+    assert rc == 0
+    cut = doc["report"]["cutting"]
+    assert cut["ok"] is False and cut["hyperplanes"] == 69905
+    assert (cut["witness_index"], cut["witness_coords"], cut["witness_rank"]) == (
+        4369, [1, 0, 0, 0, 0], 3)
+    assert doc["report"]["bruteforce"]["status"] == "SKIP"
+
+
 def test_code_minimality_skips_an_over_budget_cross_check(capsys):
     rc, doc, err = run_json(capsys, "code", "minimality", "--q", "4", "--r", "3",
                             "--budget", "1000000")

@@ -138,6 +138,21 @@ def test_vadd_without_a_table_above_the_cutoff():
     assert ctx.add_flat is None and ctx._add_flat is None
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (5, 2), (31, 2), (61, 2)])
+def test_vadd_on_narrow_dtypes(p, m):
+    """Sums of uint8/uint16 operands, alone or mixed with int64, equal the
+    int64 sums: an index a * order into the table must not wrap."""
+    ctx = make_field(p, m)
+    narrow = np.min_scalar_type(ctx.order - 1)
+    rng = np.random.default_rng(ctx.order)
+    a = rng.integers(0, ctx.order, size=2000)
+    b = rng.integers(0, ctx.order, size=2000)
+    want = ctx.vadd(a, b)
+    for x, y in ((a.astype(narrow), b.astype(narrow)), (a.astype(narrow), b),
+                 (a, b.astype(narrow))):
+        assert np.array_equal(ctx.vadd(x, y), want)
+
+
 def test_pow_row_and_scalar_row():
     ctx = make_field(2, 4)
     row = ctx.pow_row(3)
