@@ -57,7 +57,6 @@ def run_config(args, variety=None) -> dict:
     """Resolved configuration echoed into every report."""
     cfg = {
         "format": args.format,
-        "parallel": getattr(args, "parallel", 1),
         "budget": getattr(args, "budget", None),
         "point_order": POINT_ORDER_VERSION,
         "seed": getattr(args, "seed", None),
@@ -175,8 +174,7 @@ def cmd_variety_build(args) -> int:
 
 def cmd_variety_spectrum(args) -> int:
     v = make_variety(args)
-    sp = hyperplane_spectrum(v, engine=args.engine, parallel=args.parallel,
-                             budget=args.budget)
+    sp = hyperplane_spectrum(v, engine=args.engine, budget=args.budget)
     pred = _predicted(v.kind, args.q, args.r)
     support_match = counts_match = None
     if pred is not None:
@@ -219,8 +217,7 @@ def cmd_variety_lines(args) -> int:
 
 def cmd_code_weights(args) -> int:
     v = make_variety(args)
-    dist = weights_from_sections(v, engine=args.engine, parallel=args.parallel,
-                                 budget=args.budget)
+    dist = weights_from_sections(v, engine=args.engine, budget=args.budget)
     verdict = None
     cross = None
     if args.cross_check:
@@ -237,8 +234,7 @@ def cmd_code_weights(args) -> int:
 
 def cmd_code_minimality(args) -> int:
     v = make_variety(args)
-    summary = minimality_summary(v, engine=args.engine, parallel=args.parallel,
-                                 budget=args.budget)
+    summary = minimality_summary(v, engine=args.engine, budget=args.budget)
     ab_ok = summary["ab"]["passes"]
     cut_ok = summary["cutting"]["ok"]
     agree = summary.get("agree")
@@ -264,8 +260,7 @@ def cmd_code_minimality(args) -> int:
 
 def cmd_code_divisibility(args) -> int:
     v = make_variety(args)
-    dist = weights_from_sections(v, engine=args.engine, parallel=args.parallel,
-                                 budget=args.budget)
+    dist = weights_from_sections(v, engine=args.engine, budget=args.budget)
     divisor = args.divisor if args.divisor is not None else args.q
     rep = divisibility_report(dist, divisor)
     report = {"variety": v.meta(), "divisibility": rep.as_dict(),
@@ -278,8 +273,7 @@ def cmd_code_divisibility(args) -> int:
 
 def cmd_code_dk(args) -> int:
     v = make_variety(args)
-    rep = higher_weight(v, args.k, engine=args.engine, parallel=args.parallel,
-                        budget=args.budget)
+    rep = higher_weight(v, args.k, engine=args.engine, budget=args.budget)
     report = {"variety": v.meta(), "higher_weight": rep.as_dict()}
     emit(args, "code dk", run_config(args, v), report, None,
          ["k", "d", "max_section", "subspaces"],
@@ -407,7 +401,7 @@ def cmd_verify_all(args) -> int:
              ["id", "status", "name", "detail"],
              [[res.cid, res.status, res.name, res.detail]])
         return 0 if verdict == PASS else 1
-    results = verify_mod.run_all(budget=args.budget, parallel=args.parallel)
+    results = verify_mod.run_all(budget=args.budget)
     for res in results:
         _status(f"{res.cid} {res.status} ({res.elapsed:.1f}s) {res.name}: {res.detail}")
     statuses = [res.status for res in results]
@@ -443,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--out", metavar="FILE", help="write the report here")
     fmt.add_argument("--budget", type=int, default=None, metavar="N",
                      help="work cap; 0 refuses everything nontrivial")
-    fmt.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="worker processes for spectra")
 
     var = argparse.ArgumentParser(add_help=False)
     var.add_argument("--q", type=int, required=True, help="base field size")

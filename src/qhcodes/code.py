@@ -31,6 +31,7 @@ from .gf import FiniteField
 from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
 
 WORDS_HARD_CAP = 2 ** 24
+WORD_BLOCK = 4096
 
 
 class CodeError(ValueError):
@@ -89,6 +90,18 @@ class LinearCode:
             words = self.ctx.vadd(words, tables[i][msgs[:, i]])
         return words
 
+    def word_blocks(self, budget: int | None = None):
+        """Every codeword in message order, WORD_BLOCK rows at a time.
+        The budget and the hard cap refuse here, before any block."""
+        n_words = self.ctx.order ** self.k
+        check_budget(f"enumerating {n_words} codewords", n_words, budget)
+        if n_words > WORDS_HARD_CAP:
+            raise CodeError(f"codeword enumeration of {n_words} words exceeds "
+                            f"the hard cap {WORDS_HARD_CAP}")
+        return (self.codeword_block(
+                    self.message_block(lo, min(lo + WORD_BLOCK, n_words)))
+                for lo in range(0, n_words, WORD_BLOCK))
+
 
 def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
     """Code whose columns are the points of v in canonical order.
@@ -144,11 +157,11 @@ class WeightDistribution:
         }
 
 
-def weights_from_sections(v: Variety, engine: str = "auto", parallel: int = 1,
+def weights_from_sections(v: Variety, engine: str = "auto",
                           budget: int | None = None) -> WeightDistribution:
     """Weight distribution via hyperplane sections: each hyperplane of
     section size s accounts for q-1 words of weight n - s."""
-    sizes = hyperplane_section_sizes(v, engine, parallel, budget)
+    sizes = hyperplane_section_sizes(v, engine, budget)
     q = v.ctx.order
     vals, cnts = np.unique(sizes, return_counts=True)
     weights = {int(v.n - s): int(c) * (q - 1) for s, c in zip(vals, cnts)}
@@ -157,25 +170,15 @@ def weights_from_sections(v: Variety, engine: str = "auto", parallel: int = 1,
     return dist
 
 
-def weights_bruteforce(code: LinearCode, budget: int | None = None,
-                       chunk: int = 4096) -> WeightDistribution:
+def weights_bruteforce(code: LinearCode,
+                       budget: int | None = None) -> WeightDistribution:
     """Weight distribution by enumerating every codeword."""
-    q, k = code.ctx.order, code.k
-    n_words = q ** k
-    check_budget(f"enumerating {n_words} codewords", n_words, budget)
-    if n_words > WORDS_HARD_CAP:
-        raise CodeError(f"codeword enumeration of {n_words} words exceeds "
-                        f"the hard cap {WORDS_HARD_CAP}")
-    hist: dict = {}
-    for lo in range(0, n_words, chunk):
-        hi = min(lo + chunk, n_words)
-        words = code.codeword_block(code.message_block(lo, hi))
-        wt = (words != 0).sum(axis=1)
-        if lo == 0:
-            wt = wt[1:]
-        for w, c in zip(*np.unique(wt, return_counts=True)):
-            hist[int(w)] = hist.get(int(w), 0) + int(c)
-    dist = WeightDistribution(q, code.n, k, hist, "exhaustive")
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for words in code.word_blocks(budget):
+        counts += np.bincount((words != 0).sum(axis=1), minlength=code.n + 1)
+    counts[0] -= 1      # the zero message
+    hist = {w: int(c) for w, c in enumerate(counts) if c}
+    dist = WeightDistribution(code.ctx.order, code.n, code.k, hist, "exhaustive")
     dist.check_complete()
     return dist
 
@@ -212,7 +215,7 @@ class HigherWeightReport:
                 "subspaces": self.subspaces}
 
 
-def higher_weight(v: Variety, k: int, engine: str = "auto", parallel: int = 1,
+def higher_weight(v: Variety, k: int, engine: str = "auto",
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|."""
     r = v.r
@@ -221,7 +224,7 @@ def higher_weight(v: Variety, k: int, engine: str = "auto", parallel: int = 1,
     if k == r:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
     if k == 1:
-        sizes = hyperplane_section_sizes(v, engine, parallel, budget)
+        sizes = hyperplane_section_sizes(v, engine, budget)
     else:
         sizes = subspace_section_sizes(v, r + 1 - k, budget)
     best = int(sizes.max())
@@ -284,7 +287,7 @@ def cutting_blocking_check(v: Variety, budget: int | None = None, *,
     holds no hyperplane is a candidate.
     """
     ctx, space, q = v.ctx, v.space, v.ctx.order
-    sizes = hyperplane_section_sizes(v, engine, 1, budget)
+    sizes = hyperplane_section_sizes(v, engine, budget)
     cand = np.flatnonzero((q - 1) * sizes <= q * int(sizes.max()) - v.n)
     check_budget(f"row-reducing {len(cand)} candidate hyperplane sections of "
                  f"{v.n} points", len(cand) * v.n, budget)
@@ -325,8 +328,8 @@ def _unique_rows(rows: np.ndarray) -> tuple:
     return uniq.view(np.uint8).reshape(-1, width), inverse
 
 
-def minimality_bruteforce(code: LinearCode, budget: int | None = None,
-                          chunk: int = 4096) -> MinimalityReport:
+def minimality_bruteforce(code: LinearCode,
+                          budget: int | None = None) -> MinimalityReport:
     """Exhaustive minimality check by support containment.
 
     Enumerates every nonzero codeword, collapses the scalar classes
@@ -334,24 +337,15 @@ def minimality_bruteforce(code: LinearCode, budget: int | None = None,
     different support sizes.  A word is non-minimal exactly when some
     class has support strictly inside its own.
     """
-    q, k = code.ctx.order, code.k
-    n_words = q ** k
-    check_budget(f"enumerating {n_words} codewords", n_words, budget)
-    if n_words > WORDS_HARD_CAP:
-        raise CodeError(f"codeword enumeration of {n_words} words exceeds "
-                        f"the hard cap {WORDS_HARD_CAP}")
+    q = code.ctx.order
+    n_words = q ** code.k
+    blocks = code.word_blocks(budget)
     # at most one support class per scalar class of nonzero words
     max_cls = (n_words - 1) // (q - 1)
     pair_ops = max_cls * (max_cls - 1) // 2
     check_budget(f"up to {pair_ops} support containment tests", pair_ops, budget)
-    packs = []
-    for lo in range(0, n_words, chunk):
-        hi = min(lo + chunk, n_words)
-        words = code.codeword_block(code.message_block(lo, hi))
-        if lo == 0:
-            words = words[1:]
-        packs.append(np.packbits(words != 0, axis=1))
-    classes, inverse = _unique_rows(np.concatenate(packs, axis=0))
+    supports = np.concatenate([np.packbits(words != 0, axis=1) for words in blocks])
+    classes, inverse = _unique_rows(supports[1:])     # drop the zero message
     mult = np.bincount(inverse)
     sizes = np.unpackbits(classes, axis=1).sum(axis=1).astype(np.int64)
     n_cls = len(classes)
@@ -378,10 +372,10 @@ def minimality_bruteforce(code: LinearCode, budget: int | None = None,
                             non_min_words, non_min_weights, witnesses)
 
 
-def minimality_summary(v: Variety, engine: str = "auto", parallel: int = 1,
+def minimality_summary(v: Variety, engine: str = "auto",
                        budget: int | None = None) -> dict:
     """All three minimality views of the code on v, cross-checked."""
-    dist = weights_from_sections(v, engine, parallel, budget)
+    dist = weights_from_sections(v, engine, budget)
     ab = ab_condition(dist)
     cut = cutting_blocking_check(v, budget, engine=engine)
     out = {"variety": v.meta(), "weights": dist.as_dict(),

@@ -136,16 +136,15 @@ class SubspaceBasis:
     rows: tuple
 
 
-def row_reduce(ctx: FiniteField, mat: np.ndarray, max_rank: int | None = None):
+def row_reduce(ctx: FiniteField, mat: np.ndarray):
     """Row echelon form over the field; returns (rank, reduced rows)."""
     mat = np.array(mat, dtype=np.int64, copy=True)
     if mat.ndim != 2:
         raise ValueError("need a 2d matrix")
     n, w = mat.shape
-    cap = w if max_rank is None else min(w, max_rank)
     rank = 0
     for col in range(w):
-        if rank >= min(n, cap):
+        if rank >= n:
             break
         rest = mat[rank:, col]
         nz = np.nonzero(rest)[0]

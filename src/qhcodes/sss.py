@@ -112,8 +112,7 @@ def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
         if i != piv and u[i]:
             acc = ctx.add(acc, ctx.mul(int(u[i]), int(g0[i])))
     u[piv] = ctx.div(ctx.sub(secret, acc), int(g0[piv]))
-    word = scheme.code.codeword(u) if u.any() else np.zeros(scheme.code.n,
-                                                            dtype=np.int64)
+    word = scheme.code.codeword(u)
     shares = {i: int(word[i]) for i in range(1, scheme.code.n)}
     return DealReport(secret, seed, shares)
 
@@ -336,13 +335,8 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
     target = np.array([dealt[i] for i in ids], dtype=np.int64)
     probe = LinearCode(ctx, scheme.code.cols[[0] + ids])
     counts: Counter = Counter()
-    chunk = 4096
-    for lo in range(0, n_words, chunk):
-        hi = min(lo + chunk, n_words)
-        block = probe.codeword_block(probe.message_block(lo, hi))
-        ok = np.ones(hi - lo, dtype=bool)
-        for t in range(len(ids)):
-            ok &= block[:, 1 + t] == target[t]
+    for block in probe.word_blocks(budget):
+        ok = (block[:, 1:] == target).all(axis=1)
         vals, cnts = np.unique(block[ok, 0], return_counts=True)
         for s_val, c in zip(vals, cnts):
             counts[int(s_val)] += int(c)

@@ -22,8 +22,6 @@ validate_params for the exact clauses.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -412,22 +410,13 @@ class SpectrumReport:
         }
 
 
-def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace, vcoords: np.ndarray,
-                  lo: int, hi: int) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.int64)
-    hyp = space.points
+def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
+                  vcoords: np.ndarray) -> np.ndarray:
+    out = np.empty(space.n_points, dtype=np.int64)
     n = len(vcoords)
-    for i in range(lo, hi):
-        acc = dot_rows(ctx, hyp[i], vcoords)
-        out[i - lo] = n - int(np.count_nonzero(acc))
+    for i, h in enumerate(space.points):
+        out[i] = n - int(np.count_nonzero(dot_rows(ctx, h, vcoords)))
     return out
-
-
-def _direct_worker(args):
-    p, m, r, vcoords, lo, hi = args
-    ctx = make_field(p, m)
-    space = pg_space(ctx, r)
-    return lo, _sizes_direct(ctx, space, vcoords, lo, hi)
 
 
 # Characters of GF(p)^D: a radix-p pass per digit.  Characteristic 2
@@ -567,7 +556,7 @@ def resolve_engine(v: Variety, engine: str = "auto") -> str:
     return "wht" if entries <= WHT_CUTOFF and transform <= direct else "direct"
 
 
-def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1,
+def hyperplane_section_sizes(v: Variety, engine: str = "auto",
                              budget: int | None = None) -> np.ndarray:
     """|Sigma meet v| for every hyperplane Sigma, in canonical order.
 
@@ -586,29 +575,17 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto", parallel: int = 1
     if engine == "wht":
         sizes = _sizes_wht(ctx, space, v.coords)
     elif engine == "direct":
-        n_h = space.n_points
-        if parallel > 1:
-            chunk = (n_h + parallel - 1) // parallel
-            jobs = [(ctx.p, ctx.m, v.r, v.coords, lo, min(lo + chunk, n_h))
-                    for lo in range(0, n_h, chunk)]
-            sizes = np.empty(n_h, dtype=np.int64)
-            mp = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=parallel, mp_context=mp) as pool:
-                for lo, part in pool.map(_direct_worker, jobs):
-                    sizes[lo:lo + len(part)] = part
-        else:
-            sizes = _sizes_direct(ctx, space, v.coords, 0, n_h)
+        sizes = _sizes_direct(ctx, space, v.coords)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     v._hyp_sizes, v._hyp_engine = sizes, engine
     return sizes
 
 
-def hyperplane_spectrum(v: Variety, engine: str = "auto", parallel: int = 1,
+def hyperplane_spectrum(v: Variety, engine: str = "auto",
                         budget: int | None = None) -> SpectrumReport:
     used = resolve_engine(v, engine)
-    sizes = hyperplane_section_sizes(v, used, parallel, budget)
+    sizes = hyperplane_section_sizes(v, used, budget)
     vals, cnts = np.unique(sizes, return_counts=True)
     counts = {int(a): int(b) for a, b in zip(vals, cnts)}
     return SpectrumReport(v.meta(), "hyperplane", counts, int(cnts.sum()), used)

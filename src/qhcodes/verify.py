@@ -70,7 +70,7 @@ def _fail_list(pairs):
     return "; ".join(pairs)
 
 
-def check_01_sizes(budget=None, parallel=1) -> CheckResult:
+def check_01_sizes(budget=None) -> CheckResult:
     """Sizes of the twisted hypersurface and the one-refusal case."""
     bad = []
     for (q, r), expect in EXPECTED_SIZES.items():
@@ -89,12 +89,12 @@ def check_01_sizes(budget=None, parallel=1) -> CheckResult:
                        "262 / 1041 / 16657; (3,4) refused after exhaustive scan")
 
 
-def check_02_spectra(budget=None, parallel=1) -> CheckResult:
+def check_02_spectra(budget=None) -> CheckResult:
     """Hyperplane spectrum supports, plus the pinned (3,3) count table."""
     bad = []
     for q, r in SPECTRUM_CASES:
         v = get_variety("twisted", q, r, budget)
-        sp = var_mod.hyperplane_spectrum(v, parallel=parallel, budget=budget)
+        sp = var_mod.hyperplane_spectrum(v, budget=budget)
         pred = var_mod.predicted_spectrum(q, r, "twisted")
         if sp.support != pred.sizes:
             bad.append(f"support ({q},{r}) {sp.support} != {pred.sizes}")
@@ -113,7 +113,7 @@ def check_02_spectra(budget=None, parallel=1) -> CheckResult:
                        "supports match at (3,3),(5,3),(4,3),(4,4); counts match")
 
 
-def check_03_lines(budget=None, parallel=1) -> CheckResult:
+def check_03_lines(budget=None) -> CheckResult:
     v = get_variety("twisted", 3, 3, budget)
     sp = var_mod.line_spectrum(v, budget)
     allowed = set(var_mod.predicted_line_sizes(3))
@@ -129,7 +129,7 @@ def check_03_lines(budget=None, parallel=1) -> CheckResult:
                        f"7462 lines, sizes {sorted(sp.counts)} all allowed")
 
 
-def check_04_weights(budget=None, parallel=1) -> CheckResult:
+def check_04_weights(budget=None) -> CheckResult:
     """Weight enumerator of the (3,3) code against the pinned table and
     against independent exhaustive enumeration."""
     v = get_variety("twisted", 3, 3, budget)
@@ -152,11 +152,11 @@ def check_04_weights(budget=None, parallel=1) -> CheckResult:
                        "table matches and is confirmed by full enumeration")
 
 
-def check_05_divisibility(budget=None, parallel=1) -> CheckResult:
+def check_05_divisibility(budget=None) -> CheckResult:
     bad = []
     for q, r in ((4, 3), (4, 4)):
         v = get_variety("twisted", q, r, budget)
-        dist = code_mod.weights_from_sections(v, parallel=parallel, budget=budget)
+        dist = code_mod.weights_from_sections(v, budget=budget)
         rep = code_mod.divisibility_report(dist, 4)
         if not rep.all_divisible:
             bad.append(f"({q},{r}) weights not all divisible by 4: {rep.offenders}")
@@ -175,7 +175,7 @@ MINIMAL_FIXTURES = (("hermitian", 2, 3), ("hermitian", 3, 3),
                     ("quasi-hermitian", 3, 3), ("twisted", 3, 3))
 
 
-def check_06_minimality(budget=None, parallel=1) -> CheckResult:
+def check_06_minimality(budget=None) -> CheckResult:
     bad = []
     for kind, q, r in MINIMAL_FIXTURES:
         cut = code_mod.cutting_blocking_check(get_variety(kind, q, r, budget), budget)
@@ -198,7 +198,7 @@ def check_06_minimality(budget=None, parallel=1) -> CheckResult:
                        "(1,0,0,0) and exactly 15 non-minimal words of weight 1024")
 
 
-def check_07_democracy(budget=None, parallel=1) -> CheckResult:
+def check_07_democracy(budget=None) -> CheckResult:
     bad = []
     a33 = get_access("twisted", 3, 3, budget)
     d33 = sss_mod.democracy_report(a33)
@@ -221,7 +221,7 @@ def check_07_democracy(budget=None, parallel=1) -> CheckResult:
                        "sizes {31x32, 35x32} at hermitian q=2")
 
 
-def check_08_sss_roundtrip(budget=None, parallel=1) -> CheckResult:
+def check_08_sss_roundtrip(budget=None) -> CheckResult:
     bad = []
     rng = random.Random(20260819)
     cases = (("twisted", 3, 3), ("hermitian", 2, 3))
@@ -276,7 +276,7 @@ def example_checks(facts: dict) -> dict:
     return checks
 
 
-def check_09_example(budget=None, parallel=1) -> CheckResult:
+def check_09_example(budget=None) -> CheckResult:
     facts = sss_mod.verify_example(budget)
     bad = [f"{key} = {facts[key]} != {EXAMPLE_FACTS[key]}" if key in EXAMPLE_FACTS
            else f"{key} is false"
@@ -292,12 +292,12 @@ CROSS_FIXTURES = (("twisted", 3, 3), ("twisted", 4, 3), ("hermitian", 2, 3),
                   ("hermitian", 3, 3), ("quasi-hermitian", 3, 3))
 
 
-def check_10_cross(budget=None, parallel=1) -> CheckResult:
+def check_10_cross(budget=None) -> CheckResult:
     bad = []
     for kind, q, r in CROSS_FIXTURES:
         v = get_variety(kind, q, r, budget)
         tag = f"{kind}({q},{r})"
-        dist = code_mod.weights_from_sections(v, parallel=parallel, budget=budget)
+        dist = code_mod.weights_from_sections(v, budget=budget)
         c = code_mod.code_from_variety(v)
         bf_dist = code_mod.weights_bruteforce(c, budget)
         if dist.weights != bf_dist.weights:
@@ -326,17 +326,18 @@ ALL_CHECKS = (check_01_sizes, check_02_spectra, check_03_lines,
               check_10_cross)
 
 
+# parallel is accepted and ignored; perfbench/spans.py still passes it
 def run_all(budget=None, parallel=1, checks=ALL_CHECKS) -> list:
     results = []
     for fn in checks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
-            res = fn(budget=budget, parallel=parallel)
+            res = fn(budget=budget)
         except BudgetError as e:
             cid = fn.__name__.split("_")[1]
             name = " ".join(fn.__name__.split("_")[2:])
             res = CheckResult(cid, name, "SKIP", f"refused: {e}")
-        res.elapsed = time.time() - t0
+        res.elapsed = time.perf_counter() - t0
         results.append(res)
     return results
 

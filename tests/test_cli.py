@@ -51,6 +51,13 @@ def test_auto_params_conflict_exit_2(capsys):
     assert rc == 2
 
 
+def test_parallel_is_a_usage_error_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["variety", "spectrum", "--q", "3", "--r", "3", "--parallel", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
+
 def test_budget_refusal_exit_3(capsys):
     rc, _, err = run(capsys, "variety", "spectrum", "--q", "3", "--r", "3",
                      "--budget", "0")

@@ -303,6 +303,21 @@ def test_bruteforce_minimality_refuses_before_enumerating(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("brute", [weights_bruteforce, minimality_bruteforce])
+def test_bruteforce_hard_cap_refuses_before_enumerating(brute, monkeypatch):
+    # 64^5 = 2^30 words: within a budget of 2^40, above WORDS_HARD_CAP
+    code = LinearCode(field_for_order(64), np.eye(5, dtype=np.int64))
+    calls = []
+    real = LinearCode.codeword_block
+    monkeypatch.setattr(LinearCode, "codeword_block",
+                        lambda self, msgs: calls.append(1) or real(self, msgs))
+    with pytest.raises(CodeError, match="hard cap"):
+        brute(code, budget=2 ** 40)
+    with pytest.raises(BudgetError, match="codewords"):
+        brute(code, budget=0)
+    assert calls == []
+
+
 def _codeword_block_by_columns(code, msgs):
     """Codewords one column at a time: symbol j is the sum over i of
     msgs[:, i] * cols[j, i], on int64 arrays."""

@@ -44,7 +44,7 @@ def _both_engines(ctx, space, coords):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variety_mod, "_transform_modulus", spy)
         wht = _sizes_wht(ctx, space, coords)
-    direct = _sizes_direct(ctx, space, coords, 0, space.n_points)
+    direct = _sizes_direct(ctx, space, coords)
     return wht, direct, moduli
 
 

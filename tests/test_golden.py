@@ -2,7 +2,9 @@
 
 Each file under tests/golden/ is the stdout of one command, captured
 once from a known-good build and never regenerated: a refactor must
-reproduce it exactly.  `sss recover` reads the captured deal payload.
+reproduce it exactly.  They were edited once, by hand, when the
+`--parallel` option went: each lost its `"parallel": 1,` config line
+and nothing else.  `sss recover` reads the captured deal payload.
 """
 
 from pathlib import Path

@@ -132,13 +132,6 @@ def test_cached_sizes_keep_their_engine(monkeypatch):
     assert wht.engine == "wht" and wht.counts == direct.counts
 
 
-def test_spectrum_parallel_agrees(tw33):
-    serial = hyperplane_spectrum(tw33, engine="direct")
-    v2 = build_variety("twisted", 3, 3)
-    par = hyperplane_spectrum(v2, engine="direct", parallel=2)
-    assert serial.counts == par.counts
-
-
 def test_spectrum_33_exact(tw33):
     sp = hyperplane_spectrum(tw33)
     assert sp.counts == {19: 1, 26: 486, 28: 72, 35: 243, 37: 18}
