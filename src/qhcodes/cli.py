@@ -306,7 +306,11 @@ def cmd_sss_deal(args) -> int:
 
 def _load_shares(path: str) -> dict:
     """Share table from a deal payload or a bare mapping."""
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     try:
         doc = json.loads(text)
     except ValueError as e:

@@ -3,8 +3,10 @@
 A scheme wraps a code whose column 0 is the secret position g0; the
 dealer draws a uniformly random message u with u.g0 = secret and hands
 participant i the codeword symbol u.g_i.  A subset recovers the secret
-exactly when g0 lies in the span of its columns, by solving
-g0 = sum x_j g_{i_j} and combining shares with the same coefficients.
+exactly when g0 lies in the span of its columns, and the secret is then
+the same combination of the shares.  recover finds both with one row
+reduction of the subset's table of rows (g_i | share_i): a combination
+of those rows that equals (g0 | x) gives the secret x.
 
 For a spanning point set V whose code is minimal, the minimal access
 sets of the dual-code scheme are in bijection with the hyperplanes
@@ -31,7 +33,6 @@ from .geom import dot_rows, row_reduce
 from .variety import Variety
 
 CLOSURE_CAP = 10 ** 6
-ENUM_CAP = 2 ** 20
 
 
 class SSSError(ValueError):
@@ -120,62 +121,46 @@ def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
 def recover(scheme: Scheme, subset, shares: dict) -> int:
     """Recover the secret from the shares of `subset`.
 
-    Solves g0 = sum x_j g_{i_j}; raises NotQualifiedError when no
-    solution exists.  Shares that are not the restriction of any
-    codeword are reported as InconsistentSharesError even when the
-    subset qualifies.
+    One row reduction of the table with rows (g_i | share_i) decides
+    everything.  Reducing (g0 | 0) against its reduced rows leaves a
+    residual: if its first k entries are not all zero, g0 is outside the
+    span of the columns and the subset does not qualify
+    (NotQualifiedError, checked first).  Otherwise a pivot in the share
+    column means no codeword restricts to the shares
+    (InconsistentSharesError).  Otherwise the residual is
+    (0 | -sum x_i share_i) for some g0 = sum x_i g_i, so the secret is
+    its negated last entry.
     """
     ctx = scheme.code.ctx
-    k = scheme.k
+    q, k = scheme.q, scheme.k
     ids = sorted(set(int(i) for i in subset))
     if any(not 1 <= i <= scheme.m for i in ids):
         raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
     missing = [i for i in ids if i not in shares]
     if missing:
         raise SSSError(f"missing shares for participants {missing[:5]}")
+    values = [int(shares[i]) for i in ids]
+    if any(not 0 <= v < q for v in values):
+        raise SSSError(f"share values must be field encodings in 0 .. {q - 1}")
     if not ids:
         raise NotQualifiedError("the empty subset holds no information")
-    rows = scheme.code.cols[ids]
-    s = len(ids)
-    aug = np.zeros((s, k + s), dtype=np.int64)
-    aug[:, :k] = rows
-    aug[np.arange(s), k + np.arange(s)] = 1
-    rank, red = row_reduce(ctx, aug)
-    res = scheme.g0.astype(np.int64).copy()
-    coeffs = np.zeros(s, dtype=np.int64)
+    table = np.zeros((len(ids), k + 1), dtype=np.int64)
+    table[:, :k] = scheme.code.cols[ids]
+    table[:, k] = values
+    _, red = row_reduce(ctx, table)
+    res = np.zeros(k + 1, dtype=np.int64)
+    res[:k] = scheme.g0
     for row in red:
-        piv_cols = np.nonzero(row[:k])[0]
-        if piv_cols.size == 0:
-            continue
-        c = int(piv_cols[0])
-        f = int(res[c])
-        if f:
-            res = ctx.vadd(res, ctx.vneg(ctx.scalar_mul_row(f)[row[:k]]))
-            coeffs = ctx.vadd(coeffs, ctx.scalar_mul_row(f)[row[k:]])
-    if res.any():
+        c = int(np.nonzero(row)[0][0])
+        if res[c]:
+            res = ctx.vadd(res, ctx.vneg(ctx.scalar_mul_row(int(res[c]))[row]))
+    if res[:k].any():
         raise NotQualifiedError(
             "subset does not qualify: g0 is outside the span of its columns")
-    # share consistency: the share vector must lie in the row space of
-    # the k x s matrix of column coordinates
-    tvec = np.array([int(shares[i]) for i in ids], dtype=np.int64)
-    _, sred = row_reduce(ctx, rows.T)
-    rem = tvec.copy()
-    for row in sred:
-        piv_cols = np.nonzero(row)[0]
-        if piv_cols.size == 0:
-            continue
-        c = int(piv_cols[0])
-        f = int(rem[c])
-        if f:
-            rem = ctx.vadd(rem, ctx.vneg(ctx.scalar_mul_row(f)[row]))
-    if rem.any():
+    if not red[-1, :k].any():
         raise InconsistentSharesError(
             "shares are not the restriction of any codeword")
-    secret = 0
-    for j, i in enumerate(ids):
-        if coeffs[j]:
-            secret = ctx.add(secret, ctx.mul(int(coeffs[j]), int(shares[i])))
-    return int(secret)
+    return int(ctx.neg(int(res[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +306,26 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
     """Deal, restrict the shares to `subset`, then enumerate every
     message consistent with those restricted shares and tally the
     secrets they imply.  A qualified subset pins a single secret; an
-    unqualified one must see every secret equally often."""
-    ctx = scheme.code.ctx
-    q, k = scheme.q, scheme.k
-    n_words = q ** k
-    check_budget(f"enumerating {n_words} messages", n_words, budget)
-    if n_words > ENUM_CAP:
-        raise SSSError(f"message enumeration of {n_words} exceeds {ENUM_CAP}")
+    unqualified one must see every secret equally often.  The q^k
+    messages are the codewords of the code on g0 and the subset's
+    columns, so word_blocks refuses by budget and hard cap before the
+    deal."""
     ids = sorted(set(int(i) for i in subset))
     if any(not 1 <= i <= scheme.m for i in ids):
         raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
+    probe = LinearCode(scheme.code.ctx, scheme.code.cols[[0] + ids])
+    blocks = probe.word_blocks(budget)
     dealt = deal(scheme, secret, seed).shares
     target = np.array([dealt[i] for i in ids], dtype=np.int64)
-    probe = LinearCode(ctx, scheme.code.cols[[0] + ids])
     counts: Counter = Counter()
-    for block in probe.word_blocks(budget):
+    for block in blocks:
         ok = (block[:, 1:] == target).all(axis=1)
         vals, cnts = np.unique(block[ok, 0], return_counts=True)
         for s_val, c in zip(vals, cnts):
             counts[int(s_val)] += int(c)
     if len(counts) == 1:
         verdict = "qualified"
-    elif len(counts) == q and len(set(counts.values())) == 1:
+    elif len(counts) == scheme.q and len(set(counts.values())) == 1:
         verdict = "uniform"
     else:
         verdict = "biased"

@@ -225,6 +225,22 @@ def test_recover_malformed_share_table_exit_2(capsys, tmp_path):
     assert "malformed share table" in err
 
 
+@pytest.mark.parametrize("value", [7, -1])
+def test_recover_share_outside_field_exit_2(capsys, tmp_path, value):
+    deal_file = tmp_path / "deal.json"
+    run(capsys, "sss", "deal", "--q", "2", "--r", "3", "--variety",
+        "hermitian", "--secret", "0", "--seed", "1", "--out", str(deal_file))
+    doc = json.loads(deal_file.read_text())
+    doc["report"]["shares"][0]["value"] = value
+    deal_file.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "sss", "recover", "--q", "2", "--r", "3",
+                       "--variety", "hermitian", "--shares", str(deal_file))
+    assert rc == 2
+    assert out == ""
+    assert "share values must be field encodings in 0 .. 3" in err
+    assert "Traceback" not in err
+
+
 def test_sss_access_refused_for_non_minimal_exit_2(capsys):
     rc, _, err = run(capsys, "sss", "access", "--q", "4", "--r", "3")
     assert rc == 2
