@@ -1,8 +1,15 @@
 """Work-size guards for the enumeration-heavy operations.
 
-Every guarded loop states what it counts (points, lines, word count,
-pair count, ...) and refuses up front when that count exceeds the
-budget.  A budget of 0 therefore refuses everything guarded.
+Every guarded stage states what it counts (points, lines, word count,
+pair count, ...) and makes one check, before its work starts, refusing
+when that count exceeds the budget.  A budget of 0 therefore refuses
+everything guarded.  The point enumeration of PG(r, q^2) is metered
+here too, and only here, so a larger budget lifts it.
+
+Two fixed ceilings stay apart from the budget, because its units
+undercount what they bound: code.WORDS_HARD_CAP (2^24 codewords, each
+a row of n symbols) and sss.CLOSURE_CAP (10^6 group elements, each a
+tuple held in memory).
 """
 
 from __future__ import annotations

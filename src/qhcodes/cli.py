@@ -304,6 +304,13 @@ def cmd_sss_deal(args) -> int:
     return 0
 
 
+def _json_int(x) -> int:
+    """A JSON integer; int() would truncate 1.5 and read true as 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def _load_shares(path: str) -> dict:
     """Share table from a deal payload or a bare mapping."""
     if path == "-":
@@ -322,9 +329,11 @@ def _load_shares(path: str) -> dict:
         node = node["shares"]
     try:
         if isinstance(node, list):
-            return {int(e["participant"]): int(e["value"]) for e in node}
+            return {_json_int(e["participant"]): _json_int(e["value"])
+                    for e in node}
         if isinstance(node, dict):
-            return {int(i): int(v) for i, v in node.items()}
+            # JSON object keys are strings
+            return {int(i): _json_int(v) for i, v in node.items()}
     except (KeyError, TypeError, ValueError):
         raise SSSError(f"malformed share table in {path!r}") from None
     raise SSSError(f"no share table found in {path!r}")

@@ -65,9 +65,6 @@ class LinearCode:
             return np.zeros(self.n, dtype=np.int64)
         return dot_rows(self.ctx, u, self.cols)
 
-    def weight(self, u) -> int:
-        return int(np.count_nonzero(self.codeword(u)))
-
     def message_block(self, lo: int, hi: int) -> np.ndarray:
         """Messages lo .. hi-1 as base-q digit rows, most significant first."""
         return _digit_matrix(self.ctx.order, self.k, hi - lo, lo)

@@ -57,17 +57,16 @@ def _digit_matrix(q: int, width: int, count: int, start: int = 0) -> np.ndarray:
 
 
 class ProjectiveSpace:
-    """All points of PG(r, q) in canonical order, with index lookup."""
+    """All points of PG(r, q) in canonical order, with index lookup.
+    Unmetered: the variety builders check the budget before building one."""
 
-    def __init__(self, ctx: FiniteField, r: int, budget: int | None = None):
+    def __init__(self, ctx: FiniteField, r: int):
         if r < 1:
             raise ValueError(f"r = {r} must be at least 1")
         q = ctx.order
-        n = num_points(r, q)
-        check_budget(f"enumerating {n} points of PG({r},{q})", n, budget)
         self.ctx = ctx
         self.r = r
-        self.n_points = n
+        self.n_points = num_points(r, q)
         blocks = []
         for lead in range(r, -1, -1):
             width = r - lead

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-FIELD_BUDGET = 2 ** 20
 # vadd looks sums up in a full order x order table only up to this
 # order (8 MiB of int64); larger odd-characteristic fields add digit by
 # digit, since building the table costs order^2 work and memory
@@ -159,30 +158,23 @@ class FiniteField:
     """Arithmetic context for GF(p^m).  Elements are ints in [0, p^m)."""
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not _is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
-        if m < 1:
-            raise FieldError(f"m = {m} must be positive")
-        order = p ** m
-        if order > FIELD_BUDGET:
-            raise FieldError(f"field order {order} exceeds budget {FIELD_BUDGET}")
+        # only prime p and m >= 1 are tabulated; the table bounds the
+        # order (at most 2^20) and so the size of the log tables
+        if (p, m) not in CONWAY_POLYNOMIALS:
+            raise FieldError(f"no modulus table entry for GF({p}^{m})")
         if modulus is None:
-            try:
-                modulus = CONWAY_POLYNOMIALS[(p, m)]
-            except KeyError:
-                raise FieldError(f"no modulus table entry for GF({p}^{m})") from None
+            modulus = CONWAY_POLYNOMIALS[(p, m)]
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree m")
         self.p = p
         self.m = m
-        self.order = order
+        self.order = p ** m
         self.modulus = modulus
         self._build_tables()
         self._pow_rows: dict = {}
         self._scalar_rows: dict = {}
         self._add_flat = None
-        self._mul_flat = None
         self.subfield = None
         self.embed_table = None
         self._down = None

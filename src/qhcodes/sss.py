@@ -242,13 +242,12 @@ def access_structure(v: Variety, p0: int = 0,
             f"rank-{cut.witness_rank} section)")
     code = code_from_variety(v, p0)
     ctx, space = v.ctx, v.space
-    n_h = space.n_points
-    check_budget(f"scanning {n_h} hyperplanes", n_h, budget)
+    # cutting_blocking_check has metered the scan of every hyperplane
     part_cols = code.cols[1:]
     g0 = code.cols[0]
     bits = []
     hyp = space.points
-    for i in range(n_h):
+    for i in range(space.n_points):
         if int(dot_rows(ctx, hyp[i], g0[None, :])[0]) == 0:
             continue
         off = dot_rows(ctx, hyp[i], part_cols) != 0
@@ -358,6 +357,8 @@ def _closure(gens, degree, budget=None) -> tuple:
     seen = {ident}
     frontier = [ident]
     while frontier:
+        # each level adds at most len(frontier) * len(gens) elements
+        check_budget("group closure", len(seen) + len(frontier) * len(gens), cap)
         nxt = []
         for p in frontier:
             for g in gens:
@@ -365,8 +366,6 @@ def _closure(gens, degree, budget=None) -> tuple:
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
-        if len(seen) > cap:
-            check_budget("group closure", len(seen), cap)
         frontier = nxt
     return tuple(sorted(seen))
 

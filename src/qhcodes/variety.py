@@ -258,6 +258,24 @@ def _variety_from_mask(kind, ctx, r, space, mask, params=None) -> Variety:
     return Variety(kind, ctx, r, space, idx, space.points[idx].copy(), params)
 
 
+def _build(kind, ctx, r, budget, mask_of, params=None) -> Variety:
+    """The points of PG(r, Q) whose rows mask_of marks.  The budget
+    refuses the scan before any point is built."""
+    n = num_points(r, ctx.order)
+    check_budget(f"scanning {n} points", n, budget)
+    space = pg_space(ctx, r)
+    return _variety_from_mask(kind, ctx, r, space, mask_of(space.points), params)
+
+
+def _power_sum(ctx: FiniteField, pts: np.ndarray, k: int, cols) -> np.ndarray:
+    """sum of x_i^k over the columns i in cols, for every row of pts."""
+    row = ctx.pow_row(k)
+    acc = np.zeros(len(pts), dtype=np.int64)
+    for i in cols:
+        acc = ctx.vadd(acc, row[pts[:, i]])
+    return acc
+
+
 def _twisted_affine_mask(params: TwistedParams, pts: np.ndarray) -> np.ndarray:
     """Rows with X_0 = 1 satisfying the defining affine equation.
 
@@ -268,99 +286,62 @@ def _twisted_affine_mask(params: TwistedParams, pts: np.ndarray) -> np.ndarray:
     ctx = params.ctx
     q = ctx.sub_order
     r = params.r
-    sq = ctx.pow_row(2)
-    nrm = ctx.pow_row(q + 1)
-    frob = ctx.pow_row(q)
-    s2 = np.zeros(len(pts), dtype=np.int64)
-    sN = np.zeros(len(pts), dtype=np.int64)
-    for i in range(1, r):
-        s2 = ctx.vadd(s2, sq[pts[:, i]])
-        sN = ctx.vadd(sN, nrm[pts[:, i]])
+    s2 = _power_sum(ctx, pts, 2, range(1, r))
+    sN = _power_sum(ctx, pts, q + 1, range(1, r))
     t = ctx.vadd(ctx.scalar_mul_row(params.alpha)[s2], pts[:, r])
-    lhs = ctx.vadd(frob[t], ctx.vneg(t))
+    lhs = ctx.vadd(ctx.pow_row(q)[t], ctx.vneg(t))
     bqb = ctx.sub(ctx.frobenius_q(params.beta), params.beta)
     rhs = ctx.scalar_mul_row(bqb)[sN]
     return (pts[:, 0] == 1) & (lhs == rhs)
 
 
 def _twisted_infinity_mask(ctx: FiniteField, r: int, pts: np.ndarray) -> np.ndarray:
-    q = ctx.sub_order
-    p = ctx.p
-    acc = np.zeros(len(pts), dtype=np.int64)
-    if p != 2:
-        sq = ctx.pow_row(2)
-        for i in range(1, r):
-            acc = ctx.vadd(acc, sq[pts[:, i]])
-    else:
-        for i in range(1, r):
-            acc = ctx.vadd(acc, pts[:, i])
-    return (pts[:, 0] == 0) & (acc == 0)
+    # the quadric sum x_i^2 = 0 for odd q, the hyperplane sum x_i = 0 for even q
+    k = 1 if ctx.p == 2 else 2
+    return (pts[:, 0] == 0) & (_power_sum(ctx, pts, k, range(1, r)) == 0)
 
 
 def _cone_mask(ctx: FiniteField, r: int, pts: np.ndarray) -> np.ndarray:
-    nrm = ctx.pow_row(ctx.sub_order + 1)
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for i in range(1, r):
-        acc = ctx.vadd(acc, nrm[pts[:, i]])
-    return (pts[:, 0] == 0) & (acc == 0)
-
-
-def _hermitian_mask(ctx: FiniteField, r: int, pts: np.ndarray) -> np.ndarray:
-    nrm = ctx.pow_row(ctx.sub_order + 1)
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for i in range(r + 1):
-        acc = ctx.vadd(acc, nrm[pts[:, i]])
-    return acc == 0
+    nrm = _power_sum(ctx, pts, ctx.sub_order + 1, range(1, r))
+    return (pts[:, 0] == 0) & (nrm == 0)
 
 
 def build_twisted(params: TwistedParams, budget: int | None = None) -> Variety:
     """The twisted Hermitian hypersurface for admissible (alpha, beta)."""
     require_valid(params)
     ctx, r = params.ctx, params.r
-    space = pg_space(ctx, r)
-    check_budget(f"scanning {space.n_points} points", space.n_points, budget)
-    pts = space.points
-    mask = _twisted_affine_mask(params, pts) | _twisted_infinity_mask(ctx, r, pts)
-    return _variety_from_mask("twisted", ctx, r, space, mask, params)
+    return _build("twisted", ctx, r, budget, lambda pts: (
+        _twisted_affine_mask(params, pts) | _twisted_infinity_mask(ctx, r, pts)),
+        params)
 
 
 def build_twisted_at_infinity(ctx: FiniteField, r: int,
                               budget: int | None = None) -> Variety:
     """Section of the twisted hypersurface by the hyperplane X_0 = 0."""
     ctx._require_subfield()
-    space = pg_space(ctx, r)
-    check_budget(f"scanning {space.n_points} points", space.n_points, budget)
-    mask = _twisted_infinity_mask(ctx, r, space.points)
-    return _variety_from_mask("twisted-infinity", ctx, r, space, mask)
+    return _build("twisted-infinity", ctx, r, budget,
+                  lambda pts: _twisted_infinity_mask(ctx, r, pts))
 
 
 def build_cone(ctx: FiniteField, r: int, budget: int | None = None) -> Variety:
     """Hermitian cone F: X_0 = 0 and sum_{i=1}^{r-1} X_i^{q+1} = 0."""
     ctx._require_subfield()
-    space = pg_space(ctx, r)
-    check_budget(f"scanning {space.n_points} points", space.n_points, budget)
-    mask = _cone_mask(ctx, r, space.points)
-    return _variety_from_mask("cone", ctx, r, space, mask)
+    return _build("cone", ctx, r, budget, lambda pts: _cone_mask(ctx, r, pts))
 
 
 def build_hermitian(ctx: FiniteField, r: int, budget: int | None = None) -> Variety:
     """Nondegenerate Hermitian variety sum X_i^{q+1} = 0 of PG(r, q^2)."""
     ctx._require_subfield()
-    space = pg_space(ctx, r)
-    check_budget(f"scanning {space.n_points} points", space.n_points, budget)
-    mask = _hermitian_mask(ctx, r, space.points)
-    return _variety_from_mask("hermitian", ctx, r, space, mask)
+    return _build("hermitian", ctx, r, budget, lambda pts: (
+        _power_sum(ctx, pts, ctx.sub_order + 1, range(r + 1)) == 0))
 
 
 def build_quasi_hermitian(params: TwistedParams, budget: int | None = None) -> Variety:
     """Affine part of the twisted hypersurface glued to the cone F."""
     require_valid(params)
     ctx, r = params.ctx, params.r
-    space = pg_space(ctx, r)
-    check_budget(f"scanning {space.n_points} points", space.n_points, budget)
-    pts = space.points
-    mask = _twisted_affine_mask(params, pts) | _cone_mask(ctx, r, pts)
-    return _variety_from_mask("quasi-hermitian", ctx, r, space, mask, params)
+    return _build("quasi-hermitian", ctx, r, budget, lambda pts: (
+        _twisted_affine_mask(params, pts) | _cone_mask(ctx, r, pts)), params)
 
 
 BUILDERS_WITH_PARAMS = {"twisted": build_twisted, "quasi-hermitian": build_quasi_hermitian}

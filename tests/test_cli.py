@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 import qhcodes.variety as variety_mod
 from qhcodes.cli import main
 from qhcodes.geom import num_points
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -239,6 +245,39 @@ def test_recover_share_outside_field_exit_2(capsys, tmp_path, value):
     assert out == ""
     assert "share values must be field encodings in 0 .. 3" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("value", 1.5), ("value", 1.9), ("value", True),
+    ("participant", 1.5), ("participant", 1.9), ("participant", True)])
+def test_recover_non_integer_share_table_exit_2(capsys, tmp_path, field, value):
+    deal_file = tmp_path / "deal.json"
+    run(capsys, "sss", "deal", "--q", "2", "--r", "3", "--variety",
+        "hermitian", "--secret", "0", "--seed", "1", "--out", str(deal_file))
+    doc = json.loads(deal_file.read_text())
+    doc["report"]["shares"][0][field] = value
+    deal_file.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "sss", "recover", "--q", "2", "--r", "3",
+                       "--variety", "hermitian", "--shares", str(deal_file))
+    assert rc == 2
+    assert out == ""
+    assert "malformed share table" in err
+
+
+def test_points_budget_refusal_exit_3_in_little_memory():
+    # PG(4, 49) has 5,884,901 points, several hundred MB once enumerated
+    code = ("import resource; from qhcodes.cli import main; "
+            "rc = main(['variety', 'build', '--q', '7', '--r', '4', "
+            "'--variety', 'hermitian', '--budget', '0']); "
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    rc, maxrss = map(int, proc.stdout.split())
+    assert rc == 3
+    assert "refusing scanning 5884901 points" in proc.stderr
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    assert maxrss < 100 * 2 ** (20 if sys.platform == "darwin" else 10)
 
 
 def test_sss_access_refused_for_non_minimal_exit_2(capsys):

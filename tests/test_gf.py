@@ -166,6 +166,13 @@ def test_pow_row_and_scalar_row():
 def test_missing_table_entry_is_refused():
     with pytest.raises(FieldError):
         FiniteField(2, 21)
+    # a supplied modulus does not lift the table's bound on the order
+    with pytest.raises(FieldError, match="no modulus table entry for GF\\(37\\^3\\)"):
+        FiniteField(37, 3, modulus=(2, 1, 0, 1))
+
+
+def test_table_orders_are_at_most_2_20():
+    assert max(p ** m for p, m in CONWAY_POLYNOMIALS) == 2 ** 20
 
 
 def test_reducible_modulus_is_refused():

@@ -5,6 +5,8 @@ once from a known-good build and never regenerated: a refactor must
 reproduce it exactly.  They were edited once, by hand, when the
 `--parallel` option went: each lost its `"parallel": 1,` config line
 and nothing else.  `sss recover` reads the captured deal payload.
+`verify-all --budget 0` holds the first refusal of every check, so it
+pins which guard refuses first; it exits 3.
 """
 
 from pathlib import Path
@@ -34,12 +36,14 @@ COMMANDS = {
     # the only command on the general (1 < k < r-1) subspace path
     "code_dk_hermitian": ("code", "dk", "--q", "2", "--r", "4", "--k", "2",
                           "--variety", "hermitian"),
+    "verify_all_budget0": ("verify-all", "--budget", "0"),
 }
+EXIT_CODES = {"verify_all_budget0": 3}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_payload_matches_golden(name, capsys):
     rc = main(list(COMMANDS[name]))
     out = capsys.readouterr().out
-    assert rc == 0
+    assert rc == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.json").read_text()

@@ -266,6 +266,26 @@ def test_group_closure_s3():
     assert group.order == 6
 
 
+def test_group_closure_refuses_before_expanding_a_level():
+    reads = []
+
+    class Perm(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+    # level 0 could add 2 elements to the identity: 3 > 2
+    gens = (Perm((1, 2, 0, 3, 4)), Perm((1, 0, 2, 3, 4)))
+    with pytest.raises(BudgetError, match="group closure: needs 3 units"):
+        sss_mod._closure(gens, 5, budget=2)
+    assert reads == []
+    # the fixture's generators: 1 + 1 * 3, then 4 + 3 * 3 at the next level
+    fx = load_fixture()
+    with pytest.raises(BudgetError, match="needs 4 units, budget is 0"):
+        group_closure(fx.generator_cycles, fx.degree, 0)
+    with pytest.raises(BudgetError, match="needs 13 units, budget is 10"):
+        group_closure(fx.generator_cycles, fx.degree, 10)
+
+
 def test_parse_cycles_rejects_garbage():
     with pytest.raises(SSSError):
         parse_cycles("(1,2", 4)

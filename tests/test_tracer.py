@@ -1,0 +1,29 @@
+"""The benchmark's tracer wraps qhcodes functions by name from outside
+(perfbench/spans.py), so a renamed or removed function would silently
+drop its metric.  Installing it here fails on any name it cannot find.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import qhcodes.cli  # noqa: F401  the tracer wraps only imported layers
+import qhcodes.verify  # noqa: F401
+from qhcodes import sss, variety
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_tracer_wraps_every_layer():
+    tr = spans.Tracer()
+    try:
+        spans.install(tr, [time.perf_counter()])
+        v = variety.build_variety("hermitian", 2, 3)
+        acc = sss.access_structure(v)
+    finally:
+        tr.restore()
+    assert acc.count == 64
+    names = {span[0] for span in tr.spans}
+    assert {"variety.build", "sss.access", "code.cutting"} <= names
+    assert tr.counters["budget.checks"] > 0

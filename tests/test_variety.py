@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
-from qhcodes.budget import BudgetError
+from qhcodes.budget import DEFAULT_BUDGET, BudgetError
+from qhcodes.geom import ProjectiveSpace, num_points, pg_space
 from qhcodes.gf import make_field
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
                              build_hermitian, build_twisted,
@@ -187,3 +191,106 @@ def test_meta_carries_provenance(tw33):
     assert meta["point_order"] == "lex-v1"
     assert meta["field"]["p"] == 3 and meta["field"]["m"] == 2
     assert meta["n"] == 262
+
+
+# Reference masks: one coordinate loop per variety, as first written,
+# against which the builders' shared power sums are checked.
+
+def _ref_twisted_affine(params, pts):
+    ctx, r = params.ctx, params.r
+    q = ctx.sub_order
+    sq, nrm, frob = ctx.pow_row(2), ctx.pow_row(q + 1), ctx.pow_row(q)
+    s2 = np.zeros(len(pts), dtype=np.int64)
+    sN = np.zeros(len(pts), dtype=np.int64)
+    for i in range(1, r):
+        s2 = ctx.vadd(s2, sq[pts[:, i]])
+        sN = ctx.vadd(sN, nrm[pts[:, i]])
+    t = ctx.vadd(ctx.scalar_mul_row(params.alpha)[s2], pts[:, r])
+    lhs = ctx.vadd(frob[t], ctx.vneg(t))
+    bqb = ctx.sub(ctx.frobenius_q(params.beta), params.beta)
+    rhs = ctx.scalar_mul_row(bqb)[sN]
+    return (pts[:, 0] == 1) & (lhs == rhs)
+
+
+def _ref_twisted_infinity(ctx, r, pts):
+    acc = np.zeros(len(pts), dtype=np.int64)
+    if ctx.p != 2:
+        sq = ctx.pow_row(2)
+        for i in range(1, r):
+            acc = ctx.vadd(acc, sq[pts[:, i]])
+    else:
+        for i in range(1, r):
+            acc = ctx.vadd(acc, pts[:, i])
+    return (pts[:, 0] == 0) & (acc == 0)
+
+
+def _ref_cone(ctx, r, pts):
+    nrm = ctx.pow_row(ctx.sub_order + 1)
+    acc = np.zeros(len(pts), dtype=np.int64)
+    for i in range(1, r):
+        acc = ctx.vadd(acc, nrm[pts[:, i]])
+    return (pts[:, 0] == 0) & (acc == 0)
+
+
+def _ref_hermitian(ctx, r, pts):
+    nrm = ctx.pow_row(ctx.sub_order + 1)
+    acc = np.zeros(len(pts), dtype=np.int64)
+    for i in range(r + 1):
+        acc = ctx.vadd(acc, nrm[pts[:, i]])
+    return acc == 0
+
+
+REFERENCE_MASKS = {
+    "twisted": lambda p, ctx, r, pts: (_ref_twisted_affine(p, pts)
+                                       | _ref_twisted_infinity(ctx, r, pts)),
+    "quasi-hermitian": lambda p, ctx, r, pts: (_ref_twisted_affine(p, pts)
+                                               | _ref_cone(ctx, r, pts)),
+    "twisted-infinity": lambda p, ctx, r, pts: _ref_twisted_infinity(ctx, r, pts),
+    "cone": lambda p, ctx, r, pts: _ref_cone(ctx, r, pts),
+    "hermitian": lambda p, ctx, r, pts: _ref_hermitian(ctx, r, pts),
+}
+PLAIN_KINDS = ("twisted-infinity", "cone", "hermitian")
+# twisted and quasi-hermitian have no parameters at (3, 4) or q = 2
+BUILD_CASES = [(kind, q, r) for kind in REFERENCE_MASKS
+               for q in (3, 4, 5) for r in (3, 4)
+               if (q, r) != (3, 4) or kind in PLAIN_KINDS] + \
+              [(kind, 2, r) for kind in PLAIN_KINDS for r in (3, 4)]
+
+
+@pytest.mark.parametrize("kind,q,r", BUILD_CASES)
+def test_builders_match_reference_masks(kind, q, r):
+    v = build_variety(kind, q, r)
+    pts = pg_space(v.ctx, r).points
+    ref = np.nonzero(REFERENCE_MASKS[kind](v.params, v.ctx, r, pts))[0]
+    assert np.array_equal(v.indices, ref)
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MASKS))
+def test_points_budget_refuses_before_enumerating(kind, monkeypatch):
+    n = num_points(3, 9)
+    real = variety_mod.pg_space
+    calls = []
+    monkeypatch.setattr(variety_mod, "pg_space",
+                        lambda ctx, r: calls.append(r) or real(ctx, r))
+    with pytest.raises(BudgetError, match=f"scanning {n} points"):
+        build_variety(kind, 3, 3, budget=n - 1)
+    assert calls == []
+    assert build_variety(kind, 3, 3, budget=n).space.n_points == n
+    assert calls == [3]
+
+
+def test_points_budget_is_the_only_bound(monkeypatch):
+    # PG(4, 121) has 216 million points: stand in an empty point list of
+    # the right count, so only the budget check is under test
+    n = num_points(4, 121)
+    assert n > DEFAULT_BUDGET
+    monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
+        n_points=num_points(r, ctx.order), r=r,
+        points=np.zeros((0, r + 1), dtype=np.int64)))
+    with pytest.raises(BudgetError, match=f"scanning {n} points"):
+        build_variety("hermitian", 11, 4)
+    assert build_variety("hermitian", 11, 4, budget=n).n == 0
+    # nor does the enumeration itself consult the default budget
+    monkeypatch.setattr(geom_mod, "check_budget", lambda *a: pytest.fail(
+        "ProjectiveSpace must not check a budget of its own"))
+    assert ProjectiveSpace(make_field(2, 2), 2).n_points == 21
