@@ -34,9 +34,8 @@ from .code import (ABReport, CodeError, CuttingReport, DivisibilityReport,
 from .sss import (AccessStructure, DealReport, DemocracyReport, Fixture,
                   InconsistentSharesError, NotQualifiedError, PermGroup,
                   PerfectnessReport, SSSError, Scheme, access_structure,
-                  apply_to_set, deal, democracy_report, develop,
-                  group_closure, load_fixture, parse_cycles,
-                  perfectness_check, recover, structures_equal,
-                  verify_example)
+                  deal, democracy_report, develop, group_closure,
+                  load_fixture, parse_cycles, perfectness_check, recover,
+                  structures_equal, verify_example)
 
 __version__ = "0.1.0"

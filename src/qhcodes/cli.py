@@ -32,8 +32,8 @@ from .code import (CodeError, code_from_variety, divisibility_report,
 from .gf import FieldError, factor_prime_power, make_field
 from .sss import (InconsistentSharesError, NotQualifiedError, Scheme,
                   SSSError, access_structure, deal, democracy_report,
-                  develop, group_closure, load_fixture, recover,
-                  verify_example)
+                  develop, group_closure, load_fixture, profile_rows,
+                  recover, verify_example)
 from .variety import (BUILDERS_PLAIN, BUILDERS_WITH_PARAMS, ParamsError,
                       POINT_ORDER_VERSION, build_variety, cone_size,
                       hyperplane_spectrum, line_spectrum,
@@ -365,9 +365,9 @@ def cmd_sss_democracy(args) -> int:
     v = make_variety(args)
     acc = access_structure(v, args.p0, args.budget)
     rep = democracy_report(acc)
-    report = {"access": {"provenance": acc.as_dict()["provenance"],
+    report = {"access": {"provenance": acc.provenance,
                          "count": acc.count,
-                         "size_profile": acc.as_dict()["size_profile"]},
+                         "size_profile": profile_rows(acc.size_profile())},
               "democracy": rep.as_dict()}
     rows = [[p, c] for p, c in sorted(rep.per_participant.items())]
     emit(args, "sss democracy", run_config(args, v), report, None,
@@ -393,8 +393,7 @@ def cmd_sss_verify_example(args) -> int:
     checks = verify_mod.example_checks(facts)
     verdict = PASS if all(checks.values()) else FAIL
     facts_out = dict(facts)
-    facts_out["size_profile"] = [{"size": int(s), "count": int(c)}
-                                 for s, c in sorted(facts["size_profile"].items())]
+    facts_out["size_profile"] = profile_rows(facts["size_profile"])
     report = {"facts": facts_out, "checks": checks}
     emit(args, "sss verify-example", run_config(args), report, verdict,
          ["check", "ok"], [[name, ok] for name, ok in sorted(checks.items())])

@@ -14,7 +14,8 @@ avoiding the secret point P0: the access set collects the participants
 off the hyperplane.  That geometric family (its cardinality q^r, the
 per-participant membership counts, antichain property) is what
 access_structure and democracy_report compute and what development
-under a permutation group reproduces from starter sets.
+under a permutation group reproduces from starter sets, each family
+held as one boolean matrix of sets by participant labels.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .budget import check_budget
 from .code import LinearCode, code_from_variety, cutting_blocking_check
-from .geom import dot_rows, row_reduce
+from .geom import row_reduce
 from .variety import Variety
 
 CLOSURE_CAP = 10 ** 6
@@ -166,70 +167,85 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
 # ---------------------------------------------------------------------------
 # access structures
 
+BLOCK_ENTRIES = 2 ** 18    # per block of hyperplane codewords or antichain tests
+
+
 @dataclass
 class AccessStructure:
+    """Sets of participants as one boolean matrix: row i is set i, and
+    column j marks label j + 1.  Every statistic reduces that matrix."""
     participants: tuple
-    sets_bits: list
+    matrix: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return len(self.sets_bits)
+        return len(self.matrix)
 
     def sets(self) -> list:
-        return [tuple(i + 1 for i in _bit_positions(b)) for b in self.sets_bits]
+        return [tuple((np.flatnonzero(row) + 1).tolist()) for row in self.matrix]
 
     def sorted_sets(self) -> list:
         return sorted(self.sets(), key=lambda s: (len(s), s))
 
     def size_profile(self) -> dict:
-        return dict(Counter(int(b).bit_count() for b in self.sets_bits))
+        return dict(Counter(self.matrix.sum(axis=1).tolist()))
 
     def is_antichain(self) -> bool:
-        bits = self.sets_bits
-        for i in range(len(bits)):
-            for j in range(len(bits)):
-                if i != j and bits[i] & ~bits[j] == 0:
-                    return False
+        """No set inside another: |A meet B| < |A| for every other row B,
+        one block of rows against all rows at a time."""
+        rows = self.matrix.astype(np.float32)
+        sizes = rows.sum(axis=1)
+        step = BLOCK_ENTRIES // max(1, len(rows)) + 1
+        for lo in range(0, len(rows), step):
+            inside = rows[lo:lo + step] @ rows.T == sizes[lo:lo + step, None]
+            np.fill_diagonal(inside[:, lo:], False)
+            if inside.any():
+                return False
         return True
 
     def is_qualified(self, subset) -> bool:
         """Does the subset contain some minimal access set?"""
-        mask = 0
-        for i in subset:
-            mask |= 1 << (int(i) - 1)
-        return any(b & ~mask == 0 for b in self.sets_bits)
+        mask = label_rows([subset], self.matrix.shape[1])[0]
+        return bool((~self.matrix[:, ~mask].any(axis=1)).any())
 
     def membership_counts(self) -> dict:
-        counts = {p: 0 for p in self.participants}
-        for b in self.sets_bits:
-            for i in _bit_positions(b):
-                counts[i + 1] += 1
-        return counts
+        counts = self.matrix.sum(axis=0)
+        return {p: int(counts[p - 1]) for p in self.participants}
 
     def as_dict(self) -> dict:
-        prof = self.size_profile()
         return {
             "provenance": self.provenance,
             "count": self.count,
-            "size_profile": [{"size": int(s), "count": int(c)}
-                             for s, c in sorted(prof.items())],
+            "size_profile": profile_rows(self.size_profile()),
             "sets": [list(s) for s in self.sorted_sets()],
         }
 
 
-def _bit_positions(b: int):
-    while b:
-        low = b & -b
-        yield low.bit_length() - 1
-        b ^= low
+def profile_rows(profile: dict) -> list:
+    """A size profile as the payloads print it, by increasing size."""
+    return [{"size": int(s), "count": int(c)} for s, c in sorted(profile.items())]
+
+
+def label_rows(sets, width: int) -> np.ndarray:
+    """Matrix rows of sets of labels, each in 1 .. width."""
+    rows = np.zeros((len(sets), width), dtype=bool)
+    for row, s in zip(rows, sets):
+        cols = [int(i) - 1 for i in s]
+        if any(not 0 <= c < width for c in cols):
+            raise SSSError(f"label out of range 1 .. {width}")
+        row[cols] = True
+    return rows
 
 
 def access_structure(v: Variety, p0: int = 0,
                      budget: int | None = None) -> AccessStructure:
     """Minimal access sets of the dual-code scheme with secret point the
     p0-th point of v: one set per hyperplane avoiding that point,
-    collecting the participants off the hyperplane.
+    collecting the participants off the hyperplane.  The codeword of
+    the message h holds h.P for every point P, so each block of
+    hyperplane codewords gives the rows with column 0 nonzero, in
+    hyperplane order, after the Q^r x (n - 1) matrix is metered.
 
     The hyperplane correspondence needs every nonzero codeword of the
     code on v to be minimal, so non-cutting point sets are refused.
@@ -241,21 +257,13 @@ def access_structure(v: Variety, p0: int = 0,
             f"(hyperplane {cut.witness_coords} meets the point set in a "
             f"rank-{cut.witness_rank} section)")
     code = code_from_variety(v, p0)
-    ctx, space = v.ctx, v.space
-    # cutting_blocking_check has metered the scan of every hyperplane
-    part_cols = code.cols[1:]
-    g0 = code.cols[0]
-    bits = []
-    hyp = space.points
-    for i in range(space.n_points):
-        if int(dot_rows(ctx, hyp[i], g0[None, :])[0]) == 0:
-            continue
-        off = dot_rows(ctx, hyp[i], part_cols) != 0
-        bits.append(int.from_bytes(
-            np.packbits(off, bitorder="little").tobytes(), "little"))
-    return AccessStructure(
-        tuple(range(1, code.n)), bits,
-        {"source": "hyperplanes", "variety": v.meta(), "p0": p0})
+    entries = v.ctx.order ** v.r * (code.n - 1)
+    check_budget(f"an access matrix of {entries} entries", entries, budget)
+    hyp, step = v.space.points, BLOCK_ENTRIES // code.n + 1
+    words = (code.codeword_block(hyp[lo:lo + step]) for lo in range(0, len(hyp), step))
+    matrix = np.concatenate([w[w[:, 0] != 0, 1:] != 0 for w in words])
+    return AccessStructure(tuple(range(1, code.n)), matrix,
+                           {"source": "hyperplanes", "variety": v.meta(), "p0": p0})
 
 
 @dataclass
@@ -414,27 +422,23 @@ def parse_cycles(text: str, degree: int) -> tuple:
     return tuple(perm)
 
 
-def apply_to_set(perm: tuple, labels) -> frozenset:
-    return frozenset(perm[i - 1] + 1 for i in labels)
+def permute_rows(perm: tuple, rows: np.ndarray) -> np.ndarray:
+    """Images of matrix rows under a 0-based one-line permutation."""
+    return rows[:, np.argsort(perm)]
 
 
 def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStructure:
-    """All images of the starter sets under the full group."""
+    """All images of the starter sets under the full group, one row per
+    distinct image, ordered as binary numbers with label i worth 2^(i-1)."""
     elements = group.elements(budget)
     work = len(elements) * len(starters)
     check_budget(f"developing {work} set images", work, budget)
-    universe = set()
-    images = set()
-    for s in starters:
-        fs = frozenset(int(i) for i in s)
-        if any(not 1 <= i <= group.degree for i in fs):
-            raise SSSError(f"starter label out of range 1 .. {group.degree}")
-        for g in elements:
-            img = apply_to_set(g, fs)
-            images.add(img)
-            universe |= img
-    bits = sorted(sum(1 << (i - 1) for i in img) for img in images)
-    return AccessStructure(tuple(sorted(universe)), bits,
+    starts = label_rows(starters, group.degree)
+    images = np.concatenate([permute_rows(g, starts) for g in elements])
+    # unique sorts from the first column: reversed, the highest label leads
+    matrix = np.unique(images[:, ::-1], axis=0)[:, ::-1]
+    return AccessStructure(tuple((np.flatnonzero(matrix.any(axis=0)) + 1).tolist()),
+                           matrix,
                            {"source": "development", "degree": group.degree,
                             "group_order": len(elements),
                             "starters": [sorted(int(i) for i in s)
@@ -442,7 +446,7 @@ def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStru
 
 
 def structures_equal(a: AccessStructure, b: AccessStructure) -> bool:
-    return set(a.sets_bits) == set(b.sets_bits)
+    return set(a.sets()) == set(b.sets())
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +496,17 @@ def verify_example(budget: int | None = None) -> dict:
     dev = develop(fx.starters, group, budget)
     fixed_ok = (fx.fixed is None
                 or all(g[fx.fixed - 1] == fx.fixed - 1 for g in group.generators))
-    sets = {frozenset(s) for s in dev.sets()}
-    auto_ok = all(
-        {frozenset(apply_to_set(g, s)) for s in sets} == sets
-        for g in group.generators)
+    rows = np.unique(dev.matrix, axis=0)
+    auto_ok = all(np.array_equal(np.unique(permute_rows(g, rows), axis=0), rows)
+                  for g in group.generators)
     return {
         "degree": fx.degree,
         "group_order": group.order,
         "n_sets": dev.count,
         "size_profile": dev.size_profile(),
         "is_antichain": dev.is_antichain(),
-        "starters_included": all(frozenset(s) in sets for s in fx.starters),
+        "starters_included": all((rows == row).all(axis=1).any()
+                                 for row in label_rows(fx.starters, fx.degree)),
         "fixed_point_ok": fixed_ok,
         "automorphism_ok": auto_ok,
     }

@@ -234,10 +234,6 @@ class Variety:
         mask[self.indices] = True
         return mask
 
-    def bitset(self) -> int:
-        return int.from_bytes(
-            np.packbits(self.membership(), bitorder="little").tobytes(), "little")
-
     def affine_count(self) -> int:
         return int(np.count_nonzero(self.coords[:, 0] == 1))
 
@@ -726,9 +722,8 @@ def surgery_check(params: TwistedParams, budget: int | None = None) -> dict:
     qh = build_quasi_hermitian(params, budget)
     cn = build_cone(params.ctx, params.r, budget)
     binf = build_twisted_at_infinity(params.ctx, params.r, budget)
-    b_bits = tw.bitset()
-    composed = (qh.bitset() & ~cn.bitset()) | binf.bitset()
-    set_ok = composed == b_bits
+    composed = (qh.membership() & ~cn.membership()) | binf.membership()
+    set_ok = np.array_equal(composed, tw.membership())
     s_tw = hyperplane_section_sizes(tw, budget=budget)
     s_qh = hyperplane_section_sizes(qh, budget=budget)
     s_cn = hyperplane_section_sizes(cn, budget=budget)

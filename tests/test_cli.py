@@ -265,18 +265,25 @@ def test_recover_non_integer_share_table_exit_2(capsys, tmp_path, field, value):
 
 
 def test_points_budget_refusal_exit_3_in_little_memory():
-    # PG(4, 49) has 5,884,901 points, several hundred MB once enumerated
-    code = ("import resource; from qhcodes.cli import main; "
+    # PG(4, 49) has 5,884,901 points, several hundred MB once enumerated.
+    # The child reports its own peak, VmHWM, where Linux has it: its
+    # ru_maxrss also carries the peak of this test process, which the
+    # spawn (vfork and exec) hands down.
+    code = ("import os, resource; from qhcodes.cli import main; "
             "rc = main(['variety', 'build', '--q', '7', '--r', '4', "
             "'--variety', 'hermitian', '--budget', '0']); "
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            "hwm = [int(line.split()[1]) for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')] if os.path.exists('/proc/self/status') "
+            "else []; "
+            "print(rc, hwm[0] if hwm else "
+            "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     rc, maxrss = map(int, proc.stdout.split())
     assert rc == 3
     assert "refusing scanning 5884901 points" in proc.stderr
-    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    # VmHWM and Linux ru_maxrss are in KiB, macOS ru_maxrss in bytes
     assert maxrss < 100 * 2 ** (20 if sys.platform == "darwin" else 10)
 
 
@@ -292,6 +299,15 @@ def test_democracy(capsys):
     assert rc == 0
     assert doc["report"]["access"]["count"] == 64
     assert doc["report"]["democracy"]["uniform_count"] == 48
+
+
+def test_democracy_access_matrix_refused_exit_3(capsys):
+    # 16^4 access sets x 17,424 participants, refused before any is built
+    rc, out, err = run(capsys, "sss", "democracy", "--variety", "hermitian",
+                       "--q", "4", "--r", "4")
+    assert rc == 3
+    assert out == ""
+    assert "refusing an access matrix of 1141899264 entries" in err
 
 
 def test_develop_and_example(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 import qhcodes.sss as sss_mod
 from qhcodes.budget import BudgetError
 from qhcodes.code import LinearCode
-from qhcodes.geom import row_reduce
+from qhcodes.geom import dot_rows, row_reduce
 from qhcodes.sss import (AccessStructure, InconsistentSharesError,
                          NotQualifiedError, Scheme, SSSError,
-                         access_structure, apply_to_set, deal,
-                         democracy_report, develop, group_closure,
-                         load_fixture, parse_cycles, perfectness_check,
+                         access_structure, deal, democracy_report, develop,
+                         group_closure, label_rows, load_fixture,
+                         parse_cycles, perfectness_check, permute_rows,
                          recover, structures_equal, verify_example)
+from qhcodes.variety import hyperplane_section_sizes
 from qhcodes.verify import get_access, get_scheme, get_variety
 
 
@@ -295,9 +297,10 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(1,9)", 4)
 
 
-def test_apply_to_set():
+def test_permute_rows():
     perm = parse_cycles("(1,2,3)", 4)
-    assert apply_to_set(perm, {1, 4}) == frozenset({2, 4})
+    rows = label_rows([{1, 4}], 4)
+    assert permute_rows(perm, rows).tolist() == label_rows([{2, 4}], 4).tolist()
 
 
 def test_develop_orbit_of_one_set():
@@ -347,3 +350,136 @@ def test_developed_matches_geometric_profile(access_h2):
     facts = verify_example()
     assert facts["n_sets"] == access_h2.count
     assert facts["size_profile"] == access_h2.size_profile()
+
+
+# ---------------------------------------------------------------------------
+# the matrix against the bitset representation it replaced: each set as
+# an int with bit i - 1 for label i, walked in Python
+
+def _bits(acc):
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in acc.matrix]
+
+
+def _bit_positions(b):
+    while b:
+        low = b & -b
+        yield low.bit_length() - 1
+        b ^= low
+
+
+def _ref_size_profile(bits):
+    return dict(Counter(b.bit_count() for b in bits))
+
+
+def _ref_is_antichain(bits):
+    for i in range(len(bits)):
+        for j in range(len(bits)):
+            if i != j and bits[i] & ~bits[j] == 0:
+                return False
+    return True
+
+
+def _ref_is_qualified(bits, subset):
+    mask = 0
+    for i in subset:
+        mask |= 1 << (int(i) - 1)
+    return any(b & ~mask == 0 for b in bits)
+
+
+def _ref_membership_counts(participants, bits):
+    counts = {p: 0 for p in participants}
+    for b in bits:
+        for i in _bit_positions(b):
+            counts[i + 1] += 1
+    return counts
+
+
+def _ref_develop_bits(starters, group):
+    images = set()
+    for s in starters:
+        fs = frozenset(int(i) for i in s)
+        for g in group.elements():
+            images.add(frozenset(g[i - 1] + 1 for i in fs))
+    return sorted(sum(1 << (i - 1) for i in img) for img in images)
+
+
+def _developed_fixture():
+    fx = load_fixture()
+    group = group_closure(fx.generator_cycles, fx.degree)
+    return develop(fx.starters, group), fx.starters, group
+
+
+@pytest.mark.parametrize("name", ["access33", "access_h2", "developed"])
+def test_matrix_matches_bitset_reference(name, request):
+    acc = _developed_fixture()[0] if name == "developed" else request.getfixturevalue(name)
+    bits = _bits(acc)
+    assert acc.sets() == [tuple(i + 1 for i in _bit_positions(b)) for b in bits]
+    assert list(acc.size_profile().items()) == list(_ref_size_profile(bits).items())
+    assert acc.membership_counts() == _ref_membership_counts(acc.participants, bits)
+    assert acc.is_antichain() is _ref_is_antichain(bits) is True
+    rng = random.Random(name)
+    width = acc.matrix.shape[1]
+    sets = acc.sets()
+    for _ in range(40):
+        aset = sets[rng.randrange(len(sets))]
+        for subset in (aset, aset[1:], aset + tuple(rng.sample(range(1, width + 1), 3)),
+                       rng.sample(range(1, width + 1), rng.randint(0, width))):
+            assert acc.is_qualified(subset) is _ref_is_qualified(bits, subset)
+
+
+def test_develop_matches_bitset_reference():
+    acc, starters, group = _developed_fixture()
+    assert _bits(acc) == _ref_develop_bits(starters, group)
+    for cycles, degree, starters in ((["(1,2,3,4)"], 4, [[1, 2]]),
+                                     (["(1,2)"], 3, [[1], [2]]),
+                                     (["(1,2)", "(1,2,3,4,5)"], 5, [[1, 3], [2], [4, 5]])):
+        group = group_closure(cycles, degree)
+        assert _bits(develop(starters, group)) == _ref_develop_bits(starters, group)
+
+
+def test_family_that_is_not_an_antichain():
+    # {1} lies inside {1,2}, and {2} inside {1,2}
+    acc = develop([[1], [1, 2]], group_closure(["(1,2)"], 3))
+    assert acc.sets() == [(1,), (2,), (1, 2)]
+    assert acc.is_antichain() is _ref_is_antichain(_bits(acc)) is False
+    # a repeated set lies inside its twin
+    twins = AccessStructure((1, 2, 3), label_rows([[1, 2], [2, 3], [1, 2]], 3))
+    assert twins.is_antichain() is _ref_is_antichain(_bits(twins)) is False
+    assert AccessStructure((1, 2, 3), twins.matrix[:2]).is_antichain()
+
+
+def test_is_qualified_refuses_labels_out_of_range(access_h2):
+    with pytest.raises(SSSError, match="label out of range"):
+        access_h2.is_qualified((0, 1))
+    with pytest.raises(SSSError, match="label out of range"):
+        access_h2.is_qualified((access_h2.matrix.shape[1] + 1,))
+
+
+@pytest.mark.parametrize("kind,q,r", [("twisted", 5, 3), ("hermitian", 3, 4)])
+def test_democracy_closed_form(kind, q, r):
+    """Q^r minimal sets, one per hyperplane off P0; each participant in
+    Q^r - Q^(r-1) of them; the set of a hyperplane meeting V in s
+    points has n - 1 - s members, s taken from the section sizes."""
+    v = get_variety(kind, q, r)
+    acc = access_structure(v)
+    big_q = v.ctx.order
+    assert acc.count == big_q ** r
+    rep = democracy_report(acc)
+    assert rep.is_democratic
+    assert rep.uniform_count == big_q ** r - big_q ** (r - 1)
+    sizes = hyperplane_section_sizes(v)
+    off_p0 = dot_rows(v.ctx, v.coords[0], v.space.points) != 0
+    assert acc.size_profile() == dict(Counter((v.n - 1 - sizes[off_p0]).tolist()))
+
+
+def test_access_matrix_budget_refuses_before_any_block(monkeypatch):
+    # 16^4 hyperplanes off P0 times 17,424 participants
+    v = get_variety("hermitian", 4, 4)
+    calls = []
+    monkeypatch.setattr(LinearCode, "codeword_block",
+                        lambda self, msgs: calls.append(1))
+    with pytest.raises(BudgetError, match="access matrix of 1141899264 entries"):
+        access_structure(v)
+    assert calls == []
+    assert 16 ** 4 * (v.n - 1) == 65536 * 17424 == 1141899264

@@ -21,9 +21,13 @@ def test_tracer_wraps_every_layer():
         spans.install(tr, [time.perf_counter()])
         v = variety.build_variety("hermitian", 2, 3)
         acc = sss.access_structure(v)
+        rep = sss.democracy_report(acc)
+        fx = sss.load_fixture()
+        dev = sss.develop(fx.starters, sss.group_closure(fx.generator_cycles, fx.degree))
     finally:
         tr.restore()
-    assert acc.count == 64
+    assert acc.count == dev.count == 64
+    assert rep.uniform_count == 48
     names = {span[0] for span in tr.spans}
-    assert {"variety.build", "sss.access", "code.cutting"} <= names
+    assert {"variety.build", "sss.access", "sss.develop", "code.cutting"} <= names
     assert tr.counters["budget.checks"] > 0

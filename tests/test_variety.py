@@ -96,7 +96,8 @@ def test_quasi_hermitian_is_twisted_surgery(qh33, tw33):
     ctx = tw33.ctx
     cn = build_cone(ctx, 3)
     binf = build_twisted_at_infinity(ctx, 3)
-    assert (qh33.bitset() & ~cn.bitset()) | binf.bitset() == tw33.bitset()
+    composed = (qh33.membership() & ~cn.membership()) | binf.membership()
+    assert np.array_equal(composed, tw33.membership())
     assert qh33.n == 280
 
 
