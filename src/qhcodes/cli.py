@@ -284,13 +284,17 @@ def cmd_code_dk(args) -> int:
 # ---------------------------------------------------------------------------
 # sss group
 
+def _set_rows(sets):
+    """CSV rows of access sets, from the sorted sets of the payload,
+    made only if the CSV is written."""
+    return ([i, len(s), " ".join(str(x) for x in s)] for i, s in enumerate(sets))
+
+
 def cmd_sss_access(args) -> int:
     v = make_variety(args)
-    acc = access_structure(v, args.p0, args.budget)
-    rows = [[i, len(s), " ".join(str(x) for x in s)]
-            for i, s in enumerate(acc.sorted_sets())]
-    emit(args, "sss access", run_config(args, v), acc.as_dict(), None,
-         ["set_index", "size", "members"], rows)
+    report = access_structure(v, args.p0, args.budget).as_dict()
+    emit(args, "sss access", run_config(args, v), report, None,
+         ["set_index", "size", "members"], _set_rows(report["sets"]))
     return 0
 
 
@@ -381,10 +385,8 @@ def cmd_sss_develop(args) -> int:
     acc = develop(fx.starters, group, args.budget)
     report = {"fixture": args.fixture, "degree": fx.degree,
               "group_order": group.order, **acc.as_dict()}
-    rows = [[i, len(s), " ".join(str(x) for x in s)]
-            for i, s in enumerate(acc.sorted_sets())]
     emit(args, "sss develop", run_config(args), report, None,
-         ["set_index", "size", "members"], rows)
+         ["set_index", "size", "members"], _set_rows(report["sets"]))
     return 0
 
 

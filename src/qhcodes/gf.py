@@ -360,14 +360,16 @@ class FiniteField:
     # -- vectorized arithmetic on numpy int arrays ------------------------
 
     def vadd(self, a, b):
+        """Sums in the operands' dtype, so narrow rows stay narrow."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         flat = self.add_flat
+        dtype = np.result_type(a, b)
         if flat is not None:
             # an intp index, since a * order wraps in a narrow dtype
-            return flat[np.asarray(a, dtype=np.intp) * self.order + b]
+            return flat[np.asarray(a, dtype=np.intp) * self.order + b].astype(
+                dtype, copy=False)
         p = self.p
-        dtype = np.result_type(a, b)
         out = np.zeros_like(a, dtype=dtype)
         x, y, shift = a.astype(dtype), b.astype(dtype), 1
         for _ in range(self.m):
@@ -379,8 +381,8 @@ class FiniteField:
 
     @property
     def add_flat(self):
-        """Flattened addition table, or None above ADD_TABLE_MAX_ORDER,
-        where vadd adds digit by digit instead."""
+        """Flattened addition table in the narrowest unsigned dtype, or
+        None above ADD_TABLE_MAX_ORDER, where vadd adds digit by digit."""
         if self._add_flat is None and self.order <= ADD_TABLE_MAX_ORDER:
             e = np.arange(self.order)
             p = self.p
@@ -391,7 +393,7 @@ class FiniteField:
                 x = x // p
                 y = y // p
                 shift *= p
-            self._add_flat = out.reshape(-1)
+            self._add_flat = out.reshape(-1).astype(np.min_scalar_type(self.order - 1))
         return self._add_flat
 
     def vmul(self, a, b):

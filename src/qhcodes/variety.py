@@ -397,7 +397,7 @@ def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
 
 
 # Characters of GF(p)^D: a radix-p pass per digit.  Characteristic 2
-# transforms exactly in int32; odd p transforms modulo a prime M with
+# transforms exactly in integers; odd p transforms modulo a prime M with
 # M = 1 (mod p), so zeta, a p-th root of unity mod M, stands in for
 # exp(2 pi i / p).  Blocks of at most _PASS_BLOCK entries bound every
 # temporary, so no full-size int64 copy is made.
@@ -437,14 +437,16 @@ def _check_transform_range(p: int, bound: int) -> None:
                           need, _transform_limit(p))
 
 
-def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
+def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
+                       rows: int = 1) -> None:
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
-    vectors of the indices; zeta = -1 exactly when p = 2, else mod M."""
+    vectors of the indices within each of the rows leading rows of f;
+    zeta = -1 exactly when p = 2, else mod M."""
     if p > 2:
         assert M <= _transform_limit(p)
         w = np.array([[pow(zeta, i * j, M) for j in range(p)]
                       for i in range(p)], dtype=np.int64)
-    lead, trail = 1, f.size // p
+    lead, trail = rows, f.size // (rows * p)
     while trail >= 1:
         view = f.reshape(lead, p, trail)
         tstep = min(trail, max(1, _PASS_BLOCK // p))
@@ -453,8 +455,8 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
             for t0 in range(0, trail, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
                 if p == 2:
-                    # in place in int32: 3-5 times faster than the
-                    # int64 contraction with [[1, 1], [1, -1]]
+                    # in place: 3-5 times faster than the int64
+                    # contraction with [[1, 1], [1, -1]]
                     x = blk[:, 0].copy()
                     np.add(x, blk[:, 1], out=blk[:, 0])
                     np.subtract(x, blk[:, 1], out=blk[:, 1])
@@ -468,30 +470,36 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int) -> None:
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
                vcoords: np.ndarray) -> np.ndarray:
-    """Exact hyperplane section sizes from one additive character
-    transform (Lidl & Niederreiter, Finite Fields, ch. 5).
+    """Exact hyperplane section sizes from additive character transforms
+    of affine charts (Lidl & Niederreiter, Finite Fields, ch. 5).
 
-    The cone f of nonzero multiples of the points lives on
-    GF(p)^(m(r+1)) at its base-p encoding.  For a hyperplane u, with
-    a(u) the digit vector of w -> Tr(u . w), character orthogonality
-    gives (q-1) |u meet V| = ((q-1) n + sum_{c != 0} f^(a(cu))) / q, and
-    f^ is constant on GF(q)*-multiples because the cone is, so
-    |u meet V| = (n + f^(a(u))) / q.  Every f^ value is an integer of
-    absolute value at most (q-1) n; the sum and divisibility asserts
-    would catch any packing mistake.
+    PG(k), k = 0 .. r, sits on the last k+1 coordinates: its points, and
+    its hyperplanes in the same order, are the first theta_k rows of
+    space.points[:, r-k:].  V_k, the part of V there, splits into the
+    affine chart A_k = {(1, a)} and V_{k-1} at infinity.  With
+    T[u, s] = #{a in A_k : u . a = s} for a hyperplane u of PG(k-1),
+        |(0, u) meet V_k|   = |u meet V_{k-1}| + T[u, 0],
+        |(1, 0) meet V_k|   = |V_{k-1}|,
+        |(1, d u) meet V_k| = |u meet V_{k-1}| + T[u, -1/d],  d != 0.
+    The transform f^ of A_k's indicator on GF(p)^(mk), read at the
+    digit vector of a -> Tr(c u . a), is g_u(c) = sum_s T[u, s]
+    zeta^Tr(cs).  A second transform over the digits of c gives
+    q T[u, s] at the digit vector of -(x -> Tr(sx)), so T[u, -1/d]
+    sits in column trd[1/d] (p = 2 would hide the sign).  Each chart
+    has q^k entries, not the q^(r+1) of the cone over all of V.  Every
+    q T is a non-negative integer of at most q n < M; the row-sum and
+    divisibility asserts would catch any packing mistake.
+
+    WHT_CUTOFF, resolve_engine's cost model and the budget meter still
+    price the q^(r+1) entries of the cone transform, on purpose: so
+    every payload's engine and every refusal stay as they were.
     """
-    p, m, q = ctx.p, ctx.m, ctx.order
+    p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
     nv = len(vcoords)
-    weights = q ** np.arange(space.r, -1, -1, dtype=np.int64)
-    f = np.zeros(q ** (space.r + 1), dtype=np.int32)
-    for lam in range(1, q):
-        f[ctx.scalar_mul_row(lam)[vcoords] @ weights] = 1
-    assert int(f.sum()) == (q - 1) * nv <= _transform_limit(p)
     M = zeta = 0
     if p > 2:
         M, zeta = _transform_modulus(p, (q - 1) * nv)
         assert M % p == 1 and M > 2 * (q - 1) * nv
-    _radix_p_transform(f, p, M, zeta)
     # trd[e] packs Tr(e x^b), b < m, as base-p digits: the coefficient
     # basis 1, x, ..., x^(m-1) is the digit basis of the encoding
     frob = ctx.pow_row(p)
@@ -504,16 +512,39 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
             y = frob[y]
         assert not np.any(tr >= p)
         trd += tr * p ** b
-    # column by column, so no (hyperplanes, r+1) temporary is made
-    idx = np.zeros(space.n_points, dtype=np.int64)
-    for k in range(space.r + 1):
-        idx += trd[space.points[:, k]] * weights[k]
-    fhat = f[idx].astype(np.int64)
-    if p > 2:
-        fhat[fhat > M // 2] -= M
-    S = nv + fhat
-    assert not np.any(S % q), "character sums must be divisible by the field order"
-    return S // q
+    elems = np.arange(q, dtype=np.int64)
+    # column of T[u, -1/d] for d = 1 .. q-1
+    inv_cols = trd[[ctx.inv(d) for d in range(1, q)]]
+    # the point's chart: PG(r - lead) holds it in its affine part
+    lead = np.argmax(vcoords != 0, axis=1)
+    sizes = np.zeros(1, dtype=np.int64)
+    for k in range(1, r + 1):
+        hyp = space.points[:sizes.size, r - k + 1:]
+        weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        aff = vcoords[lead == r - k, r - k + 1:]
+        # int32 holds p = 2 values up to n, odd p residues below M
+        f = np.zeros(q ** k, dtype=np.int32)
+        f[aff @ weights] = 1
+        _radix_p_transform(f, p, M, zeta)
+        # g[u, c] = f^ at the trace digits of c u; key[u, c] = c u itself
+        idx = np.zeros((len(hyp), q), dtype=np.int64)
+        key = np.zeros((len(hyp), q), dtype=np.int64)
+        for i in range(k):
+            cu = ctx.vmul(hyp[:, i, None], elems)
+            idx += trd[cu] * weights[i]
+            key += cu * weights[i]
+        g = f[idx].astype(np.int64)
+        del f, idx
+        _radix_p_transform(g, p, M, zeta, rows=len(hyp))
+        assert np.all(g.sum(axis=1) == q * len(aff))
+        assert not np.any(g % q), "character sums must be divisible by the field order"
+        g //= q
+        out = np.empty(sizes.size + q ** k, dtype=np.int64)
+        out[:sizes.size] = sizes + g[:, 0]
+        out[sizes.size] = np.count_nonzero(lead > r - k)
+        out[sizes.size + key[:, 1:]] = sizes[:, None] + g[:, inv_cols]
+        sizes = out
+    return sizes
 
 
 def resolve_engine(v: Variety, engine: str = "auto") -> str:

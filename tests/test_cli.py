@@ -264,14 +264,15 @@ def test_recover_non_integer_share_table_exit_2(capsys, tmp_path, field, value):
     assert "malformed share table" in err
 
 
-def test_points_budget_refusal_exit_3_in_little_memory():
-    # PG(4, 49) has 5,884,901 points, several hundred MB once enumerated.
-    # The child reports its own peak, VmHWM, where Linux has it: its
-    # ru_maxrss also carries the peak of this test process, which the
-    # spawn (vfork and exec) hands down.
+def _child_peak_mb(argv):
+    """Run the command line on argv in a child process: its exit code,
+    its peak resident memory in MB, and its stderr.
+
+    The child reports its own peak, VmHWM, where Linux has it: its
+    ru_maxrss also carries the peak of this test process, which the
+    spawn (vfork and exec) hands down."""
     code = ("import os, resource; from qhcodes.cli import main; "
-            "rc = main(['variety', 'build', '--q', '7', '--r', '4', "
-            "'--variety', 'hermitian', '--budget', '0']); "
+            f"rc = main({argv!r}); "
             "hwm = [int(line.split()[1]) for line in open('/proc/self/status') "
             "if line.startswith('VmHWM:')] if os.path.exists('/proc/self/status') "
             "else []; "
@@ -280,11 +281,27 @@ def test_points_budget_refusal_exit_3_in_little_memory():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    rc, maxrss = map(int, proc.stdout.split())
-    assert rc == 3
-    assert "refusing scanning 5884901 points" in proc.stderr
+    rc, peak = map(int, proc.stdout.splitlines()[-1].split())
     # VmHWM and Linux ru_maxrss are in KiB, macOS ru_maxrss in bytes
-    assert maxrss < 100 * 2 ** (20 if sys.platform == "darwin" else 10)
+    return rc, peak / 2 ** (20 if sys.platform == "darwin" else 10), proc.stderr
+
+
+def test_points_budget_refusal_exit_3_in_little_memory():
+    # PG(4, 49) has 5,884,901 points, several hundred MB once enumerated
+    rc, peak_mb, err = _child_peak_mb(["variety", "build", "--q", "7", "--r", "4",
+                                       "--variety", "hermitian", "--budget", "0"])
+    assert rc == 3
+    assert "refusing scanning 5884901 points" in err
+    assert peak_mb < 100
+
+
+def test_transform_spectrum_in_little_memory():
+    # PG(3, 64): the affine charts hold at most 64^3 entries, where the
+    # cone over the whole point set would hold 64^4 = 2^24
+    rc, peak_mb, _ = _child_peak_mb(["variety", "spectrum", "--q", "8", "--r", "3",
+                                     "--variety", "hermitian"])
+    assert rc == 0
+    assert peak_mb < 100
 
 
 def test_sss_access_refused_for_non_minimal_exit_2(capsys):

@@ -346,6 +346,8 @@ def test_codeword_block_matches_the_column_loop(kind, q, r):
     for msgs in _blocks(code):
         words = code.codeword_block(msgs)
         assert words.shape == (len(msgs), code.n)
+        # narrow in every characteristic, not int64 words from uint8 rows
+        assert words.dtype == code.row_tables[0].dtype
         assert np.array_equal(words, _codeword_block_by_columns(code, msgs))
 
 

@@ -1,9 +1,9 @@
 """The character-transform engine against direct evaluation.
 
-_sizes_wht counts hyperplane sections through one additive character
-transform over GF(p)^(m(r+1)); _sizes_direct evaluates every
-hyperplane on every point.  They must agree element for element on any
-point set, not only on the varieties.
+_sizes_wht counts hyperplane sections through additive character
+transforms of the affine charts of PG(1), ..., PG(r); _sizes_direct
+evaluates every hyperplane on every point.  They must agree element
+for element on any point set, not only on the varieties.
 """
 
 from math import isqrt
@@ -24,8 +24,9 @@ from qhcodes.variety import (WHT_CUTOFF, _check_transform_range, _sizes_direct,
                              hyperplane_section_sizes, resolve_engine)
 
 # (Q, r) with PG(r, Q) small enough for the direct engine
-SPACES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3),
-          (7, 1), (7, 2), (8, 2), (9, 1), (9, 2)]
+SPACES = [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
+          (5, 2), (5, 3), (7, 1), (7, 2), (8, 2), (9, 1), (9, 2), (16, 2)]
+BLOCKS = [5, 7, 36, 1 << 16]
 
 
 def _prime(n):
@@ -49,8 +50,7 @@ def _both_engines(ctx, space, coords):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SPACES), st.sampled_from([5, 7, 36, 1 << 16]),
-       st.data())
+@given(st.sampled_from(SPACES), st.sampled_from(BLOCKS), st.data())
 def test_transform_equals_direct_on_random_point_sets(qr, block, data):
     Q, r = qr
     ctx = field_for_order(Q)
@@ -69,6 +69,30 @@ def test_transform_equals_direct_on_random_point_sets(qr, block, data):
         assert p == ctx.p and bound == (Q - 1) * len(chosen)
         assert _prime(M) and M % p == 1 and M > 2 * (Q - 1) * len(chosen)
         assert zeta != 1 and pow(zeta, p, M) == 1
+
+
+def _structured_sets(space):
+    """Point sets that empty or fill whole charts: none, all, X_0 = 0
+    (PG(r-1) at infinity), X_0 = 1 (the affine chart A_r), and the last
+    point of each chart PG(k), one per level k = 0 .. r."""
+    pts = space.points
+    Q, r = space.ctx.order, space.r
+    last = [num_points(k, Q) - 1 for k in range(r + 1)]
+    return {"empty": pts[:0], "all": pts, "infinity": pts[pts[:, 0] == 0],
+            "affine": pts[pts[:, 0] == 1], "one-per-level": pts[last]}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("Q, r", [(3, 3), (4, 3), (2, 4), (9, 2)])
+def test_transform_equals_direct_on_structured_sets(Q, r, block):
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variety_mod, "_PASS_BLOCK", block)
+        for name, coords in _structured_sets(space).items():
+            wht, direct, moduli = _both_engines(ctx, space, coords)
+            assert np.array_equal(wht, direct), name
+            assert len(moduli) == (ctx.p > 2), name
 
 
 @pytest.mark.parametrize("kind, q, r", [

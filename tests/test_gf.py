@@ -141,7 +141,8 @@ def test_vadd_without_a_table_above_the_cutoff():
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (5, 2), (31, 2), (61, 2)])
 def test_vadd_on_narrow_dtypes(p, m):
     """Sums of uint8/uint16 operands, alone or mixed with int64, equal the
-    int64 sums: an index a * order into the table must not wrap."""
+    int64 sums: an index a * order into the table must not wrap.  Each
+    sum keeps its operands' dtype."""
     ctx = make_field(p, m)
     narrow = np.min_scalar_type(ctx.order - 1)
     rng = np.random.default_rng(ctx.order)
@@ -151,6 +152,7 @@ def test_vadd_on_narrow_dtypes(p, m):
     for x, y in ((a.astype(narrow), b.astype(narrow)), (a.astype(narrow), b),
                  (a, b.astype(narrow))):
         assert np.array_equal(ctx.vadd(x, y), want)
+        assert ctx.vadd(x, y).dtype == np.result_type(x, y)
 
 
 def test_pow_row_and_scalar_row():
