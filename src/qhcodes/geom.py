@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .budget import check_budget
+from . import gf
 from .gf import FiniteField
 
 # subspaces per block of rref_bases; bounds the memory of every caller
@@ -174,6 +175,18 @@ def span_rank(ctx: FiniteField, vectors) -> SubspaceBasis:
     return SubspaceBasis(rank, tuple(tuple(int(v) for v in row) for row in rows))
 
 
+def _pivot_blocks(q: int, r: int, nrows: int):
+    """(pivots, free, blocks) for every choice of nrows pivot columns:
+    the free columns of each row, and the (lo, count) ranges of a
+    counter whose base-q digits, most significant first, fill the free
+    columns row by row."""
+    for pivots in combinations(range(r + 1), nrows):
+        free = [[c for c in range(p + 1, r + 1) if c not in pivots] for p in pivots]
+        end = q ** sum(len(cols) for cols in free)
+        yield pivots, free, ((lo, min(SUBSPACE_BLOCK, end - lo))
+                             for lo in range(0, end, SUBSPACE_BLOCK))
+
+
 def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
     """All nrows-dimensional row spaces in PG(r, q), one block at a time.
 
@@ -186,19 +199,130 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
     q = ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
-    for pivots in combinations(range(r + 1), nrows):
-        free = [[c for c in range(p + 1, r + 1) if c not in pivots] for p in pivots]
+    for pivots, free, blocks in _pivot_blocks(q, r, nrows):
         width = sum(len(cols) for cols in free)
-        for lo in range(0, q ** width, SUBSPACE_BLOCK):
-            digits = _digit_matrix(q, width, min(SUBSPACE_BLOCK, q ** width - lo), lo)
+        for lo, count in blocks:
+            digits = _digit_matrix(q, width, count, lo)
             rows, at = [], 0
             for p, cols in zip(pivots, free):
-                row = np.zeros((len(digits), r + 1), dtype=np.int64)
+                row = np.zeros((count, r + 1), dtype=np.int64)
                 row[:, p] = 1
                 row[:, cols] = digits[:, at:at + len(cols)]
                 at += len(cols)
                 rows.append(row)
             yield tuple(rows)
+
+
+def subspace_keys(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
+    """The points of the blocks of rref_bases as keys, without the rows.
+
+    Makes the budget check of rref_bases at once, then returns an
+    iterator over the same blocks in the same order.  Each block is a
+    pair (count, keys): keys yields one array of count intp keys
+    (ProjectiveSpace.keys) per coefficient pattern of subspace_points,
+    in its order.
+
+    A point is row t plus sum c_j row j over j > t.  Pivot column j
+    holds c_j alone and the columns left of row t+1's pivot hold row t's
+    digits alone, so their parts of the key add as integers.  The
+    columns right of it take field sums, done on keys by _low_adder.
+    Each row keeps a (q, q^f) table of the keys of its multiples over
+    its f counter digits.
+    """
+    q = ctx.order
+    total = gaussian_binomial(r + 1, nrows, q)
+    check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
+    return _key_blocks(ctx, r, nrows)
+
+
+def _key_blocks(ctx: FiniteField, r: int, nrows: int):
+    q = ctx.order
+    weight = [q ** (r - c) for c in range(r + 1)]
+    for pivots, free, blocks in _pivot_blocks(q, r, nrows):
+        # scaled[j][c, d]: key of c times the free digits d of row j
+        scaled = [_scaled_keys(ctx, [weight[c] for c in cols]) for cols in free]
+        # leads[t]: lead row t's key left of row t+1's pivot and its own
+        # pivot, its key right of it, and the _low_adder of that part
+        leads, shifts, at = [], [], sum(len(cols) for cols in free)
+        for t, cols in enumerate(free):
+            ncols = r - pivots[t + 1] if t + 1 < nrows else 0
+            keys = scaled[t][1]
+            low = keys % q ** ncols
+            leads.append((weight[pivots[t]] + keys - low, low, *_low_adder(ctx, ncols)))
+            at -= len(cols)
+            shifts.append((q ** at, q ** len(cols)))
+        for lo, count in blocks:
+            n = np.arange(lo, lo + count, dtype=np.intp)
+            subs = [n // shift % size for shift, size in shifts]
+            yield count, _block_keys(q, pivots, weight, scaled, leads, subs)
+
+
+def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
+    """(q, q^f) table: the key of c times digits d over f free columns."""
+    q = ctx.order
+    digits = _digit_matrix(q, len(weights), q ** len(weights))
+    w = np.array(weights, dtype=np.intp)
+    return np.stack([ctx.scalar_mul_row(c)[digits] @ w for c in range(q)])
+
+
+def _block_keys(q, pivots, weight, scaled, leads, subs):
+    for t, (high, low, scale, add) in enumerate(leads):
+        high = high[subs[t]]
+        levels = [(weight[pivots[j]], scaled[j], subs[j])
+                  for j in range(t + 1, len(pivots))]
+        for offset, part in _patterns(q, scale, add, 0, low[subs[t]], levels):
+            keys = high + part
+            if offset:
+                keys += offset
+            yield keys
+
+
+def _patterns(q, scale, add, offset, part, levels):
+    """(pivot offset, low key) of every coefficient pattern over levels,
+    coefficient 0 first and the first level most significant."""
+    if not levels:
+        yield offset, part
+        return
+    (w, table, sub), rest = levels[0], levels[1:]
+    base = part if scale == 1 else np.multiply(part, scale, dtype=np.intp)
+    for c in range(q):
+        nxt = part if c == 0 else add(base, table[c][sub])
+        yield from _patterns(q, scale, add, offset + c * w, nxt, rest)
+
+
+def _low_adder(ctx: FiniteField, ncols: int):
+    """(scale, add): add(a * scale, b) is the key of the coordinatewise
+    field sum of the vectors with keys a and b, over ncols coordinates.
+    Characteristic 2 adds by XOR.  Odd characteristic looks the sum up
+    in a table over all pairs of keys while their group, of order
+    q^ncols, is no larger than the fields that keep a full addition
+    table (gf.ADD_TABLE_MAX_ORDER), and else adds coordinate by
+    coordinate."""
+    if ctx.p == 2:
+        return 1, np.bitwise_xor
+    size = ctx.order ** ncols
+    if size <= gf.ADD_TABLE_MAX_ORDER:
+        table = _sum_table(ctx, ncols)
+        return size, lambda a, b: table[a + b]
+    return 1, lambda a, b: _digit_sum(ctx, ncols, a, b)
+
+
+@lru_cache(maxsize=None)
+def _sum_table(ctx: FiniteField, ncols: int) -> np.ndarray:
+    size = ctx.order ** ncols
+    a, b = np.divmod(np.arange(size * size, dtype=np.intp), size)
+    table = _digit_sum(ctx, ncols, a, b).astype(np.min_scalar_type(size - 1))
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+def _digit_sum(ctx: FiniteField, ncols: int, a, b):
+    q = ctx.order
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
+    for i in range(ncols):
+        w = q ** i
+        out += ctx.vadd(a // w % q, b // w % q).astype(np.intp) * w
+    return out
 
 
 def subspace_points(ctx: FiniteField, rows: tuple):

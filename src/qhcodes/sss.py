@@ -361,17 +361,20 @@ class PermGroup:
 
 def _closure(gens, degree, budget=None) -> tuple:
     cap = min(budget, CLOSURE_CAP) if budget is not None else CLOSURE_CAP
+    # every element is metered as it joins, the identity first, so a
+    # budget equal to the group's order suffices
+    check_budget("group closure", 1, cap)
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
-        # each level adds at most len(frontier) * len(gens) elements
-        check_budget("group closure", len(seen) + len(frontier) * len(gens), cap)
         nxt = []
         for p in frontier:
             for g in gens:
                 img = tuple(g[x] for x in p)
                 if img not in seen:
+                    if len(seen) == cap:
+                        check_budget("group closure", cap + 1, cap)
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt

@@ -28,8 +28,8 @@ from math import isqrt
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import (ProjectiveSpace, dot_rows, num_points, pg_space, rref_bases,
-                   subspace_points)
+from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, gaussian_binomial,
+                   num_points, pg_space, subspace_keys)
 from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
@@ -604,30 +604,42 @@ def hyperplane_spectrum(v: Variety, engine: str = "auto",
 
 def subspace_section_sizes(v: Variety, nrows: int,
                            budget: int | None = None) -> np.ndarray:
-    """|S meet v| for every subspace S of vector dimension nrows.
+    """|S meet v| for every subspace S of vector dimension nrows, in the
+    order of geom.rref_bases.
 
-    Membership is summed one pivot block and one coefficient pattern
-    at a time, so memory stays at a few arrays of one block's size.
+    The sizes come in np.min_scalar_type(theta), theta = (Q^nrows - 1) /
+    (Q - 1) the number of points of one S, Q = q^2: uint8 for the lines
+    of every q up to 15.  Each block's points arrive as keys
+    (geom.subspace_keys) and are counted in a boolean mask over all
+    2 Q^r keys, one coefficient pattern at a time.
     """
-    memb = v.membership()
-    out = []
-    for rows in rref_bases(v.ctx, v.r, nrows, budget):
-        cnt = np.zeros(len(rows[0]), dtype=np.int64)
-        for pts in subspace_points(v.ctx, rows):
-            cnt += memb[v.space.index_array(pts)]
-        out.append(cnt)
-    return np.concatenate(out)
+    Q = v.ctx.order
+    blocks = subspace_keys(v.ctx, v.r, nrows, budget)
+    mask = np.zeros(2 * Q ** v.r, dtype=bool)
+    mask[v.space.keys[v.indices]] = True
+    sizes = np.zeros(gaussian_binomial(v.r + 1, nrows, Q),
+                     dtype=np.min_scalar_type(num_points(nrows - 1, Q)))
+    at = 0
+    for count, keys in blocks:
+        cnt = sizes[at:at + count]
+        for k in keys:
+            cnt += mask[k]
+        at += count
+    return sizes
 
 
 def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
-    """|ell meet v| over all lines."""
+    """|ell meet v| over all lines, as subspace_section_sizes(v, 2) gives
+    them: np.min_scalar_type(q^2 + 1), so uint8 up to q = 15."""
     return subspace_section_sizes(v, 2, budget)
 
 
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
     sizes = line_section_sizes(v, budget)
-    vals, cnts = np.unique(sizes, return_counts=True)
-    counts = {int(a): int(b) for a, b in zip(vals, cnts)}
+    # bincount widens its input to intp, so it takes one block at a time
+    cnts = sum(np.bincount(sizes[at:at + SUBSPACE_BLOCK], minlength=v.ctx.order + 2)
+               for at in range(0, len(sizes), SUBSPACE_BLOCK))
+    counts = {int(a): int(b) for a, b in enumerate(cnts) if b}
     return SpectrumReport(v.meta(), "line", counts, int(cnts.sum()), "batched")
 
 

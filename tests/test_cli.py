@@ -304,6 +304,13 @@ def test_transform_spectrum_in_little_memory():
     assert peak_mb < 100
 
 
+def test_variety_lines_44_in_little_memory():
+    # 17,965,585 lines of PG(4, 16), each size one byte
+    rc, peak_mb, _ = _child_peak_mb(["variety", "lines", "--q", "4", "--r", "4"])
+    assert rc == 0
+    assert peak_mb < 150
+
+
 def test_sss_access_refused_for_non_minimal_exit_2(capsys):
     rc, _, err = run(capsys, "sss", "access", "--q", "4", "--r", "3")
     assert rc == 2

@@ -1,13 +1,15 @@
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qhcodes.geom as geom_mod
+import qhcodes.gf as gf_mod
 from qhcodes.geom import (gaussian_binomial, line_count, num_points,
                           normalize_point, pg_space, dot_rows, row_reduce,
-                          rref_bases, span_rank, subspace_points)
+                          rref_bases, span_rank, subspace_keys, subspace_points)
 from qhcodes.gf import field_for_order, make_field
 from qhcodes.variety import build_variety, subspace_section_sizes
 
@@ -208,6 +210,74 @@ def test_subspace_section_sizes_match_reference(kind, q, r, monkeypatch):
         ref = sorted(int(memb[list(s)].sum())
                      for s in reference_index_sets(q * q, r, nrows))
         assert sorted(subspace_section_sizes(v, nrows).tolist()) == ref
+
+
+# both characteristics; every odd case has some low-key group of order
+# above 8 and one below it
+KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4))
+
+
+@pytest.mark.parametrize("Q,r,nrows",
+                         [(Q, r, s) for Q, r in KEY_SPACES for s in range(2, r + 1)])
+def test_subspace_keys_match_the_points(Q, r, nrows, monkeypatch):
+    """The counter-derived keys are the keys of subspace_points, block
+    by block and pattern by pattern."""
+    monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    blocks = 0
+    for rows, (count, keys) in zip_longest(rref_bases(ctx, r, nrows),
+                                           subspace_keys(ctx, r, nrows)):
+        pts, keys = list(subspace_points(ctx, rows)), list(keys)
+        assert count == len(rows[0])
+        assert len(keys) == len(pts) == num_points(nrows - 1, Q)
+        for k, p in zip(keys, pts):
+            assert k.dtype == np.intp
+            assert np.array_equal(k, space.keys[space.index_array(p)])
+        blocks += 1
+    assert blocks > len(list(combinations(range(r + 1), nrows)))
+
+
+def reference_section_sizes(v, nrows):
+    """Membership summed over the indices of subspace_points."""
+    memb = np.zeros(v.space.n_points, dtype=np.int64)
+    memb[v.indices] = 1
+    out = []
+    for rows in rref_bases(v.ctx, v.r, nrows):
+        cnt = np.zeros(len(rows[0]), dtype=np.int64)
+        for pts in subspace_points(v.ctx, rows):
+            cnt += memb[v.space.index_array(pts)]
+        out.append(cnt)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("Q,r,cap", [(Q, r, None) for Q, r in KEY_SPACES]
+                         + [(Q, r, 8) for Q, r in KEY_SPACES if Q % 2])
+def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
+    """Sizes by key mask equal sizes by point index, on a random third
+    of PG(r, Q); cap 8 sends odd characteristic past the low-key table
+    to coordinate-by-coordinate sums."""
+    ctx = field_for_order(Q)
+    groups = []
+    if cap is not None:
+        monkeypatch.setattr(gf_mod, "ADD_TABLE_MAX_ORDER", cap)
+        digit_sum = geom_mod._digit_sum
+
+        def spy(ctx, ncols, a, b):
+            groups.append(ctx.order ** ncols)
+            return digit_sum(ctx, ncols, a, b)
+        monkeypatch.setattr(geom_mod, "_digit_sum", spy)
+    monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
+    space = pg_space(ctx, r)
+    rng = np.random.default_rng(Q * 10 + r)
+    chosen = np.flatnonzero(rng.random(space.n_points) < 1 / 3)
+    v = SimpleNamespace(ctx=ctx, r=r, space=space, indices=chosen)
+    for nrows in range(2, r + 1):
+        sizes = subspace_section_sizes(v, nrows)
+        assert sizes.dtype == np.min_scalar_type(num_points(nrows - 1, Q))
+        assert np.array_equal(sizes, reference_section_sizes(v, nrows))
+    if cap is not None:
+        assert max(groups) > cap
 
 
 def test_line_count_pg3():

@@ -22,6 +22,8 @@ COMMANDS = {
     "variety_build": ("variety", "build", "--q", "3", "--r", "3"),
     "variety_spectrum": ("variety", "spectrum", "--q", "3", "--r", "3"),
     "variety_lines": ("variety", "lines", "--q", "3", "--r", "3"),
+    # 17,965,585 lines of PG(4, 16), the largest line pass the suite runs
+    "variety_lines_44": ("variety", "lines", "--q", "4", "--r", "4"),
     "code_weights": ("code", "weights", "--q", "3", "--r", "3", "--cross-check"),
     "code_minimality": ("code", "minimality", "--q", "4", "--r", "3"),
     "code_divisibility": ("code", "divisibility", "--q", "4", "--r", "3"),

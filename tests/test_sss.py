@@ -266,6 +266,8 @@ def test_perfectness_budget_refuses_before_dealing(scheme_h2, access_h2, monkeyp
 def test_group_closure_s3():
     group = group_closure(["(1,2)", "(1,2,3)"], 3)
     assert group.order == 6
+    # a budget equal to the group's order suffices
+    assert group_closure(["(1,2)", "(1,2,3)"], 3, budget=6).order == 6
 
 
 def test_group_closure_refuses_before_expanding_a_level():
@@ -275,17 +277,24 @@ def test_group_closure_refuses_before_expanding_a_level():
         def __getitem__(self, i):
             reads.append(i)
             return tuple.__getitem__(self, i)
-    # level 0 could add 2 elements to the identity: 3 > 2
     gens = (Perm((1, 2, 0, 3, 4)), Perm((1, 0, 2, 3, 4)))
-    with pytest.raises(BudgetError, match="group closure: needs 3 units"):
-        sss_mod._closure(gens, 5, budget=2)
+    # the identity is metered before level 0 reads any generator
+    with pytest.raises(BudgetError, match="group closure: needs 1 units, budget is 0"):
+        sss_mod._closure(gens, 5, budget=0)
     assert reads == []
-    # the fixture's generators: 1 + 1 * 3, then 4 + 3 * 3 at the next level
+    # each new element is metered as it joins: the third exceeds 2
+    with pytest.raises(BudgetError, match="group closure: needs 3 units, budget is 2"):
+        sss_mod._closure(gens, 5, budget=2)
+    assert len(sss_mod._closure(gens, 5, budget=6)) == 6
+    # the fixture's group has order 576
     fx = load_fixture()
-    with pytest.raises(BudgetError, match="needs 4 units, budget is 0"):
+    with pytest.raises(BudgetError, match="needs 1 units, budget is 0"):
         group_closure(fx.generator_cycles, fx.degree, 0)
-    with pytest.raises(BudgetError, match="needs 13 units, budget is 10"):
+    with pytest.raises(BudgetError, match="needs 11 units, budget is 10"):
         group_closure(fx.generator_cycles, fx.degree, 10)
+    with pytest.raises(BudgetError, match="needs 576 units, budget is 575"):
+        group_closure(fx.generator_cycles, fx.degree, 575)
+    assert group_closure(fx.generator_cycles, fx.degree, 576).order == 576
 
 
 def test_parse_cycles_rejects_garbage():

@@ -10,6 +10,7 @@ from pathlib import Path
 import qhcodes.cli  # noqa: F401  the tracer wraps only imported layers
 import qhcodes.verify  # noqa: F401
 from qhcodes import sss, variety
+from qhcodes.geom import gaussian_binomial
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
@@ -31,3 +32,15 @@ def test_tracer_wraps_every_layer():
     names = {span[0] for span in tr.spans}
     assert {"variety.build", "sss.access", "sss.develop", "code.cutting"} <= names
     assert tr.counters["budget.checks"] > 0
+
+
+def test_tracer_times_the_line_pass():
+    tr = spans.Tracer()
+    try:
+        spans.install(tr, [time.perf_counter()])
+        v = variety.build_variety("twisted", 3, 3)
+        sp = variety.line_spectrum(v)
+    finally:
+        tr.restore()
+    assert "variety.lines" in {span[0] for span in tr.spans}
+    assert tr.counters["variety.lines.count"] == sp.total == gaussian_binomial(4, 2, 9)
