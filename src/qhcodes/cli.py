@@ -468,10 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     eng = argparse.ArgumentParser(add_help=False)
     eng.add_argument("--engine", choices=("auto", "direct", "wht"),
                      default="auto",
-                     help="spectrum engine: direct evaluation, or wht, the "
-                          "exact p-ary Walsh-Hadamard transform for every "
-                          "characteristic; auto picks the cheaper one, wht "
-                          "only up to (q^2)^(r+1) = 2^24 entries "
+                     help="spectrum engine: wht, the exact p-ary "
+                          "Walsh-Hadamard transform for every characteristic, "
+                          "or direct evaluation, its reference; auto runs wht "
                           "(default auto)")
 
     p0p = argparse.ArgumentParser(add_help=False)

@@ -34,13 +34,6 @@ from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
 
-# auto runs the character transform up to this many entries, q^(r+1),
-# and only where it is the cheaper engine (see resolve_engine)
-WHT_CUTOFF = 2 ** 24
-# direct evaluation's numpy call overhead per hyperplane, 7-10 us, in the
-# units of about 4 ns of resolve_engine's cost model
-_HYPERPLANE_OVERHEAD = 2000
-
 
 class ParamsError(ValueError):
     def __init__(self, message, report=None):
@@ -348,6 +341,8 @@ BUILDERS_PLAIN = {"hermitian": build_hermitian, "cone": build_cone,
 def build_variety(kind: str, q: int, r: int, alpha: int | None = None,
                   beta: int | None = None, budget: int | None = None) -> Variety:
     """Uniform entry point used by the command line."""
+    if r < 1:
+        raise ParamsError(f"r = {r} must be at least 1")
     if kind in BUILDERS_WITH_PARAMS:
         if alpha is None or beta is None:
             params = default_params(q, r)
@@ -489,10 +484,6 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     has q^k entries, not the q^(r+1) of the cone over all of V.  Every
     q T is a non-negative integer of at most q n < M; the row-sum and
     divisibility asserts would catch any packing mistake.
-
-    WHT_CUTOFF, resolve_engine's cost model and the budget meter still
-    price the q^(r+1) entries of the cone transform, on purpose: so
-    every payload's engine and every refusal stay as they were.
     """
     p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
     nv = len(vcoords)
@@ -547,36 +538,21 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     return sizes
 
 
-def resolve_engine(v: Variety, engine: str = "auto") -> str:
-    """auto: the cheaper engine, the transform only up to WHT_CUTOFF.
-
-    Costs in units of about 4 ns on one core: the transform makes p
-    multiply-adds per entry and digit, 1.5-4 ns each; direct evaluation
-    makes r+1 field operations per hyperplane and point, 5-8 ns each,
-    plus its per-hyperplane overhead.
-    """
-    if engine != "auto":
-        return engine
-    ctx, r = v.ctx, v.r
-    entries = ctx.order ** (r + 1)
-    transform = ctx.p * ctx.m * (r + 1) * entries
-    direct = num_points(r, ctx.order) * (2 * (r + 1) * v.n + _HYPERPLANE_OVERHEAD)
-    return "wht" if entries <= WHT_CUTOFF and transform <= direct else "direct"
-
-
 def hyperplane_section_sizes(v: Variety, engine: str = "auto",
                              budget: int | None = None) -> np.ndarray:
     """|Sigma meet v| for every hyperplane Sigma, in canonical order.
 
-    The last result is kept on v and reused only for the same engine,
-    after the budget check.
+    auto is the transform; direct evaluation stays as its reference.
+    The hyperplane count theta_r bounds every array the transform
+    allocates: a chart holds Q^k < theta_r entries, and the
+    (theta_(k-1), Q) tables theta_k - 1.  The last result is kept on v
+    and reused only for the same engine, after the budget check.
     """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
-    engine = resolve_engine(v, engine)
+    if engine == "auto":
+        engine = "wht"
     if engine == "wht":
-        entries = ctx.order ** (v.r + 1)
-        check_budget(f"a character transform of {entries} entries", entries, budget)
         _check_transform_range(ctx.p, (ctx.order - 1) * v.n)
     if v._hyp_sizes is not None and v._hyp_engine == engine:
         return v._hyp_sizes
@@ -592,11 +568,11 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
 
 def hyperplane_spectrum(v: Variety, engine: str = "auto",
                         budget: int | None = None) -> SpectrumReport:
-    used = resolve_engine(v, engine)
-    sizes = hyperplane_section_sizes(v, used, budget)
+    sizes = hyperplane_section_sizes(v, engine, budget)
     vals, cnts = np.unique(sizes, return_counts=True)
     counts = {int(a): int(b) for a, b in zip(vals, cnts)}
-    return SpectrumReport(v.meta(), "hyperplane", counts, int(cnts.sum()), used)
+    return SpectrumReport(v.meta(), "hyperplane", counts, int(cnts.sum()),
+                          v._hyp_engine)
 
 
 # ---------------------------------------------------------------------------

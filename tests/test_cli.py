@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qhcodes.cli as cli_mod
 import qhcodes.variety as variety_mod
 from qhcodes.cli import main
 from qhcodes.geom import num_points
@@ -145,19 +146,37 @@ def test_code_minimality_skips_an_over_budget_cross_check(capsys):
 
 
 def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
-    # PG(4, 64) has 17 million points: stand in an empty point list of
-    # the right count so the refusal, not the enumeration, is under test
+    # PG(4, 64) has 17,043,521 points: stand in an empty point list of
+    # the right count, built at the default budget, so the spectrum's
+    # refusal, not the enumeration, is under test
     monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
         n_points=num_points(r, ctx.order), r=r,
         points=np.zeros((0, r + 1), dtype=np.int64)))
+    monkeypatch.setattr(cli_mod, "build_variety",
+                        lambda kind, q, r, alpha, beta, budget:
+                        variety_mod.build_variety(kind, q, r, alpha, beta))
 
     def spy(*args):
         raise AssertionError("the transform must not start")
     monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
-    rc, _, err = run(capsys, "variety", "spectrum", "--q", "8", "--r", "4",
-                     "--variety", "hermitian", "--engine", "wht")
-    assert rc == 3
-    assert f"character transform of {64 ** 5} entries" in err
+    theta = num_points(4, 64)
+    for engine in ("auto", "wht"):
+        rc, _, err = run(capsys, "variety", "spectrum", "--q", "8", "--r", "4",
+                         "--variety", "hermitian", "--engine", engine,
+                         "--budget", str(theta - 1))
+        assert rc == 3
+        assert f"refusing scanning {theta} hyperplanes" in err
+
+
+@pytest.mark.parametrize("command", [("variety", "build"), ("code", "weights")])
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_dimension_below_one_is_a_parameter_error(command, r, capsys):
+    rc, out, err = run(capsys, *command, "--q", "2", "--r", r,
+                       "--variety", "hermitian")
+    assert rc == 2
+    assert out == ""
+    assert f"parameter error: r = {r} must be at least 1" in err
+    assert "Traceback" not in err
 
 
 def test_code_divisibility(capsys):

@@ -18,10 +18,11 @@ import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
 from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
-from qhcodes.variety import (WHT_CUTOFF, _check_transform_range, _sizes_direct,
-                             _sizes_wht, _transform_limit, _transform_modulus,
-                             build_variety, hermitian_size,
-                             hyperplane_section_sizes, resolve_engine)
+from qhcodes.variety import (_check_transform_range, _radix_p_transform,
+                             _sizes_direct, _sizes_wht, _transform_limit,
+                             _transform_modulus, build_variety,
+                             hyperplane_section_sizes, hyperplane_spectrum,
+                             predicted_spectrum)
 
 # (Q, r) with PG(r, Q) small enough for the direct engine
 SPACES = [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
@@ -116,25 +117,46 @@ def test_transform_modulus(p, bound):
     assert not any(_prime(c) for c in range(M - p, 2 * bound, -p))
 
 
-def test_auto_engine_is_the_cheaper_one_up_to_the_cutoff():
-    def herm(q, r):
-        return SimpleNamespace(ctx=field_for_order(q * q), r=r,
-                               n=hermitian_size(r, q))
-    # odd and even characteristic alike, the benchmark's cases included
-    for q, r in ((3, 3), (5, 3), (7, 3), (8, 3), (4, 4), (2, 4), (11, 2),
-                 (13, 2)):
-        assert resolve_engine(herm(q, r)) == "wht"
-    # above the cutoff
-    for q, r in ((9, 3), (7, 4), (8, 4), (3, 8)):
-        assert (q * q) ** (r + 1) > WHT_CUTOFF
-        assert resolve_engine(herm(q, r)) == "direct"
-    # under it, but a few hyperplanes on a few points: the transform of
-    # hermitian(61,1) is 13.8 million entries of radix 61
-    for q, r in ((16, 1), (31, 1), (61, 1), (64, 1)):
-        assert (q * q) ** (r + 1) <= WHT_CUTOFF
-        assert resolve_engine(herm(q, r)) == "direct"
-    assert resolve_engine(herm(7, 4), "wht") == "wht"
-    assert resolve_engine(herm(3, 3), "direct") == "direct"
+@pytest.mark.parametrize("q", [16, 31, 61])
+def test_auto_engine_is_the_transform(q, monkeypatch):
+    # Hermitian curves, q + 1 of the q^2 + 1 points of PG(1, q^2): auto
+    # runs the transform, and direct evaluation only when asked for
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _sizes_direct(*args)
+    monkeypatch.setattr(variety_mod, "_sizes_direct", spy)
+    v = build_variety("hermitian", q, 1)
+    auto = hyperplane_spectrum(v)
+    assert auto.engine == "wht" and calls == []
+    direct = hyperplane_spectrum(v, engine="direct")
+    assert direct.engine == "direct" and len(calls) == 1
+    assert auto.counts == direct.counts
+
+
+def test_auto_engine_matches_the_prediction_at_hermitian_9_3():
+    # a transform of the whole cone would hold 81^4, 43 million entries;
+    # the largest chart holds 81^3
+    sp = hyperplane_spectrum(build_variety("hermitian", 9, 3))
+    assert sp.engine == "wht"
+    assert sp.counts == predicted_spectrum(9, 3, "hermitian").counts
+
+
+@pytest.mark.parametrize("Q, r", SPACES)
+def test_hyperplane_count_bounds_every_transform_array(Q, r, monkeypatch):
+    # the "scanning theta_r hyperplanes" check is the transform's only meter
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    sizes = []
+
+    def spy(f, *args, **kwargs):
+        sizes.append(f.size)
+        return _radix_p_transform(f, *args, **kwargs)
+    monkeypatch.setattr(variety_mod, "_radix_p_transform", spy)
+    _sizes_wht(ctx, space, space.points)
+    assert len(sizes) == 2 * r
+    assert max(sizes) < space.n_points
 
 
 def test_transform_range():
@@ -153,7 +175,9 @@ def test_transform_range():
 @pytest.mark.parametrize("Q, r", [(64, 5), (27, 6)])
 def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     # a stand-in for 2^26 points, whose character sums outgrow int32
-    # (p = 2) or the int64 products modulo M (odd p)
+    # (p = 2) or the int64 products modulo M (odd p); auto refuses too,
+    # as for hermitian(89,2), (Q-1) n about 5.6 10^9, where direct
+    # evaluation is the only engine left
     v = SimpleNamespace(ctx=field_for_order(Q), r=r, n=2 ** 26,
                         space=SimpleNamespace(n_points=num_points(r, Q)),
                         coords=None, _hyp_sizes=None, _hyp_engine=None)
@@ -161,5 +185,6 @@ def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     def spy(*args):
         raise AssertionError("the transform must not start")
     monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
-    with pytest.raises(BudgetError, match="character transform with sums"):
-        hyperplane_section_sizes(v, "wht", budget=2 ** 40)
+    for engine in ("wht", "auto"):
+        with pytest.raises(BudgetError, match="character transform with sums"):
+            hyperplane_section_sizes(v, engine, budget=2 ** 40)

@@ -4,7 +4,10 @@ Each file under tests/golden/ is the stdout of one command, captured
 once from a known-good build and never regenerated: a refactor must
 reproduce it exactly.  They were edited once, by hand, when the
 `--parallel` option went: each lost its `"parallel": 1,` config line
-and nothing else.  `sss recover` reads the captured deal payload.
+and nothing else.  variety_spectrum_hermitian_61 was captured from the
+direct engine and its one `"engine": "direct"` line edited to `"wht"`
+by hand, so it pins that the transform reproduces direct evaluation's
+bytes.  `sss recover` reads the captured deal payload.
 `verify-all --budget 0` holds the first refusal of every check, so it
 pins which guard refuses first; it exits 3.
 """
@@ -21,6 +24,9 @@ HERM23 = ("--q", "2", "--r", "3", "--variety", "hermitian")
 COMMANDS = {
     "variety_build": ("variety", "build", "--q", "3", "--r", "3"),
     "variety_spectrum": ("variety", "spectrum", "--q", "3", "--r", "3"),
+    # a Hermitian curve: 62 of the 3722 points of PG(1, 61^2), radix 61
+    "variety_spectrum_hermitian_61": ("variety", "spectrum", "--q", "61", "--r", "1",
+                                      "--variety", "hermitian"),
     "variety_lines": ("variety", "lines", "--q", "3", "--r", "3"),
     # 17,965,585 lines of PG(4, 16), the largest line pass the suite runs
     "variety_lines_44": ("variety", "lines", "--q", "4", "--r", "4"),
