@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .budget import check_budget
-from . import gf
 from .gf import FiniteField
 
-# subspaces per block of rref_bases; bounds the memory of every caller
+# subspaces per block of rref_bases, keys per chunk of subspace_keys;
+# bounds the memory of every caller
 SUBSPACE_BLOCK = 1 << 16
 
 
@@ -214,20 +214,26 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
 
 
 def subspace_keys(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
-    """The points of the blocks of rref_bases as keys, without the rows.
+    """The points of the subspaces of rref_bases as keys, without the rows.
 
     Makes the budget check of rref_bases at once, then returns an
-    iterator over the same blocks in the same order.  Each block is a
-    pair (count, keys): keys yields one array of count intp keys
-    (ProjectiveSpace.keys) per coefficient pattern of subspace_points,
-    in its order.
+    iterator with one item (at, shape, starts, offsets, chunks) per
+    choice of pivot columns and lead row t.  That choice's subspaces
+    are those from at on in rref_bases order, their counter reshaped to
+    shape = (P, M, Y, Z): the digits of the rows before t (on which
+    lead t's points do not depend), of row t left and right of row t+1's
+    pivot, and of the rows after t.  For the k-th coefficient pattern of
+    subspace_points with lead t, start = starts[k] fixes the pivot
+    entries, and chunks yields (z, rows), z a slice of the Z axis with
+    at most SUBSPACE_BLOCK keys unless one z has more: the pattern's
+    keys are start + offsets[:, rows[k]], in layout (M, len(z), Y).
 
-    A point is row t plus sum c_j row j over j > t.  Pivot column j
-    holds c_j alone and the columns left of row t+1's pivot hold row t's
-    digits alone, so their parts of the key add as integers.  The
-    columns right of it take field sums, done on keys by _low_adder.
-    Each row keeps a (q, q^f) table of the keys of its multiples over
-    its f counter digits.
+    Row t's digits left of row t+1's pivot add as integers, in the rows
+    of offsets.  Right of it, in the f columns that are no pivot, row t's
+    digits y take the field sum with x, the sum of the c_j multiples of
+    the later rows: rows[k] holds row x of one table of sums (_low_adder)
+    over keys of f digits, and offsets maps its columns to the keys.  The
+    table has no more entries than the subspaces the budget meters.
     """
     q = ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
@@ -238,23 +244,47 @@ def subspace_keys(ctx: FiniteField, r: int, nrows: int, budget: int | None = Non
 def _key_blocks(ctx: FiniteField, r: int, nrows: int):
     q = ctx.order
     weight = [q ** (r - c) for c in range(r + 1)]
-    for pivots, free, blocks in _pivot_blocks(q, r, nrows):
-        # scaled[j][c, d]: key of c times the free digits d of row j
-        scaled = [_scaled_keys(ctx, [weight[c] for c in cols]) for cols in free]
-        # leads[t]: lead row t's key left of row t+1's pivot and its own
-        # pivot, its key right of it, and the _low_adder of that part
-        leads, shifts, at = [], [], sum(len(cols) for cols in free)
-        for t, cols in enumerate(free):
-            ncols = r - pivots[t + 1] if t + 1 < nrows else 0
-            keys = scaled[t][1]
-            low = keys % q ** ncols
-            leads.append((weight[pivots[t]] + keys - low, low, *_low_adder(ctx, ncols)))
-            at -= len(cols)
-            shifts.append((q ** at, q ** len(cols)))
-        for lo, count in blocks:
-            n = np.arange(lo, lo + count, dtype=np.intp)
-            subs = [n // shift % size for shift, size in shifts]
-            yield count, _block_keys(q, pivots, weight, scaled, leads, subs)
+    # the widest sum is that of row 1 of pivots 0, 1, ..., nrows-1
+    width = r + 1 - nrows if nrows > 1 else 0
+    table = _low_adder(ctx, width)
+    # scaled[c, d]: key of c times the digits d, on the table's keys
+    scaled = _scaled_keys(ctx, [q ** i for i in range(width - 1, -1, -1)]).astype(table.dtype)
+    at = 0
+    for pivots, free, _ in _pivot_blocks(q, r, nrows):
+        widths = [len(cols) for cols in free]
+        size = q ** sum(widths)
+        for t in range(nrows):
+            low = free[t + 1] if t + 1 < nrows else []
+            # weight of row t's last column left of row t+1's pivot
+            step = weight[pivots[t + 1]] * q if t + 1 < nrows else 1
+            P, M, Y = q ** sum(widths[:t]), q ** (widths[t] - len(low)), q ** len(low)
+            Z = size // (P * M * Y)
+            offsets = np.arange(M)[:, None] * step + _scaled_keys(
+                ctx, [weight[c] for c in low])[1]
+            offsets = offsets.astype(np.min_scalar_type(weight[pivots[t]] - 1))
+            starts = [weight[pivots[t]] + sum(c * weight[p] for c, p in zip(cs, pivots[t + 1:]))
+                      for cs in product(range(q), repeat=nrows - 1 - t)]
+            spans = [(q ** sum(widths[j + 1:]), q ** widths[j]) for j in range(t + 1, nrows)]
+            yield (at, (P, M, Y, Z), starts, offsets,
+                   _chunks(table, scaled, spans, Y, Z, max(1, SUBSPACE_BLOCK // (M * Y))))
+        at += size
+
+
+def _chunks(table, scaled, spans, Y, Z, step):
+    for lo in range(0, Z, step):
+        n = np.arange(lo, min(lo + step, Z), dtype=np.intp)
+        subs = [n // shift % width for shift, width in spans]
+        sums = _sums(table, scaled, np.zeros(len(n), dtype=table.dtype), subs)
+        yield slice(lo, lo + len(n)), [table[x, :Y] for x in sums]
+
+
+def _sums(table, scaled, part, subs):
+    """Keys of part + sum c_j subs[j] per pattern, in subspace_points order."""
+    if not subs:
+        yield part
+        return
+    for row in scaled:
+        yield from _sums(table, scaled, table[part, row[subs[0]]], subs[1:])
 
 
 def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
@@ -265,64 +295,23 @@ def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
     return np.stack([ctx.scalar_mul_row(c)[digits] @ w for c in range(q)])
 
 
-def _block_keys(q, pivots, weight, scaled, leads, subs):
-    for t, (high, low, scale, add) in enumerate(leads):
-        high = high[subs[t]]
-        levels = [(weight[pivots[j]], scaled[j], subs[j])
-                  for j in range(t + 1, len(pivots))]
-        for offset, part in _patterns(q, scale, add, 0, low[subs[t]], levels):
-            keys = high + part
-            if offset:
-                keys += offset
-            yield keys
-
-
-def _patterns(q, scale, add, offset, part, levels):
-    """(pivot offset, low key) of every coefficient pattern over levels,
-    coefficient 0 first and the first level most significant."""
-    if not levels:
-        yield offset, part
-        return
-    (w, table, sub), rest = levels[0], levels[1:]
-    base = part if scale == 1 else np.multiply(part, scale, dtype=np.intp)
-    for c in range(q):
-        nxt = part if c == 0 else add(base, table[c][sub])
-        yield from _patterns(q, scale, add, offset + c * w, nxt, rest)
-
-
-def _low_adder(ctx: FiniteField, ncols: int):
-    """(scale, add): add(a * scale, b) is the key of the coordinatewise
-    field sum of the vectors with keys a and b, over ncols coordinates.
-    Characteristic 2 adds by XOR.  Odd characteristic looks the sum up
-    in a table over all pairs of keys while their group, of order
-    q^ncols, is no larger than the fields that keep a full addition
-    table (gf.ADD_TABLE_MAX_ORDER), and else adds coordinate by
-    coordinate."""
-    if ctx.p == 2:
-        return 1, np.bitwise_xor
-    size = ctx.order ** ncols
-    if size <= gf.ADD_TABLE_MAX_ORDER:
-        table = _sum_table(ctx, ncols)
-        return size, lambda a, b: table[a + b]
-    return 1, lambda a, b: _digit_sum(ctx, ncols, a, b)
-
-
-@lru_cache(maxsize=None)
-def _sum_table(ctx: FiniteField, ncols: int) -> np.ndarray:
-    size = ctx.order ** ncols
-    a, b = np.divmod(np.arange(size * size, dtype=np.intp), size)
-    table = _digit_sum(ctx, ncols, a, b).astype(np.min_scalar_type(size - 1))
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
-
-
-def _digit_sum(ctx: FiniteField, ncols: int, a, b):
+def _low_adder(ctx: FiniteField, ncols: int) -> np.ndarray:
+    """The (q^ncols, q^ncols) table of sums: entry (x, y) is the key of
+    the coordinatewise field sum of the vectors with keys x and y over
+    ncols coordinates, in the narrowest dtype that holds such a key.
+    Each coordinate broadcasts the field's addition table over the
+    ones before it, so characteristic 2 adds by XOR."""
     q = ctx.order
-    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
-    for i in range(ncols):
-        w = q ** i
-        out += ctx.vadd(a // w % q, b // w % q).astype(np.intp) * w
-    return out
+    dtype = np.min_scalar_type(q ** ncols - 1)
+    if ncols == 0:
+        return np.zeros((1, 1), dtype=dtype)
+    add = ctx.vadd(*np.indices((q, q), dtype=dtype))
+    table = add
+    for _ in range(ncols - 1):
+        size = len(table) * q
+        table = (table[:, None, :, None] * dtype.type(q)
+                 + add[None, :, None, :]).reshape(size, size)
+    return table
 
 
 def subspace_points(ctx: FiniteField, rows: tuple):

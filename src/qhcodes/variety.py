@@ -23,7 +23,7 @@ validate_params for the exact clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -585,9 +585,10 @@ def subspace_section_sizes(v: Variety, nrows: int,
 
     The sizes come in np.min_scalar_type(theta), theta = (Q^nrows - 1) /
     (Q - 1) the number of points of one S, Q = q^2: uint8 for the lines
-    of every q up to 15.  Each block's points arrive as keys
-    (geom.subspace_keys) and are counted in a boolean mask over all
-    2 Q^r keys, one coefficient pattern at a time.
+    of every q up to 15.  Each pattern of geom.subspace_keys reads its
+    (M, Y) keys once from a boolean mask over all 2 Q^r keys and
+    gathers each chunk from that run through its table rows; a chunk's
+    counts, summed over the patterns, go into the sizes once, in rref order.
     """
     Q = v.ctx.order
     blocks = subspace_keys(v.ctx, v.r, nrows, budget)
@@ -595,12 +596,14 @@ def subspace_section_sizes(v: Variety, nrows: int,
     mask[v.space.keys[v.indices]] = True
     sizes = np.zeros(gaussian_binomial(v.r + 1, nrows, Q),
                      dtype=np.min_scalar_type(num_points(nrows - 1, Q)))
-    at = 0
-    for count, keys in blocks:
-        cnt = sizes[at:at + count]
-        for k in keys:
-            cnt += mask[k]
-        at += count
+    for at, shape, starts, offsets, chunks in blocks:
+        out = sizes[at:at + prod(shape)].reshape(shape)
+        runs = [mask[start:][offsets] for start in starts]
+        for z, rows in chunks:
+            cnt = np.zeros((shape[1], z.stop - z.start, shape[2]), dtype=sizes.dtype)
+            for run, k in zip(runs, rows):
+                cnt += run.take(k, axis=1)
+            out[..., z] += cnt.transpose(0, 2, 1)
     return sizes
 
 

@@ -330,6 +330,14 @@ def test_variety_lines_44_in_little_memory():
     assert peak_mb < 150
 
 
+def test_variety_lines_hermitian_73_in_little_memory():
+    # 5,887,302 lines of PG(3, 49); the table of sums holds 49^4 keys
+    rc, peak_mb, _ = _child_peak_mb(["variety", "lines", "--q", "7", "--r", "3",
+                                     "--variety", "hermitian"])
+    assert rc == 0
+    assert peak_mb < 100
+
+
 def test_sss_access_refused_for_non_minimal_exit_2(capsys):
     rc, _, err = run(capsys, "sss", "access", "--q", "4", "--r", "3")
     assert rc == 2

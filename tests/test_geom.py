@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations, product, zip_longest
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,22 +220,39 @@ KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4))
 @pytest.mark.parametrize("Q,r,nrows",
                          [(Q, r, s) for Q, r in KEY_SPACES for s in range(2, r + 1)])
 def test_subspace_keys_match_the_points(Q, r, nrows, monkeypatch):
-    """The counter-derived keys are the keys of subspace_points, block
-    by block and pattern by pattern."""
+    """The gathered keys are the keys of subspace_points, subspace by
+    subspace and pattern by pattern."""
     monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
-    blocks = 0
-    for rows, (count, keys) in zip_longest(rref_bases(ctx, r, nrows),
-                                           subspace_keys(ctx, r, nrows)):
-        pts, keys = list(subspace_points(ctx, rows)), list(keys)
-        assert count == len(rows[0])
-        assert len(keys) == len(pts) == num_points(nrows - 1, Q)
-        for k, p in zip(keys, pts):
-            assert k.dtype == np.intp
-            assert np.array_equal(k, space.keys[space.index_array(p)])
-        blocks += 1
-    assert blocks > len(list(combinations(range(r + 1), nrows)))
+    # ref[i, s]: key of the point of pattern i of subspace s
+    ref = np.concatenate([np.stack([space.keys[space.index_array(p)]
+                                    for p in subspace_points(ctx, rows)])
+                          for rows in rref_bases(ctx, r, nrows)], axis=1)
+    leads = np.cumsum([0] + [Q ** (nrows - 1 - t) for t in range(nrows)])
+    covered = np.zeros(ref.shape[1], dtype=np.int64)
+    chunks = 0
+    for i, (at, shape, starts, offsets, parts) in enumerate(subspace_keys(ctx, r, nrows)):
+        t = i % nrows
+        P, M, Y, Z = shape
+        assert len(starts) == leads[t + 1] - leads[t]
+        assert offsets.shape == (M, Y) and offsets.dtype.kind == "u"
+        want = ref[leads[t]:leads[t + 1], at:at + P * M * Y * Z].reshape(-1, *shape)
+        seen = 0
+        for z, rows in parts:
+            assert z.start == seen and z.stop > z.start
+            seen = z.stop
+            assert M * (z.stop - z.start) * Y <= max(7, M * Y)
+            for start, k, w in zip(starts, rows, want, strict=True):
+                assert k.dtype.kind == "u"
+                keys = start + offsets[:, k].astype(np.intp)
+                assert np.array_equal(w[..., z], np.broadcast_to(
+                    keys.transpose(0, 2, 1), w[..., z].shape))
+            chunks += 1
+        assert seen == Z
+        covered[at:at + P * M * Y * Z] += 1
+    assert np.all(covered == nrows)
+    assert chunks > len(list(combinations(range(r + 1), nrows))) * nrows
 
 
 def reference_section_sizes(v, nrows):
@@ -255,18 +272,22 @@ def reference_section_sizes(v, nrows):
                          + [(Q, r, 8) for Q, r in KEY_SPACES if Q % 2])
 def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
     """Sizes by key mask equal sizes by point index, on a random third
-    of PG(r, Q); cap 8 sends odd characteristic past the low-key table
-    to coordinate-by-coordinate sums."""
+    of PG(r, Q).  Cap 8 rebuilds the field with its full addition table
+    only up to order 8, so that the table of sums of larger fields comes
+    from vadd's digit-by-digit sums, the route of every field above
+    gf.ADD_TABLE_MAX_ORDER; each table is over more than 8 keys."""
     ctx = field_for_order(Q)
-    groups = []
+    tables = []
     if cap is not None:
         monkeypatch.setattr(gf_mod, "ADD_TABLE_MAX_ORDER", cap)
-        digit_sum = geom_mod._digit_sum
+        ctx = gf_mod.FiniteField(ctx.p, ctx.m)
+        assert (ctx.add_flat is None) == (Q > cap)
+        low_adder = geom_mod._low_adder
 
-        def spy(ctx, ncols, a, b):
-            groups.append(ctx.order ** ncols)
-            return digit_sum(ctx, ncols, a, b)
-        monkeypatch.setattr(geom_mod, "_digit_sum", spy)
+        def spy(ctx, ncols):
+            tables.append(low_adder(ctx, ncols))
+            return tables[-1]
+        monkeypatch.setattr(geom_mod, "_low_adder", spy)
     monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     space = pg_space(ctx, r)
     rng = np.random.default_rng(Q * 10 + r)
@@ -277,7 +298,7 @@ def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
         assert sizes.dtype == np.min_scalar_type(num_points(nrows - 1, Q))
         assert np.array_equal(sizes, reference_section_sizes(v, nrows))
     if cap is not None:
-        assert max(groups) > cap
+        assert len(tables) == r - 1 and max(len(t) for t in tables) > cap
 
 
 def test_line_count_pg3():

@@ -1,5 +1,5 @@
-"""The third power moment ties the hyperplane spectrum to the line
-spectrum, a second route for both.
+"""The hyperplane spectrum gives the line spectrum a second route:
+through the third power moment, and line by line.
 
 Count the triples of a set V of n points of PG(r, Q) by the hyperplanes
 through them.  A collinear triple lies in theta_{r-2} hyperplanes, any
@@ -11,6 +11,9 @@ the number of points of PG(j, Q).  So
 with T = sum_l C(|l meet V|, 3) the number of collinear triples.  The
 hyperplane sizes come from the hyperplane engines and the line sizes
 from the subspace key pass; neither reads the other.
+
+In PG(3, Q) each point of V off a line l lies in exactly one of the
+Q + 1 planes through l, so |l meet V| = (sum_{H > l} |H meet V| - n) / Q.
 """
 
 from math import comb
@@ -21,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcodes.geom import num_points, pg_space
+from qhcodes.geom import num_points, pg_space, rref_bases
 from qhcodes.gf import field_for_order
 from qhcodes.variety import (_sizes_direct, build_variety, hyperplane_section_sizes,
-                             line_section_sizes, subspace_section_sizes)
+                             line_section_sizes, line_spectrum, subspace_section_sizes)
 
 
 def _triples(sizes) -> int:
@@ -68,3 +71,65 @@ def test_third_moment_on_random_point_sets(qr, data):
                                   _sizes_direct(ctx, space, space.points[chosen]),
                                   subspace_section_sizes(v, 2))
     assert lhs == rhs
+
+
+def _normalized(ctx, vecs):
+    """Rows scaled so that their first nonzero entry is 1."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    inv = ctx.exp[(-ctx.log[lead]) % (ctx.order - 1)]
+    return ctx.vmul(vecs, inv[:, None])
+
+
+def sizes_through_planes(ctx, n, plane_sizes):
+    """|l meet V| for every line l of PG(3, Q) in rref_bases order, from
+    the Q + 1 planes through l: the points of the dual line, spanned by
+    the null space of l's basis."""
+    Q = ctx.order
+    space = pg_space(ctx, 3)
+    out = []
+    for r0, r1 in rref_bases(ctx, 3, 2):
+        p0, p1 = int(np.argmax(r0[0] != 0)), int(np.argmax(r1[0] != 0))
+        null = []
+        for f in sorted(set(range(4)) - {p0, p1}):
+            h = np.zeros_like(r0)
+            h[:, f] = 1
+            h[:, p0] = ctx.vneg(r0[:, f])
+            h[:, p1] = ctx.vneg(r1[:, f])
+            null.append(h)
+        planes = [null[1]] + [ctx.vadd(null[0], ctx.scalar_mul_row(c)[null[1]])
+                              for c in range(Q)]
+        total = sum(plane_sizes[space.index_array(_normalized(ctx, h))].astype(np.int64)
+                    for h in planes)
+        assert np.all((total - n) % Q == 0)
+        out.append((total - n) // Q)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("kind,q", [("twisted", 3), ("twisted", 4),
+                                    ("hermitian", 2), ("hermitian", 3)])
+def test_line_sizes_from_the_planes_through_each_line(kind, q):
+    v = build_variety(kind, q, 3)
+    want = sizes_through_planes(v.ctx, v.n, hyperplane_section_sizes(v))
+    assert np.array_equal(line_section_sizes(v), want)
+
+
+@pytest.mark.parametrize("Q", [9, 25])
+def test_line_sizes_from_the_planes_on_random_point_sets(Q):
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, 3)
+    chosen = np.flatnonzero(np.random.default_rng(Q).random(space.n_points) < 1 / 3)
+    v = SimpleNamespace(ctx=ctx, r=3, space=space, indices=chosen)
+    want = sizes_through_planes(ctx, len(chosen),
+                                _sizes_direct(ctx, space, space.points[chosen]))
+    assert np.array_equal(subspace_section_sizes(v, 2), want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_hermitian_line_spectrum_closed_form(q):
+    """A line of PG(3, q^2) is a tangent, a secant in q + 1 points or a
+    generator of H(3, q^2); none misses it.  At q = 7 the table of sums
+    holds 49^4 entries."""
+    n = (q ** 3 + 1) * (q ** 2 + 1)
+    want = {1: n * (q * q - q), q + 1: n * q ** 4 // (q + 1),
+            q * q + 1: (q + 1) * (q ** 3 + 1)}
+    assert line_spectrum(build_variety("hermitian", q, 3)).counts == want
