@@ -14,8 +14,12 @@ hyperplane), and brute-force support containment over all codewords.
 The cutting criterion is read off the hyperplane section sizes: only a
 hyperplane with (q-1) |H meet V| <= q s_max - n can fail, and only
 those candidates are row-reduced.  When the weight ratio condition
-holds there are none.  The brute force builds each block of codewords
-from one table of scalar multiples per row of the generator matrix.
+holds there are none.  The brute force still enumerates all q^k
+codewords: the words of the first q^d messages form a tail table, and
+each later block is one field addition of its first word to it.  It
+tests every support class against every other at once, by ANDing, for
+each class, the bitsets of the classes that vanish on its zero
+coordinates; the pair count stays what the budget meters.
 """
 
 from __future__ import annotations
@@ -88,16 +92,26 @@ class LinearCode:
         return words
 
     def word_blocks(self, budget: int | None = None):
-        """Every codeword in message order, WORD_BLOCK rows at a time.
+        """Every codeword in message order, q^d rows at a time: d is the
+        largest exponent up to k (and at least 1) with q^d <= WORD_BLOCK.
         The budget and the hard cap refuse here, before any block."""
         n_words = self.ctx.order ** self.k
         check_budget(f"enumerating {n_words} codewords", n_words, budget)
         if n_words > WORDS_HARD_CAP:
             raise CodeError(f"codeword enumeration of {n_words} words exceeds "
                             f"the hard cap {WORDS_HARD_CAP}")
-        return (self.codeword_block(
-                    self.message_block(lo, min(lo + WORD_BLOCK, n_words)))
-                for lo in range(0, n_words, WORD_BLOCK))
+        return self._word_blocks(n_words)
+
+    def _word_blocks(self, n_words: int):
+        # a block shares the leading k - d digits of its first message
+        step = self.ctx.order
+        while step * self.ctx.order <= min(WORD_BLOCK, n_words):
+            step *= self.ctx.order
+        tail = self.codeword_block(self.message_block(0, step))
+        yield tail
+        for lo in range(step, n_words, step):
+            yield self.ctx.vadd(self.codeword_block(self.message_block(lo, lo + 1)),
+                                tail)
 
 
 def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
@@ -171,8 +185,11 @@ def weights_bruteforce(code: LinearCode,
                        budget: int | None = None) -> WeightDistribution:
     """Weight distribution by enumerating every codeword."""
     counts = np.zeros(code.n + 1, dtype=np.int64)
+    # summed in the narrowest dtype that holds n: faster than int64
+    wdt = np.min_scalar_type(code.n)
     for words in code.word_blocks(budget):
-        counts += np.bincount((words != 0).sum(axis=1), minlength=code.n + 1)
+        weights = (words != 0).view(np.uint8).sum(axis=1, dtype=wdt)
+        counts += np.bincount(weights, minlength=code.n + 1)
     counts[0] -= 1      # the zero message
     hist = {w: int(c) for w, c in enumerate(counts) if c}
     dist = WeightDistribution(code.ctx.order, code.n, code.k, hist, "exhaustive")
@@ -318,51 +335,83 @@ class MinimalityReport:
 
 def _unique_rows(rows: np.ndarray) -> tuple:
     """np.unique(rows, axis=0, return_inverse=True) for 2-D uint8 rows,
-    sorted as byte strings through a 1-D void view: the same order."""
+    sorted as byte strings through a 1-D void view: the same order,
+    without np.unique's flattened copy of the rows."""
     width = rows.shape[1]
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq.view(np.uint8).reshape(-1, width), inverse
+    perm = keys.argsort()
+    ordered = keys[perm]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.cumsum(first) - 1
+    return ordered[first].view(np.uint8).reshape(-1, width), inverse
 
 
 def minimality_bruteforce(code: LinearCode,
                           budget: int | None = None) -> MinimalityReport:
     """Exhaustive minimality check by support containment.
 
-    Enumerates every nonzero codeword, collapses the scalar classes
-    (equal supports), and tests proper containment between classes of
-    different support sizes.  A word is non-minimal exactly when some
-    class has support strictly inside its own.
+    Enumerates every nonzero codeword and collapses the scalar classes
+    (equal supports), sorted by support size.  A word is non-minimal
+    exactly when some class has support strictly inside its own, that
+    is, vanishes on all of its zero coordinates.  For each coordinate a
+    bitset holds the classes that vanish there; ANDing those of a
+    class's zero coordinates, over the smaller classes, leaves the
+    classes inside it, and the lowest is the reported witness.  Every
+    class is still tested against every other, so the budget meters the
+    pair count.
     """
-    q = code.ctx.order
+    q, n = code.ctx.order, code.n
     n_words = q ** code.k
     blocks = code.word_blocks(budget)
     # at most one support class per scalar class of nonzero words
     max_cls = (n_words - 1) // (q - 1)
     pair_ops = max_cls * (max_cls - 1) // 2
     check_budget(f"up to {pair_ops} support containment tests", pair_ops, budget)
-    supports = np.concatenate([np.packbits(words != 0, axis=1) for words in blocks])
+    supports = np.empty((n_words, -(-n // 8)), dtype=np.uint8)
+    at = 0
+    for words in blocks:
+        supports[at:at + len(words)] = np.packbits(words != 0, axis=1)
+        at += len(words)
+    del words
     classes, inverse = _unique_rows(supports[1:])     # drop the zero message
+    del supports
     mult = np.bincount(inverse)
-    sizes = np.unpackbits(classes, axis=1).sum(axis=1).astype(np.int64)
+    bits = np.unpackbits(classes, axis=1, count=n)
+    sizes = bits.sum(axis=1, dtype=np.int64)
     n_cls = len(classes)
     order = np.argsort(sizes, kind="stable")
-    classes = classes[order]
-    sizes = sizes[order]
-    mult = mult[order]
+    bits, sizes, mult = bits[order], sizes[order], mult[order]
+    # vanish[x]: bit i of the little-endian uint64 words is set when
+    # class i vanishes at coordinate x
+    n_wd = -(-n_cls // 64)
+    zero = np.zeros((n, 64 * n_wd), dtype=bool)
+    np.equal(bits.T, 0, out=zero[:, :n_cls])
+    vanish = np.packbits(zero, axis=1, bitorder="little").view("<u8")
+    del zero
     non_min_words = 0
     non_min_weights: dict = {}
     witnesses = []
-    for j in range(n_cls):
-        smaller = np.searchsorted(sizes, sizes[j], side="left")
-        if smaller == 0:
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], n_cls]):
+        if lo == 0:
             continue
-        cand = classes[:smaller]
-        outside = (cand & ~classes[j]).any(axis=1)
-        if not outside.all():
-            i = int(np.nonzero(~outside)[0][0])
-            non_min_words += int(mult[j])
+        # only the classes before lo, the smaller ones, can lie inside
+        n_wl = -(-lo // 64)
+        acc = np.full((hi - lo, n_wl), ~np.uint64(0), dtype="<u8")
+        acc[:, -1] >>= np.uint64(64 * n_wl - lo)
+        zeros = np.nonzero(bits[lo:hi] == 0)[1].reshape(hi - lo, -1)
+        col = np.empty_like(acc)
+        for x in zeros.T:
+            np.take(vanish[:, :n_wl], x, axis=0, out=col)
+            acc &= col
+        hit = np.flatnonzero(acc.any(axis=1))
+        word = (acc[hit] != 0).argmax(axis=1)
+        bit = np.unpackbits(acc[hit, word].view(np.uint8).reshape(-1, 8), axis=1,
+                            bitorder="little").argmax(axis=1)
+        for j, i in zip(hit + lo, 64 * word + bit):
             w = int(sizes[j])
+            non_min_words += int(mult[j])
             non_min_weights[w] = non_min_weights.get(w, 0) + int(mult[j])
             witnesses.append({"weight": w, "contains_weight": int(sizes[i])})
     return MinimalityReport(non_min_words == 0, n_words - 1, n_cls,

@@ -370,15 +370,16 @@ class FiniteField:
             # to hold order^2 - 1; taken a 128 KiB intp slice at a time
             a, b = np.broadcast_arrays(a, b)
             it = np.promote_types(dtype, np.min_scalar_type(self.order ** 2 - 1))
-            idx = np.multiply(a, self.order, dtype=it, casting="unsafe").reshape(-1)
-            idx += np.asarray(b, dtype=it).reshape(-1)
+            idx = np.multiply(a, self.order, dtype=it, casting="unsafe")
+            idx = np.add(idx, b, out=idx, casting="unsafe").reshape(-1)
             out = np.empty(idx.size, dtype=flat.dtype)
             for at in range(0, idx.size, 1 << 14):
                 np.take(flat, idx[at:at + (1 << 14)], out=out[at:at + (1 << 14)])
             del idx  # before the cast allocates
             return out.reshape(np.shape(a)).astype(dtype, copy=False)
         p = self.p
-        out = np.zeros_like(a, dtype=dtype)
+        a, b = np.broadcast_arrays(a, b)
+        out = np.zeros(a.shape, dtype=dtype)
         x, y, shift = a.astype(dtype), b.astype(dtype), 1
         for _ in range(self.m):
             out += ((x % p + y % p) % p) * shift

@@ -62,6 +62,16 @@ def get_access(kind: str, q: int, r: int, budget=None):
 
 
 @lru_cache(maxsize=None)
+def get_code(kind: str, q: int, r: int, budget=None):
+    return code_mod.code_from_variety(get_variety(kind, q, r, budget))
+
+
+@lru_cache(maxsize=None)
+def get_minimality(kind: str, q: int, r: int, budget=None):
+    return code_mod.minimality_bruteforce(get_code(kind, q, r, budget), budget)
+
+
+@lru_cache(maxsize=None)
 def get_scheme(kind: str, q: int, r: int, budget=None):
     return sss_mod.Scheme.from_variety(get_variety(kind, q, r, budget))
 
@@ -134,7 +144,7 @@ def check_04_weights(budget=None) -> CheckResult:
     against independent exhaustive enumeration."""
     v = get_variety("twisted", 3, 3, budget)
     dist = code_mod.weights_from_sections(v, budget=budget)
-    bf = code_mod.weights_bruteforce(code_mod.code_from_variety(v), budget)
+    bf = code_mod.weights_bruteforce(get_code("twisted", 3, 3, budget), budget)
     bad = []
     if dist.weights != bf.weights:
         bad.append("hyperplane-derived and exhaustive enumerations disagree")
@@ -187,7 +197,7 @@ def check_06_minimality(budget=None) -> CheckResult:
         bad.append("(4,3) unexpectedly passes cutting check")
     elif cut43.witness_coords != (1, 0, 0, 0):
         bad.append(f"(4,3) witness {cut43.witness_coords} != (1, 0, 0, 0)")
-    bf43 = code_mod.minimality_bruteforce(code_mod.code_from_variety(v43), budget)
+    bf43 = get_minimality("twisted", 4, 3, budget)
     if bf43.non_minimal_words != 15 or set(bf43.non_minimal_weights) != {1024}:
         bad.append(f"(4,3) non-minimal words {bf43.non_minimal_words} "
                    f"(weights {bf43.non_minimal_weights}) != 15 of weight 1024")
@@ -298,13 +308,12 @@ def check_10_cross(budget=None) -> CheckResult:
         v = get_variety(kind, q, r, budget)
         tag = f"{kind}({q},{r})"
         dist = code_mod.weights_from_sections(v, budget=budget)
-        c = code_mod.code_from_variety(v)
-        bf_dist = code_mod.weights_bruteforce(c, budget)
+        bf_dist = code_mod.weights_bruteforce(get_code(kind, q, r, budget), budget)
         if dist.weights != bf_dist.weights:
             bad.append(f"{tag}: section and exhaustive weights differ")
         ab = code_mod.ab_condition(dist)
         cut = code_mod.cutting_blocking_check(v, budget)
-        bf = code_mod.minimality_bruteforce(c, budget)
+        bf = get_minimality(kind, q, r, budget)
         if ab.passes and not bf.ok:
             bad.append(f"{tag}: weight-ratio condition passed but a "
                        f"non-minimal word exists")

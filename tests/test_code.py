@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 import qhcodes.code as code_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
-from qhcodes.code import (CodeError, CuttingReport, LinearCode, _unique_rows,
-                          ab_condition, code_from_variety,
+from qhcodes.code import (WORD_BLOCK, CodeError, CuttingReport, LinearCode,
+                          MinimalityReport, _unique_rows, ab_condition,
+                          code_from_variety,
                           cutting_blocking_check, divisibility_report,
                           higher_weight, minimality_bruteforce,
                           minimality_summary, weights_bruteforce,
@@ -18,7 +21,7 @@ from qhcodes.gf import field_for_order, make_field
 from qhcodes.sss import perfectness_check
 from qhcodes.variety import (_variety_from_mask, build_variety,
                              hyperplane_section_sizes)
-from qhcodes.verify import get_variety
+from qhcodes.verify import CROSS_FIXTURES, get_variety
 
 
 def test_code_shape(tw33):
@@ -366,6 +369,36 @@ def test_codeword_block_matches_the_column_loop_on_random_columns(Q, k, n, data)
                           _codeword_block_by_columns(code, msgs))
 
 
+@pytest.mark.parametrize("Q,k", [(2, 3), (2, 14), (3, 8), (4, 6), (5, 6), (7, 5),
+                                 (8, 5), (9, 3), (9, 4), (16, 2), (16, 4),
+                                 (25, 2), (25, 3), (3721, 1)])
+def test_word_blocks_equal_one_block_of_every_message(Q, k):
+    """The blocks, each one added row plus a tail table, concatenate to
+    the words of all q^k messages in order, in the row tables' dtype;
+    one block when q^k <= WORD_BLOCK.  Q = 3721 is GF(61^2), which adds
+    digit by digit."""
+    ctx = make_field(61, 2) if Q == 3721 else field_for_order(Q)
+    code = LinearCode(ctx, np.random.default_rng(Q * k).integers(0, Q, size=(5, k)))
+    blocks = list(code.word_blocks())
+    assert (len(blocks) == 1) == (Q ** k <= WORD_BLOCK)
+    assert len({len(b) for b in blocks}) == 1 and len(blocks[0]) <= WORD_BLOCK
+    ref = code.codeword_block(code.message_block(0, Q ** k))
+    words = np.concatenate(blocks)
+    assert words.dtype == ref.dtype == code.row_tables[0].dtype
+    assert np.array_equal(words, ref)
+
+
+def test_word_blocks_over_gf_61_squared():
+    """Two-digit messages over GF(61^2): blocks of 3721 rows, each a
+    broadcast digit-by-digit vadd; the first three blocks, compared."""
+    ctx = make_field(61, 2)
+    code = LinearCode(ctx, np.random.default_rng(61).integers(0, ctx.order, size=(4, 2)))
+    words = np.concatenate(list(itertools.islice(code.word_blocks(), 3)))
+    ref = code.codeword_block(code.message_block(0, 3 * ctx.order))
+    assert words.dtype == ref.dtype == np.uint16
+    assert np.array_equal(words, ref)
+
+
 def test_codeword_block_above_the_addition_table_cutoff():
     """GF(61^2) has no addition table: its vadd adds digit by digit on
     the uint16 row tables."""
@@ -376,6 +409,95 @@ def test_codeword_block_above_the_addition_table_cutoff():
     msgs = rng.integers(0, ctx.order, size=(500, 3))
     assert np.array_equal(code.codeword_block(msgs),
                           _codeword_block_by_columns(code, msgs))
+
+
+def _minimality_by_pairs(code):
+    """Exhaustive minimality one class at a time: enumerate the words
+    block by block, collapse equal supports, and test each class against
+    every class of smaller support size; the first class inside it, in
+    size order, is its witness."""
+    n_words = code.ctx.order ** code.k
+    supports = np.concatenate([np.packbits(code.codeword_block(m) != 0, axis=1)
+                               for m in _blocks(code)])
+    classes, inverse = np.unique(supports[1:], axis=0, return_inverse=True)
+    mult = np.bincount(inverse.ravel())
+    sizes = np.unpackbits(classes, axis=1).sum(axis=1).astype(np.int64)
+    order = np.argsort(sizes, kind="stable")
+    classes, sizes, mult = classes[order], sizes[order], mult[order]
+    non_min_words = 0
+    non_min_weights = {}
+    witnesses = []
+    for j in range(len(classes)):
+        smaller = np.searchsorted(sizes, sizes[j], side="left")
+        if smaller == 0:
+            continue
+        outside = (classes[:smaller] & ~classes[j]).any(axis=1)
+        if not outside.all():
+            i = int(np.nonzero(~outside)[0][0])
+            non_min_words += int(mult[j])
+            w = int(sizes[j])
+            non_min_weights[w] = non_min_weights.get(w, 0) + int(mult[j])
+            witnesses.append({"weight": w, "contains_weight": int(sizes[i])})
+    return MinimalityReport(non_min_words == 0, n_words - 1, len(classes),
+                            non_min_words, non_min_weights, witnesses)
+
+
+@pytest.mark.parametrize("kind,q,r", CROSS_FIXTURES)
+def test_bruteforce_minimality_matches_the_pair_loop(kind, q, r):
+    code = code_from_variety(get_variety(kind, q, r))
+    rep = minimality_bruteforce(code)
+    ref = _minimality_by_pairs(code)
+    # every field, the whole witness list and not only as_dict's first 8
+    assert rep == ref
+    assert rep.witnesses == ref.witnesses
+    assert (rep.ok, rep.non_minimal_words) == ((kind, q) != ("twisted", 4), 15 * (q == 4))
+
+
+def test_bruteforce_minimality_finds_a_witness_beyond_the_first_word():
+    """The binary simplex code of dimension 7 (127 classes of weight 64)
+    beside two blocks of 70 equal columns.  The class of weight 140 holds
+    only the two of weight 70, classes 127 and 128 in size order, so its
+    witness lies in the second uint64 word of the class bitsets."""
+    simplex = [[(j >> i) & 1 for i in range(7)] + [0, 0] for j in range(1, 128)]
+    blocks = [[0] * 7 + [1, 0]] * 70 + [[0] * 7 + [0, 1]] * 70
+    code = LinearCode(field_for_order(2), np.array(simplex + blocks))
+    rep = minimality_bruteforce(code)
+    assert rep == _minimality_by_pairs(code)
+    assert rep.classes == 511 and rep.non_minimal_weights[140] == 1
+    assert {"weight": 140, "contains_weight": 70} in rep.witnesses
+
+
+def test_bruteforce_minimality_matches_the_pair_loop_on_random_codes():
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(Q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+           shape=st.sampled_from(["random", "repeated", "hyperplane", "wide"]),
+           data=st.data())
+    def check(Q, shape, data):
+        # "wide" codes have up to 156 classes, so the class bitsets span
+        # two or three words
+        k_max = {2: 7, 3: 5, 4: 4, 5: 4}.get(Q, 3)
+        k = k_max if shape == "wide" else data.draw(st.integers(1, k_max))
+        entries = st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)
+        cols = data.draw(st.lists(entries, min_size=12 if shape == "wide" else 1,
+                                  max_size=16))
+        if shape == "repeated":
+            # a few columns, each repeated
+            cols = [c for c in cols[:4] for _ in range(data.draw(st.integers(1, 4)))]
+        elif shape == "hyperplane" and k > 1:
+            # all but at most two columns inside the hyperplane x_0 = 0
+            keep = data.draw(st.integers(0, 2))
+            cols = cols[:keep] + [[0] + c[1:] for c in cols[keep:]]
+        code = LinearCode(field_for_order(Q), np.array(cols, dtype=np.int64))
+        rep = minimality_bruteforce(code)
+        event(f"{shape} minimal={rep.ok}")
+        assert rep == _minimality_by_pairs(code)
+        seen.add((rep.ok, rep.classes > 64))
+
+    check()
+    assert {ok for ok, _ in seen} == {True, False}
+    assert (False, True) in seen
 
 
 @pytest.mark.parametrize("kind,q,r", [("twisted", 4, 3), ("twisted", 3, 3),

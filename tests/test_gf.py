@@ -155,6 +155,23 @@ def test_vadd_on_narrow_dtypes(p, m):
         assert ctx.vadd(x, y).dtype == np.result_type(x, y)
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (61, 2)])
+def test_vadd_broadcasts_on_every_path(p, m):
+    """XOR (characteristic 2), the addition table (GF(9)) and digit by
+    digit (GF(61^2)) all broadcast a (1, 3) row against a (2, 3) table,
+    whichever operand comes first."""
+    ctx = make_field(p, m)
+    assert (ctx.add_flat is None) == (p == 61)
+    narrow = np.min_scalar_type(ctx.order - 1)
+    rng = np.random.default_rng(ctx.order)
+    row = rng.integers(0, ctx.order, size=(1, 3)).astype(narrow)
+    table = rng.integers(0, ctx.order, size=(2, 3)).astype(narrow)
+    want = [[ctx.add(int(x), int(y)) for x, y in zip(row[0], t)] for t in table]
+    for got in (ctx.vadd(row, table), ctx.vadd(table, row)):
+        assert got.shape == (2, 3) and got.dtype == narrow
+        assert got.tolist() == want
+
+
 def test_pow_row_and_scalar_row():
     ctx = make_field(2, 4)
     row = ctx.pow_row(3)
