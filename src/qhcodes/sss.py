@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .budget import check_budget
-from .code import LinearCode, code_from_variety, cutting_blocking_check
+from .code import LinearCode, _unique_rows, code_from_variety, cutting_blocking_check
 from .geom import row_reduce
 from .variety import Variety
 
@@ -430,6 +430,12 @@ def permute_rows(perm: tuple, rows: np.ndarray) -> np.ndarray:
     return rows[:, np.argsort(perm)]
 
 
+def _unique_bool_rows(rows: np.ndarray) -> np.ndarray:
+    """np.unique(rows, axis=0) for boolean rows, which would import
+    numpy.ma at run time."""
+    return _unique_rows(rows.view(np.uint8))[0].view(bool)
+
+
 def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStructure:
     """All images of the starter sets under the full group, one row per
     distinct image, ordered as binary numbers with label i worth 2^(i-1)."""
@@ -439,7 +445,7 @@ def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStru
     starts = label_rows(starters, group.degree)
     images = np.concatenate([permute_rows(g, starts) for g in elements])
     # unique sorts from the first column: reversed, the highest label leads
-    matrix = np.unique(images[:, ::-1], axis=0)[:, ::-1]
+    matrix = _unique_bool_rows(images[:, ::-1])[:, ::-1]
     return AccessStructure(tuple((np.flatnonzero(matrix.any(axis=0)) + 1).tolist()),
                            matrix,
                            {"source": "development", "degree": group.degree,
@@ -499,8 +505,8 @@ def verify_example(budget: int | None = None) -> dict:
     dev = develop(fx.starters, group, budget)
     fixed_ok = (fx.fixed is None
                 or all(g[fx.fixed - 1] == fx.fixed - 1 for g in group.generators))
-    rows = np.unique(dev.matrix, axis=0)
-    auto_ok = all(np.array_equal(np.unique(permute_rows(g, rows), axis=0), rows)
+    rows = _unique_bool_rows(dev.matrix)
+    auto_ok = all(np.array_equal(_unique_bool_rows(permute_rows(g, rows)), rows)
                   for g in group.generators)
     return {
         "degree": fx.degree,

@@ -436,20 +436,32 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                        rows: int = 1) -> None:
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
     vectors of the indices within each of the rows leading rows of f;
-    zeta = -1 exactly when p = 2, else mod M."""
+    zeta = -1 exactly when p = 2, else mod M.  p = 2 takes two digits
+    per pass, and one in a last pass when their number is odd."""
     if p > 2:
         assert M <= _transform_limit(p)
         w = np.array([[pow(zeta, i * j, M) for j in range(p)]
                       for i in range(p)], dtype=np.int64)
-    lead, trail = rows, f.size // (rows * p)
-    while trail >= 1:
-        view = f.reshape(lead, p, trail)
-        tstep = min(trail, max(1, _PASS_BLOCK // p))
-        lstep = max(1, _PASS_BLOCK // (p * tstep))
+    lead, trail = rows, f.size // rows
+    while trail > 1:
+        radix = 4 if p == 2 and trail % 4 == 0 else p
+        trail //= radix
+        view = f.reshape(lead, radix, trail)
+        tstep = min(trail, max(1, _PASS_BLOCK // radix))
+        lstep = max(1, _PASS_BLOCK // (radix * tstep))
         for l0 in range(0, lead, lstep):
             for t0 in range(0, trail, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
-                if p == 2:
+                if radix == 4:
+                    # the two digits' 2x2 butterflies in one: a, b, c, d
+                    # at digits 00, 01, 10, 11
+                    a, b, c, d = (blk[:, i] for i in range(4))
+                    s0, d0, s1, d1 = a + b, a - b, c + d, c - d
+                    np.add(s0, s1, out=a)
+                    np.add(d0, d1, out=b)
+                    np.subtract(s0, s1, out=c)
+                    np.subtract(d0, d1, out=d)
+                elif radix == 2:
                     # in place: 3-5 times faster than the int64
                     # contraction with [[1, 1], [1, -1]]
                     x = blk[:, 0].copy()
@@ -460,7 +472,40 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                     y = w @ blk.astype(np.int64)
                     np.remainder(y, M, out=y)
                     blk[...] = y
-        lead, trail = lead * p, trail // p
+        lead *= radix
+
+
+def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
+    """For k = 1 .. r, yield (idx, key): over the hyperplanes u of
+    PG(k-1), in the order of their first theta_(k-1) rows, and c in
+    GF(Q),
+        key[u, c] = sum_i (c u_i) Q^(k-1-i),
+        idx[u, c] = sum_i trd[c u_i] Q^(k-1-i).
+    Each level is a prefix of one (theta_(r-1), Q) array, filled level
+    by level: PG(k-1)'s rows are (0, PG(k-2)), level k-1's own rows,
+    then (1, x, w') for x in GF(Q), and
+        key[(1, x, w'), c] = key[(1, w'), c] + (x c) Q^(k-2)
+                             + c (Q^(k-1) - Q^(k-2)),
+    idx alike with trd[x c] and trd[c].  The product table x c is
+    built at k = 2, so its Q^2 < theta_2 entries stay below theta_r.
+    """
+    q = ctx.order
+    dtype = np.int32 if q ** r < 2 ** 31 else np.int64
+    key = np.empty((num_points(r - 1, q), q), dtype=dtype)
+    idx = np.empty_like(key)
+    elems = np.arange(q, dtype=np.int64)
+    key[0], idx[0] = elems, trd
+    yield idx[:1], key[:1]
+    for k in range(2, r + 1):
+        if k == 2:
+            mul = ctx.vmul(elems[:, None], elems)
+            steps = ((key, mul, elems), (idx, trd[mul], trd))
+        lo, mid, hi = (num_points(j, q) for j in (k - 3, k - 2, k - 1))
+        for tab, xc, c in steps:
+            shift = xc * q ** (k - 2) + c * (q ** (k - 1) - q ** (k - 2))
+            np.add(tab[None, lo:mid], shift[:, None].astype(dtype),
+                   out=tab[mid:hi].reshape(q, mid - lo, q))
+        yield idx[:hi], key[:hi]
 
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
@@ -480,10 +525,14 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     digit vector of a -> Tr(c u . a), is g_u(c) = sum_s T[u, s]
     zeta^Tr(cs).  A second transform over the digits of c gives
     q T[u, s] at the digit vector of -(x -> Tr(sx)), so T[u, -1/d]
-    sits in column trd[1/d] (p = 2 would hide the sign).  Each chart
-    has q^k entries, not the q^(r+1) of the cone over all of V.  Every
-    q T is a non-negative integer of at most q n < M; the row-sum and
-    divisibility asserts would catch any packing mistake.
+    sits in column trd[1/d] (p = 2 would hide the sign).  The tables
+    of c u over the hyperplanes u of PG(k-1) grow level by level, one
+    addition per row from the level below (_scaled_tables).  Each chart
+    has q^k entries, not the q^(r+1) of the cone over all of V; p = 2
+    transforms two digits per pass.  Every q T is a non-negative
+    integer of at most q n < M, so g stays int64: for p = 2 the range
+    check bounds (q - 1) n only.  The row-sum and divisibility asserts
+    would catch any packing mistake.
     """
     p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
     nv = len(vcoords)
@@ -503,14 +552,12 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
             y = frob[y]
         assert not np.any(tr >= p)
         trd += tr * p ** b
-    elems = np.arange(q, dtype=np.int64)
     # column of T[u, -1/d] for d = 1 .. q-1
     inv_cols = trd[[ctx.inv(d) for d in range(1, q)]]
     # the point's chart: PG(r - lead) holds it in its affine part
     lead = np.argmax(vcoords != 0, axis=1)
     sizes = np.zeros(1, dtype=np.int64)
-    for k in range(1, r + 1):
-        hyp = space.points[:sizes.size, r - k + 1:]
+    for k, (idx, key) in enumerate(_scaled_tables(ctx, trd, r), 1):
         weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
         aff = vcoords[lead == r - k, r - k + 1:]
         # int32 holds p = 2 values up to n, odd p residues below M
@@ -518,15 +565,9 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         f[aff @ weights] = 1
         _radix_p_transform(f, p, M, zeta)
         # g[u, c] = f^ at the trace digits of c u; key[u, c] = c u itself
-        idx = np.zeros((len(hyp), q), dtype=np.int64)
-        key = np.zeros((len(hyp), q), dtype=np.int64)
-        for i in range(k):
-            cu = ctx.vmul(hyp[:, i, None], elems)
-            idx += trd[cu] * weights[i]
-            key += cu * weights[i]
         g = f[idx].astype(np.int64)
-        del f, idx
-        _radix_p_transform(g, p, M, zeta, rows=len(hyp))
+        del f
+        _radix_p_transform(g, p, M, zeta, rows=len(idx))
         assert np.all(g.sum(axis=1) == q * len(aff))
         assert not np.any(g % q), "character sums must be divisible by the field order"
         g //= q
@@ -544,9 +585,11 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
 
     auto is the transform; direct evaluation stays as its reference.
     The hyperplane count theta_r bounds every array the transform
-    allocates: a chart holds Q^k < theta_r entries, and the
-    (theta_(k-1), Q) tables theta_k - 1.  The last result is kept on v
-    and reused only for the same engine, after the budget check.
+    allocates: a chart holds Q^k < theta_r entries, the
+    (theta_(k-1), Q) tables theta_k - 1, and the product table of
+    GF(Q), built only for r > 1, Q^2 < theta_2.  The last result is
+    kept on v and reused only for the same engine, after the budget
+    check.
     """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)

@@ -383,6 +383,20 @@ def test_verify_all_budget_zero_exit_3(capsys):
     assert "SKIP" in err
 
 
+def test_verify_all_never_imports_numpy_ma():
+    # np.unique(rows, axis=0) imports numpy.ma at run time, some 30 ms of
+    # every sss develop, sss verify-example and verify-all
+    code = ("import json, sys; from qhcodes.cli import main; "
+            "rc = main(['verify-all']); "
+            "print(json.dumps([rc, 'numpy.ma' in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    rc, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 1 and "09 PASS" in proc.stderr
+    assert not imported
+
+
 def test_verify_all_negative_control(capsys):
     rc, doc, err = run_json(capsys, "verify-all", "--corrupt-modulus")
     assert rc == 0

@@ -6,6 +6,7 @@ evaluates every hyperplane on every point.  They must agree element
 for element on any point set, not only on the varieties.
 """
 
+import tracemalloc
 from math import isqrt
 from types import SimpleNamespace
 
@@ -19,8 +20,8 @@ from qhcodes.budget import BudgetError
 from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
 from qhcodes.variety import (_check_transform_range, _radix_p_transform,
-                             _sizes_direct, _sizes_wht, _transform_limit,
-                             _transform_modulus, build_variety,
+                             _scaled_tables, _sizes_direct, _sizes_wht,
+                             _transform_limit, _transform_modulus, build_variety,
                              hyperplane_section_sizes, hyperplane_spectrum,
                              predicted_spectrum)
 
@@ -157,6 +158,90 @@ def test_hyperplane_count_bounds_every_transform_array(Q, r, monkeypatch):
     _sizes_wht(ctx, space, space.points)
     assert len(sizes) == 2 * r
     assert max(sizes) < space.n_points
+
+
+def _radix_p_by_digits(f, p, M, zeta, rows=1):
+    """The transform one digit per pass in every characteristic: the
+    reference for the two-digit passes of p = 2."""
+    if p > 2:
+        w = np.array([[pow(zeta, i * j, M) for j in range(p)]
+                      for i in range(p)], dtype=np.int64)
+    lead, trail = rows, f.size // (rows * p)
+    while trail >= 1:
+        view = f.reshape(lead, p, trail)
+        tstep = min(trail, max(1, variety_mod._PASS_BLOCK // p))
+        lstep = max(1, variety_mod._PASS_BLOCK // (p * tstep))
+        for l0 in range(0, lead, lstep):
+            for t0 in range(0, trail, tstep):
+                blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
+                if p == 2:
+                    x = blk[:, 0].copy()
+                    np.add(x, blk[:, 1], out=blk[:, 0])
+                    np.subtract(x, blk[:, 1], out=blk[:, 1])
+                else:
+                    y = w @ blk.astype(np.int64)
+                    np.remainder(y, M, out=y)
+                    blk[...] = y
+        lead, trail = lead * p, trail // p
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("p, digits", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 4)])
+def test_transform_passes_equal_the_one_digit_reference(p, digits, rows, block,
+                                                        monkeypatch):
+    # odd and even digit counts: p = 2 ends on a one-digit pass when odd
+    monkeypatch.setattr(variety_mod, "_PASS_BLOCK", block)
+    M, zeta = (0, 0) if p == 2 else _transform_modulus(p, 1000 * p ** digits)
+    rng = np.random.default_rng(digits * 10 + rows)
+    f = rng.integers(-1000 if p == 2 else 0, 1000, size=rows * p ** digits,
+                     dtype=np.int32)
+    ref = f.copy()
+    _radix_p_by_digits(ref, p, M, zeta, rows=rows)
+    _radix_p_transform(f, p, M, zeta, rows=rows)
+    assert np.array_equal(f, ref)
+
+
+def _trace_digits(ctx):
+    """trd[e] = sum_b Tr(e x^b) p^b, through the field's scalar trace."""
+    return np.array([sum(ctx.trace_to_prime(ctx.mul(e, ctx.p ** b)) * ctx.p ** b
+                         for b in range(ctx.m)) for e in range(ctx.order)])
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 8, 9, 16, 25, 49, 64])
+def test_scaled_tables_equal_their_definition(Q):
+    ctx = field_for_order(Q)
+    trd = _trace_digits(ctx)
+    pts = pg_space(ctx, 2).points
+    elems = np.arange(Q)
+    for k, (idx, key) in enumerate(_scaled_tables(ctx, trd, 3), 1):
+        # the hyperplanes of PG(k-1): its first theta_(k-1) rows
+        hyp = pts[:num_points(k - 1, Q), 3 - k:]
+        want_key = np.zeros((len(hyp), Q), dtype=np.int64)
+        want_idx = np.zeros((len(hyp), Q), dtype=np.int64)
+        for i in range(k):
+            cu = ctx.vmul(hyp[:, i, None], elems)
+            want_key += cu * Q ** (k - 1 - i)
+            want_idx += trd[cu] * Q ** (k - 1 - i)
+        assert np.array_equal(key, want_key) and np.array_equal(idx, want_idx)
+        # c u over c != 0 and the hyperplanes: each nonzero vector once
+        assert np.array_equal(np.sort(key[:, 1:], axis=None), np.arange(1, Q ** k))
+
+
+@pytest.mark.parametrize("Q, r", SPACES + [(64, 2), (3721, 1)])
+def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
+    # 24 eight-byte words per hyperplane, past a fixed 16 KiB of small
+    # objects; a Q x Q table at PG(1, 3721) alone would take 110 MB
+    ctx = field_for_order(Q)
+    space = pg_space(ctx, r)
+    _sizes_wht(ctx, space, space.points)   # the field's cached rows
+    tracemalloc.start()
+    try:
+        _sizes_wht(ctx, space, space.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * space.n_points + (1 << 14)
 
 
 def test_transform_range():
