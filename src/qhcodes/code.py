@@ -71,7 +71,7 @@ class LinearCode:
 
     def message_block(self, lo: int, hi: int) -> np.ndarray:
         """Messages lo .. hi-1 as base-q digit rows, most significant first."""
-        return _digit_matrix(self.ctx.order, self.k, hi - lo, lo)
+        return _digit_matrix(self.ctx.order, self.k, np.arange(lo, hi))
 
     @cached_property
     def row_tables(self) -> tuple:
@@ -305,8 +305,7 @@ def cutting_blocking_check(v: Variety, budget: int | None = None, *,
     cand = np.flatnonzero((q - 1) * sizes <= q * int(sizes.max()) - v.n)
     check_budget(f"row-reducing {len(cand)} candidate hyperplane sections of "
                  f"{v.n} points", len(cand) * v.n, budget)
-    for i in cand:
-        h = space.points[i]
+    for i, h in zip(cand, space.rows(cand)):
         rank = span_rank(ctx, v.coords[dot_rows(ctx, h, v.coords) == 0]).rank
         if rank < v.r:
             return CuttingReport(False, space.n_points, int(i),

@@ -3,7 +3,8 @@
 Points and hyperplanes are length r+1 coordinate vectors normalized so
 the leftmost nonzero coordinate is 1.  The canonical order is
 lexicographic on the encoding tuples, which places the all-but-last-zero
-point (0, ..., 0, 1) first and the affine chart (1, x_1, ..., x_r) last.
+point (0, ..., 0, 1) first and the affine chart (1, x_1, ..., x_r) last;
+ProjectiveSpace maps it to coordinates and back by arithmetic alone.
 Hyperplanes use the same normalization and order on their dual vectors;
 a point P lies on a hyperplane H iff sum(P_i * H_i) = 0.
 """
@@ -11,7 +12,7 @@ a point P lies on a hyperplane H iff sum(P_i * H_i) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from .budget import check_budget
 from .gf import FiniteField
 
-# subspaces per block of rref_bases, keys per chunk of subspace_keys;
-# bounds the memory of every caller
+# subspaces per block of rref_bases, keys per chunk of subspace_keys,
+# points per chunk of a variety build; bounds the memory of every caller
 SUBSPACE_BLOCK = 1 << 16
 
 
@@ -48,42 +49,47 @@ def normalize_point(ctx: FiniteField, vec) -> tuple:
     raise ValueError("the zero vector is not a projective point")
 
 
-def _digit_matrix(q: int, width: int, count: int, start: int = 0) -> np.ndarray:
-    """Rows start..start+count-1 written base q, most significant digit first."""
-    cols = []
-    n = np.arange(start, start + count, dtype=np.int64)
+def _digit_matrix(q: int, width: int, n: np.ndarray) -> np.ndarray:
+    """Rows of the width base-q digits of n, most significant first."""
+    n = np.array(n, dtype=np.int64)
+    out = np.empty((len(n), width), dtype=np.int64)
     for i in range(width - 1, -1, -1):
-        cols.append((n // q ** i) % q)
-    return np.stack(cols, axis=1) if width else np.zeros((count, 0), dtype=np.int64)
+        np.divmod(n, q, out=(n, out[:, i]))
+    return out
 
 
 class ProjectiveSpace:
-    """All points of PG(r, q) in canonical order, with index lookup.
-    Unmetered: the variety builders check the budget before building one."""
+    """PG(r, q) in canonical order: the points whose leading 1 has w
+    coordinates after it have indices theta_(w-1) .. theta_w - 1, the
+    i-th with key (its base-q value) q^w + i; theta_(-1) = 0.  points and
+    keys, the full tables, serve tests and the direct reference engine.
+    Unmetered: the variety builders check the budget before a scan."""
 
     def __init__(self, ctx: FiniteField, r: int):
         if r < 1:
             raise ValueError(f"r = {r} must be at least 1")
-        q = ctx.order
         self.ctx = ctx
         self.r = r
-        self.n_points = num_points(r, q)
-        blocks = []
-        for lead in range(r, -1, -1):
-            width = r - lead
-            count = q ** width
-            block = np.zeros((count, r + 1), dtype=np.int64)
-            block[:, lead] = 1
-            if width:
-                block[:, lead + 1:] = _digit_matrix(q, width, count)
-            blocks.append(block)
-        self.points = np.concatenate(blocks, axis=0)
-        # base-q value of the coordinate tuple; ascending because blocks
-        # follow the lexicographic order
-        weights = q ** np.arange(r, -1, -1, dtype=np.int64)
-        self.keys = self.points @ weights
-        assert bool(np.all(np.diff(self.keys) > 0))
-        self._lookup = None
+        self.n_points = num_points(r, ctx.order)
+        self._powers = ctx.order ** np.arange(r + 1, dtype=np.int64)
+        self._starts = (self._powers - 1) // (ctx.order - 1)
+
+    def keys_of(self, idx) -> np.ndarray:
+        """Keys of the points with canonical indices idx."""
+        w = np.searchsorted(self._starts, idx, side="right") - 1
+        return idx - self._starts[w] + self._powers[w]
+
+    def rows(self, idx) -> np.ndarray:
+        """Coordinate rows, int64, of the points with canonical indices idx."""
+        return _digit_matrix(self.ctx.order, self.r + 1, self.keys_of(idx))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return self.rows(np.arange(self.n_points))
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self.keys_of(np.arange(self.n_points))
 
     def index_of(self, vec) -> int:
         """Canonical index of a (normalized) point."""
@@ -91,24 +97,15 @@ class ProjectiveSpace:
 
     def index_array(self, pts: np.ndarray) -> np.ndarray:
         """Canonical indices of the rows of pts, all normalized points.
-
-        A row's key, its base-q value, is below 2 q^r because its
-        leading coordinate is 1; a table over those keys, built on first
-        use, maps each key to its point's index and every other key to -1.
-        """
-        q = self.ctx.order
-        if self._lookup is None:
-            self._lookup = np.full(2 * q ** self.r, -1, dtype=np.int64)
-            self._lookup[self.keys] = np.arange(self.n_points)
-        if pts.size and (pts.min() < 0 or pts.max() >= q):
+        A row's key, its base-q value, is a point's iff q^w <= key < 2 q^w
+        for some w; that point's index is key - q^w + theta_(w-1)."""
+        if pts.size and (pts.min() < 0 or pts.max() >= self.ctx.order):
             raise KeyError("some rows have entries outside the field")
-        keys = pts @ (q ** np.arange(self.r, -1, -1, dtype=np.int64))
-        if keys.size and keys.max() >= len(self._lookup):
+        keys = pts @ self._powers[::-1]
+        w = np.searchsorted(self._powers, keys, side="right") - 1
+        if np.any(keys <= 0) or np.any(keys >= 2 * self._powers[w]):
             raise KeyError("some rows are not normalized points")
-        idx = self._lookup[keys]
-        if np.any(idx < 0):
-            raise KeyError("some rows are not normalized points")
-        return idx
+        return keys - self._powers[w] + self._starts[w]
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +199,7 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
     for pivots, free, blocks in _pivot_blocks(q, r, nrows):
         width = sum(len(cols) for cols in free)
         for lo, count in blocks:
-            digits = _digit_matrix(q, width, count, lo)
+            digits = _digit_matrix(q, width, np.arange(lo, lo + count))
             rows, at = [], 0
             for p, cols in zip(pivots, free):
                 row = np.zeros((count, r + 1), dtype=np.int64)
@@ -290,7 +287,7 @@ def _sums(table, scaled, part, subs):
 def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
     """(q, q^f) table: the key of c times digits d over f free columns."""
     q = ctx.order
-    digits = _digit_matrix(q, len(weights), q ** len(weights))
+    digits = _digit_matrix(q, len(weights), np.arange(q ** len(weights)))
     w = np.array(weights, dtype=np.intp)
     return np.stack([ctx.scalar_mul_row(c)[digits] @ w for c in range(q)])
 

@@ -247,20 +247,21 @@ def access_structure(v: Variety, p0: int = 0,
     hyperplane codewords gives the rows with column 0 nonzero, in
     hyperplane order, after the Q^r x (n - 1) matrix is metered.
 
-    The hyperplane correspondence needs every nonzero codeword of the
-    code on v to be minimal, so non-cutting point sets are refused.
+    The hyperplane correspondence needs the code on v, which only a
+    spanning v has, to be minimal: other point sets are refused.
     """
+    code = code_from_variety(v, p0)
     cut = cutting_blocking_check(v, budget)
     if not cut.ok:
         raise SSSError(
             "access structure undefined: the code is not minimal "
             f"(hyperplane {cut.witness_coords} meets the point set in a "
             f"rank-{cut.witness_rank} section)")
-    code = code_from_variety(v, p0)
     entries = v.ctx.order ** v.r * (code.n - 1)
     check_budget(f"an access matrix of {entries} entries", entries, budget)
-    hyp, step = v.space.points, BLOCK_ENTRIES // code.n + 1
-    words = (code.codeword_block(hyp[lo:lo + step]) for lo in range(0, len(hyp), step))
+    space, step = v.space, BLOCK_ENTRIES // code.n + 1
+    words = (code.codeword_block(space.rows(np.arange(lo, min(lo + step, space.n_points))))
+             for lo in range(0, space.n_points, step))
     matrix = np.concatenate([w[w[:, 0] != 0, 1:] != 0 for w in words])
     return AccessStructure(tuple(range(1, code.n)), matrix,
                            {"source": "hyperplanes", "variety": v.meta(), "p0": p0})

@@ -244,16 +244,18 @@ class Variety:
 
 def _variety_from_mask(kind, ctx, r, space, mask, params=None) -> Variety:
     idx = np.nonzero(mask)[0]
-    return Variety(kind, ctx, r, space, idx, space.points[idx].copy(), params)
+    return Variety(kind, ctx, r, space, idx, space.rows(idx), params)
 
 
 def _build(kind, ctx, r, budget, mask_of, params=None) -> Variety:
-    """The points of PG(r, Q) whose rows mask_of marks.  The budget
-    refuses the scan before any point is built."""
+    """The points of PG(r, Q) whose rows mask_of marks, SUBSPACE_BLOCK
+    at a time.  The budget refuses the scan before any point is built."""
     n = num_points(r, ctx.order)
     check_budget(f"scanning {n} points", n, budget)
     space = pg_space(ctx, r)
-    return _variety_from_mask(kind, ctx, r, space, mask_of(space.points), params)
+    mask = np.concatenate([mask_of(space.rows(np.arange(lo, min(lo + SUBSPACE_BLOCK, n))))
+                           for lo in range(0, n, SUBSPACE_BLOCK)])
+    return _variety_from_mask(kind, ctx, r, space, mask, params)
 
 
 def _power_sum(ctx: FiniteField, pts: np.ndarray, k: int, cols) -> np.ndarray:
@@ -514,9 +516,9 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     of affine charts (Lidl & Niederreiter, Finite Fields, ch. 5).
 
     PG(k), k = 0 .. r, sits on the last k+1 coordinates: its points, and
-    its hyperplanes in the same order, are the first theta_k rows of
-    space.points[:, r-k:].  V_k, the part of V there, splits into the
-    affine chart A_k = {(1, a)} and V_{k-1} at infinity.  With
+    its hyperplanes in the same order, are those columns of the rows of
+    PG(r) of index below theta_k.  V_k, the part of V there, splits into
+    the affine chart A_k = {(1, a)} and V_{k-1} at infinity.  With
     T[u, s] = #{a in A_k : u . a = s} for a hyperplane u of PG(k-1),
         |(0, u) meet V_k|   = |u meet V_{k-1}| + T[u, 0],
         |(1, 0) meet V_k|   = |V_{k-1}|,
@@ -636,7 +638,7 @@ def subspace_section_sizes(v: Variety, nrows: int,
     Q = v.ctx.order
     blocks = subspace_keys(v.ctx, v.r, nrows, budget)
     mask = np.zeros(2 * Q ** v.r, dtype=bool)
-    mask[v.space.keys[v.indices]] = True
+    mask[v.space.keys_of(v.indices)] = True
     sizes = np.zeros(gaussian_binomial(v.r + 1, nrows, Q),
                      dtype=np.min_scalar_type(num_points(nrows - 1, Q)))
     for at, shape, starts, offsets, chunks in blocks:

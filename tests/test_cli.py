@@ -150,12 +150,12 @@ def test_code_minimality_skips_an_over_budget_cross_check(capsys):
 
 
 def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
-    # PG(4, 64) has 17,043,521 points: stand in an empty point list of
-    # the right count, built at the default budget, so the spectrum's
-    # refusal, not the enumeration, is under test
+    # PG(4, 64) has 17,043,521 points: stand in a space of the right
+    # count whose rows are empty, built at the default budget, so the
+    # spectrum's refusal, not the enumeration, is under test
     monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
         n_points=num_points(r, ctx.order), r=r,
-        points=np.zeros((0, r + 1), dtype=np.int64)))
+        rows=lambda idx: np.zeros((0, r + 1), dtype=np.int64)))
     monkeypatch.setattr(cli_mod, "build_variety",
                         lambda kind, q, r, alpha, beta, budget:
                         variety_mod.build_variety(kind, q, r, alpha, beta))

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -7,9 +8,10 @@ import pytest
 
 import qhcodes.geom as geom_mod
 import qhcodes.gf as gf_mod
-from qhcodes.geom import (gaussian_binomial, line_count, num_points,
-                          normalize_point, pg_space, dot_rows, row_reduce,
-                          rref_bases, span_rank, subspace_keys, subspace_points)
+from qhcodes.geom import (ProjectiveSpace, gaussian_binomial, line_count,
+                          num_points, normalize_point, pg_space, dot_rows,
+                          row_reduce, rref_bases, span_rank, subspace_keys,
+                          subspace_points)
 from qhcodes.gf import field_for_order, make_field
 from qhcodes.variety import build_variety, subspace_section_sizes
 
@@ -81,6 +83,54 @@ def test_index_array_refuses_rows_that_are_not_points(Q):
             space.index_array(pts)
         with pytest.raises(KeyError):
             space.index_of(row)
+
+
+def reference_tables(Q, r):
+    """PG(r, Q) as a stored table: the block of points with lead 1 at
+    column lead, for lead = r .. 0, their free columns counting up in
+    base Q, concatenated; and each point's key, its base-Q value."""
+    blocks = []
+    for lead in range(r, -1, -1):
+        width = r - lead
+        count = np.arange(Q ** width, dtype=np.int64)
+        block = np.zeros((len(count), r + 1), dtype=np.int64)
+        block[:, lead] = 1
+        for j in range(width):
+            block[:, lead + 1 + j] = count // Q ** (width - 1 - j) % Q
+        blocks.append(block)
+    points = np.concatenate(blocks, axis=0)
+    keys = points @ (Q ** np.arange(r, -1, -1, dtype=np.int64))
+    assert bool(np.all(np.diff(keys) > 0))
+    return points, keys
+
+
+ARITHMETIC_SPACES = [(Q, r) for Q in (2, 3, 4, 8, 9, 16, 25, 49, 64, 3721)
+                     for r in range(1, 18) if num_points(r, Q) <= 3 * 10 ** 5]
+
+
+@pytest.mark.parametrize("Q,r", ARITHMETIC_SPACES)
+def test_arithmetic_matches_the_stored_tables(Q, r):
+    """rows, keys_of and index_array agree with the stored tables on
+    every point, in shuffled order."""
+    points, keys = reference_tables(Q, r)
+    space = ProjectiveSpace(field_for_order(Q), r)
+    assert space.n_points == len(points)
+    order = np.random.default_rng(Q * 100 + r).permutation(space.n_points)
+    assert np.array_equal(space.keys_of(order), keys[order])
+    assert np.array_equal(space.rows(order), points[order])
+    assert np.array_equal(space.index_array(points[order]), order)
+
+
+def test_a_space_stores_no_table():
+    ctx = field_for_order(49)
+    tracemalloc.start()
+    try:
+        space = ProjectiveSpace(ctx, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n_points == 5884901
+    assert peak < 64 * 1024
 
 
 def test_dot_rows_matches_scalar():

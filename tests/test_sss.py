@@ -6,7 +6,7 @@ import pytest
 
 import qhcodes.sss as sss_mod
 from qhcodes.budget import BudgetError
-from qhcodes.code import LinearCode
+from qhcodes.code import CodeError, LinearCode
 from qhcodes.geom import dot_rows, row_reduce
 from qhcodes.sss import (AccessStructure, InconsistentSharesError,
                          NotQualifiedError, Scheme, SSSError,
@@ -14,7 +14,7 @@ from qhcodes.sss import (AccessStructure, InconsistentSharesError,
                          group_closure, label_rows, load_fixture,
                          parse_cycles, perfectness_check, permute_rows,
                          recover, structures_equal, verify_example)
-from qhcodes.variety import hyperplane_section_sizes
+from qhcodes.variety import build_variety, hyperplane_section_sizes
 from qhcodes.verify import get_access, get_scheme, get_variety
 
 
@@ -211,6 +211,13 @@ def test_access_structure_refused_for_non_minimal():
     v = get_variety("twisted", 4, 3)
     with pytest.raises(SSSError, match="not minimal"):
         access_structure(v)
+
+
+@pytest.mark.parametrize("kind", ["cone", "twisted-infinity"])
+def test_access_structure_refused_for_a_point_set_that_does_not_span(kind):
+    # both lie in X_0 = 0, so no code is defined, minimal or not
+    with pytest.raises(CodeError, match="spans a proper subspace"):
+        access_structure(build_variety(kind, 3, 3))
 
 
 def test_democracy_33(access33):

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
+from qhcodes.code import cutting_blocking_check, higher_weight, minimality_summary
 from qhcodes.geom import ProjectiveSpace, num_points, pg_space
 from qhcodes.gf import make_field
+from qhcodes.sss import access_structure, democracy_report
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
                              build_hermitian, build_twisted,
                              build_twisted_at_infinity, build_variety,
@@ -281,13 +284,13 @@ def test_points_budget_refuses_before_enumerating(kind, monkeypatch):
 
 
 def test_points_budget_is_the_only_bound(monkeypatch):
-    # PG(4, 121) has 216 million points: stand in an empty point list of
-    # the right count, so only the budget check is under test
+    # PG(4, 121) has 216 million points: stand in a space of the right
+    # count whose rows are empty, so only the budget check is under test
     n = num_points(4, 121)
     assert n > DEFAULT_BUDGET
     monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
         n_points=num_points(r, ctx.order), r=r,
-        points=np.zeros((0, r + 1), dtype=np.int64)))
+        rows=lambda idx: np.zeros((0, r + 1), dtype=np.int64)))
     with pytest.raises(BudgetError, match=f"scanning {n} points"):
         build_variety("hermitian", 11, 4)
     assert build_variety("hermitian", 11, 4, budget=n).n == 0
@@ -295,3 +298,49 @@ def test_points_budget_is_the_only_bound(monkeypatch):
     monkeypatch.setattr(geom_mod, "check_budget", lambda *a: pytest.fail(
         "ProjectiveSpace must not check a budget of its own"))
     assert ProjectiveSpace(make_field(2, 2), 2).n_points == 21
+
+
+def test_no_path_reads_the_point_table(monkeypatch):
+    """Builders, spectra, minimality and the access structure derive
+    the rows and keys they need; none reads the full tables."""
+    def refuse(space):
+        raise AssertionError("the point table was read")
+    monkeypatch.setattr(ProjectiveSpace, "points", property(refuse))
+    monkeypatch.setattr(ProjectiveSpace, "keys", property(refuse))
+    for kind in REFERENCE_MASKS:
+        assert build_variety(kind, 3, 3).n > 0
+    for kind, q, r in [("twisted", 3, 3), ("twisted", 4, 3),
+                       ("hermitian", 2, 3), ("hermitian", 2, 4)]:
+        v = build_variety(kind, q, r)
+        hyperplane_spectrum(v)
+        line_spectrum(v)
+        higher_weight(v, 2)
+        cutting_blocking_check(v)
+        minimality_summary(v)
+    democracy_report(access_structure(build_variety("hermitian", 2, 3)))
+    democracy_report(access_structure(build_variety("hermitian", 2, 4)))
+
+
+def test_build_peaks_below_one_point_table():
+    ctx = make_field(2, 6)
+    theta = num_points(3, 64)
+    tracemalloc.start()
+    try:
+        v = build_hermitian(ctx, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.n == hermitian_size(3, 8)
+    assert peak < 8 * 4 * theta
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_builds_do_not_depend_on_the_chunk(block, monkeypatch):
+    cases = [(kind, q, 3) for kind in REFERENCE_MASKS for q in (3, 4)] + \
+            [(kind, 2, 3) for kind in PLAIN_KINDS]
+    want = {case: build_variety(*case) for case in cases}
+    monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)
+    for case, ref in want.items():
+        v = build_variety(*case)
+        assert np.array_equal(v.indices, ref.indices)
+        assert np.array_equal(v.coords, ref.coords)
