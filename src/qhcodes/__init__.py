@@ -11,6 +11,15 @@ The layers, bottom up:
     verify   the acceptance checks the command line aggregates
 """
 
+import os
+
+# No qhcodes path calls BLAS, and OpenBLAS's idle worker threads only
+# compete with the main thread for the CPU.  The pool is sized when
+# numpy first loads, so this must run before any import below; a value
+# already in the environment wins, and a numpy imported earlier keeps
+# its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .budget import BudgetError, DEFAULT_BUDGET, check_budget
 from .gf import (CONWAY_POLYNOMIALS, FieldError, FiniteField,
                  factor_prime_power, field_for_order, make_field)

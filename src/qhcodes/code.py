@@ -346,19 +346,58 @@ def _unique_rows(rows: np.ndarray) -> tuple:
     return ordered[first].view(np.uint8).reshape(-1, width), inverse
 
 
+def first_inside(bits: np.ndarray) -> np.ndarray:
+    """For boolean rows sorted by size, the index of the first strictly
+    smaller row inside each row, or -1 where there is none.
+
+    A row lies inside another exactly when it vanishes on all of the
+    other's zero coordinates.  For each coordinate a bitset holds the
+    rows that vanish there; ANDing those of a row's zero coordinates,
+    over the rows of smaller size, leaves the rows inside it, and the
+    lowest set bit is the answer.  Rows of one size share a zero count,
+    so each size group is one gather per zero coordinate.
+    """
+    n_rows, n = bits.shape
+    sizes = bits.sum(axis=1, dtype=np.int64)
+    # vanish[x]: bit i of the little-endian uint64 words is set when
+    # row i vanishes at coordinate x
+    n_wd = -(-n_rows // 64)
+    zero = np.zeros((n, 64 * n_wd), dtype=bool)
+    np.equal(bits.T, 0, out=zero[:, :n_rows])
+    vanish = np.packbits(zero, axis=1, bitorder="little").view("<u8")
+    del zero
+    first = np.full(n_rows, -1, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], n_rows]):
+        if lo == 0:
+            continue
+        # only the rows before lo, the smaller ones, can lie inside
+        n_wl = -(-lo // 64)
+        acc = np.full((hi - lo, n_wl), ~np.uint64(0), dtype="<u8")
+        acc[:, -1] >>= np.uint64(64 * n_wl - lo)
+        zeros = np.nonzero(bits[lo:hi] == 0)[1].reshape(hi - lo, -1)
+        col = np.empty_like(acc)
+        for x in zeros.T:
+            np.take(vanish[:, :n_wl], x, axis=0, out=col)
+            acc &= col
+        hit = np.flatnonzero(acc.any(axis=1))
+        word = (acc[hit] != 0).argmax(axis=1)
+        bit = np.unpackbits(acc[hit, word].view(np.uint8).reshape(-1, 8), axis=1,
+                            bitorder="little").argmax(axis=1)
+        first[hit + lo] = 64 * word + bit
+    return first
+
+
 def minimality_bruteforce(code: LinearCode,
                           budget: int | None = None) -> MinimalityReport:
     """Exhaustive minimality check by support containment.
 
     Enumerates every nonzero codeword and collapses the scalar classes
     (equal supports), sorted by support size.  A word is non-minimal
-    exactly when some class has support strictly inside its own, that
-    is, vanishes on all of its zero coordinates.  For each coordinate a
-    bitset holds the classes that vanish there; ANDing those of a
-    class's zero coordinates, over the smaller classes, leaves the
-    classes inside it, and the lowest is the reported witness.  Every
-    class is still tested against every other, so the budget meters the
-    pair count.
+    exactly when some class has support strictly inside its own;
+    first_inside finds, for every class at once, the first such class
+    in size order, which is the reported witness.  Every class is still
+    tested against every other, so the budget meters the pair count.
     """
     q, n = code.ctx.order, code.n
     n_words = q ** code.k
@@ -378,42 +417,18 @@ def minimality_bruteforce(code: LinearCode,
     mult = np.bincount(inverse)
     bits = np.unpackbits(classes, axis=1, count=n)
     sizes = bits.sum(axis=1, dtype=np.int64)
-    n_cls = len(classes)
     order = np.argsort(sizes, kind="stable")
-    bits, sizes, mult = bits[order], sizes[order], mult[order]
-    # vanish[x]: bit i of the little-endian uint64 words is set when
-    # class i vanishes at coordinate x
-    n_wd = -(-n_cls // 64)
-    zero = np.zeros((n, 64 * n_wd), dtype=bool)
-    np.equal(bits.T, 0, out=zero[:, :n_cls])
-    vanish = np.packbits(zero, axis=1, bitorder="little").view("<u8")
-    del zero
+    sizes, mult = sizes[order], mult[order]
+    inside = first_inside(bits[order])
     non_min_words = 0
     non_min_weights: dict = {}
     witnesses = []
-    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], n_cls]):
-        if lo == 0:
-            continue
-        # only the classes before lo, the smaller ones, can lie inside
-        n_wl = -(-lo // 64)
-        acc = np.full((hi - lo, n_wl), ~np.uint64(0), dtype="<u8")
-        acc[:, -1] >>= np.uint64(64 * n_wl - lo)
-        zeros = np.nonzero(bits[lo:hi] == 0)[1].reshape(hi - lo, -1)
-        col = np.empty_like(acc)
-        for x in zeros.T:
-            np.take(vanish[:, :n_wl], x, axis=0, out=col)
-            acc &= col
-        hit = np.flatnonzero(acc.any(axis=1))
-        word = (acc[hit] != 0).argmax(axis=1)
-        bit = np.unpackbits(acc[hit, word].view(np.uint8).reshape(-1, 8), axis=1,
-                            bitorder="little").argmax(axis=1)
-        for j, i in zip(hit + lo, 64 * word + bit):
-            w = int(sizes[j])
-            non_min_words += int(mult[j])
-            non_min_weights[w] = non_min_weights.get(w, 0) + int(mult[j])
-            witnesses.append({"weight": w, "contains_weight": int(sizes[i])})
-    return MinimalityReport(non_min_words == 0, n_words - 1, n_cls,
+    for j in np.flatnonzero(inside >= 0):
+        w = int(sizes[j])
+        non_min_words += int(mult[j])
+        non_min_weights[w] = non_min_weights.get(w, 0) + int(mult[j])
+        witnesses.append({"weight": w, "contains_weight": int(sizes[inside[j]])})
+    return MinimalityReport(non_min_words == 0, n_words - 1, len(classes),
                             non_min_words, non_min_weights, witnesses)
 
 

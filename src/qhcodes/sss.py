@@ -29,7 +29,8 @@ from importlib import resources
 import numpy as np
 
 from .budget import check_budget
-from .code import LinearCode, _unique_rows, code_from_variety, cutting_blocking_check
+from .code import (LinearCode, _unique_rows, code_from_variety,
+                   cutting_blocking_check, first_inside)
 from .geom import row_reduce
 from .variety import Variety
 
@@ -167,7 +168,7 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
 # ---------------------------------------------------------------------------
 # access structures
 
-BLOCK_ENTRIES = 2 ** 18    # per block of hyperplane codewords or antichain tests
+BLOCK_ENTRIES = 2 ** 18    # per block of hyperplane codewords
 
 
 @dataclass
@@ -192,17 +193,18 @@ class AccessStructure:
         return dict(Counter(self.matrix.sum(axis=1).tolist()))
 
     def is_antichain(self) -> bool:
-        """No set inside another: |A meet B| < |A| for every other row B,
-        one block of rows against all rows at a time."""
-        rows = self.matrix.astype(np.float32)
-        sizes = rows.sum(axis=1)
-        step = BLOCK_ENTRIES // max(1, len(rows)) + 1
-        for lo in range(0, len(rows), step):
-            inside = rows[lo:lo + step] @ rows.T == sizes[lo:lo + step, None]
-            np.fill_diagonal(inside[:, lo:], False)
-            if inside.any():
-                return False
-        return True
+        """No set inside another.  A repeated row lies inside its twin;
+        otherwise, with the rows sorted by size, first_inside finds any
+        row holding a strictly smaller one."""
+        rows = self.matrix
+        if len(rows) < 2:
+            return True
+        packed = np.packbits(rows, axis=1)
+        # rows of width 0 are all the empty set
+        if not packed.shape[1] or len(_unique_rows(packed)[0]) < len(rows):
+            return False
+        order = np.argsort(rows.sum(axis=1), kind="stable")
+        return not (first_inside(rows[order]) >= 0).any()
 
     def is_qualified(self, subset) -> bool:
         """Does the subset contain some minimal access set?"""

@@ -397,6 +397,34 @@ def test_verify_all_never_imports_numpy_ma():
     assert not imported
 
 
+def _import_cli_in_child(blas_threads):
+    """Import the command line in a fresh interpreter with
+    OPENBLAS_NUM_THREADS unset or set: the value it then sees, and its
+    thread count where /proc/self/status has one."""
+    code = ("import json, os; import qhcodes.cli; "
+            "threads = [int(line.split()[1]) for line in open('/proc/self/status') "
+            "if line.startswith('Threads:')] if os.path.exists('/proc/self/status') "
+            "else [None]; "
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads[0]]))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_pins_openblas_to_one_thread():
+    # a module that loads numpy above the pin in qhcodes/__init__.py
+    # would start the worker pool before the pin is read
+    value, threads = _import_cli_in_child(None)
+    assert value == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+    assert _import_cli_in_child("2")[0] == "2"
+
+
 def test_verify_all_negative_control(capsys):
     rc, doc, err = run_json(capsys, "verify-all", "--corrupt-modulus")
     assert rc == 0

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qhcodes.sss as sss_mod
 from qhcodes.budget import BudgetError
@@ -463,6 +465,45 @@ def test_family_that_is_not_an_antichain():
     twins = AccessStructure((1, 2, 3), label_rows([[1, 2], [2, 3], [1, 2]], 3))
     assert twins.is_antichain() is _ref_is_antichain(_bits(twins)) is False
     assert AccessStructure((1, 2, 3), twins.matrix[:2]).is_antichain()
+
+
+def test_is_antichain_matches_bitset_reference_on_random_families():
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n_rows=st.integers(0, 200), n_cols=st.integers(0, 70),
+           density=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+           extra=st.sampled_from(["none", "empty", "full", "repeated", "subset"]))
+    def check(n_rows, n_cols, density, seed, extra):
+        # one density for all rows: wide families spread over several
+        # sizes yet rarely nest, narrow ones nest or repeat
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n_rows, n_cols)) < density
+        row = None
+        if extra == "empty":
+            row = np.zeros(n_cols, dtype=bool)
+        elif extra == "full":
+            row = np.ones(n_cols, dtype=bool)
+        elif extra == "repeated" and n_rows:
+            row = rows[rng.integers(n_rows)]
+        elif extra == "subset" and rows.any():
+            # one to three points short of the largest set, so that it
+            # follows most rows in size order
+            row = rows[rows.sum(axis=1).argmax()].copy()
+            on = np.flatnonzero(row)
+            row[rng.choice(on, min(len(on), rng.integers(1, 4)), replace=False)] = False
+        if row is not None:
+            rows = np.insert(rows, rng.integers(len(rows) + 1), row, axis=0)
+        acc = AccessStructure(tuple(range(1, n_cols + 1)), rows)
+        verdict = acc.is_antichain()
+        event(f"{extra} antichain={verdict}")
+        assert verdict is _ref_is_antichain(_bits(acc))
+        seen.add((verdict, len(rows) > 64))
+
+    check()
+    # both verdicts, each also on families whose smaller rows span
+    # more than one uint64 word
+    assert seen >= {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_is_qualified_refuses_labels_out_of_range(access_h2):
