@@ -121,13 +121,13 @@ def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
     (used by the secret sharing layer).  Refuses point sets that do not
     span, since then some coordinates of the message are invisible.
     """
-    cols = v.coords.copy()
+    idx = v.indices
     if p0 is not None:
-        if not 0 <= p0 < len(cols):
-            raise CodeError(f"p0 = {p0} out of range 0 .. {len(cols) - 1}")
-        order = np.concatenate(([p0], np.delete(np.arange(len(cols)), p0)))
-        cols = cols[order]
-    rank = span_rank(v.ctx, cols).rank
+        if not 0 <= p0 < len(idx):
+            raise CodeError(f"p0 = {p0} out of range 0 .. {len(idx) - 1}")
+        idx = np.concatenate(([idx[p0]], np.delete(idx, p0)))
+    cols = v.space.rows(idx)
+    rank = span_rank(v.ctx, cols)
     if rank != v.r + 1:
         raise CodeError(
             f"point set spans a proper subspace: rank {rank} < {v.r + 1}")
@@ -305,8 +305,9 @@ def cutting_blocking_check(v: Variety, budget: int | None = None, *,
     cand = np.flatnonzero((q - 1) * sizes <= q * int(sizes.max()) - v.n)
     check_budget(f"row-reducing {len(cand)} candidate hyperplane sections of "
                  f"{v.n} points", len(cand) * v.n, budget)
+    pts = space.rows(v.indices)
     for i, h in zip(cand, space.rows(cand)):
-        rank = span_rank(ctx, v.coords[dot_rows(ctx, h, v.coords) == 0]).rank
+        rank = span_rank(ctx, pts[dot_rows(ctx, h, pts) == 0])
         if rank < v.r:
             return CuttingReport(False, space.n_points, int(i),
                                  tuple(int(x) for x in h), rank)
@@ -340,7 +341,8 @@ def _unique_rows(rows: np.ndarray) -> tuple:
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
     perm = keys.argsort()
     ordered = keys[perm]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty_like(perm)
     inverse[perm] = np.cumsum(first) - 1
     return ordered[first].view(np.uint8).reshape(-1, width), inverse

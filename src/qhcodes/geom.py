@@ -11,7 +11,6 @@ a point P lies on a hyperplane H iff sum(P_i * H_i) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -127,12 +126,6 @@ def dot_rows(ctx: FiniteField, h, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    rank: int
-    rows: tuple
-
-
 def row_reduce(ctx: FiniteField, mat: np.ndarray):
     """Row echelon form over the field; returns (rank, reduced rows)."""
     mat = np.array(mat, dtype=np.int64, copy=True)
@@ -163,13 +156,12 @@ def row_reduce(ctx: FiniteField, mat: np.ndarray):
     return rank, mat[:rank]
 
 
-def span_rank(ctx: FiniteField, vectors) -> SubspaceBasis:
-    """Rank and echelon basis of the span of the given coordinate vectors."""
+def span_rank(ctx: FiniteField, vectors) -> int:
+    """Rank of the span of the given coordinate vectors."""
     arr = np.atleast_2d(np.array(list(vectors), dtype=np.int64))
     if arr.size == 0:
-        return SubspaceBasis(0, ())
-    rank, rows = row_reduce(ctx, arr)
-    return SubspaceBasis(rank, tuple(tuple(int(v) for v in row) for row in rows))
+        return 0
+    return row_reduce(ctx, arr)[0]
 
 
 def _pivot_blocks(q: int, r: int, nrows: int):

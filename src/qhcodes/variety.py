@@ -196,12 +196,13 @@ def default_params(q: int, r: int) -> TwistedParams:
 
 @dataclass
 class Variety:
+    """A point set of PG(r, Q) as the canonical indices of its points,
+    strictly increasing; space.rows(indices) gives their coordinates."""
     kind: str
     ctx: FiniteField
     r: int
     space: ProjectiveSpace = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    coords: np.ndarray = field(repr=False)
     params: TwistedParams | None = None
     _hyp_sizes: np.ndarray | None = field(default=None, repr=False, compare=False)
     _hyp_engine: str | None = field(default=None, repr=False, compare=False)
@@ -228,7 +229,9 @@ class Variety:
         return mask
 
     def affine_count(self) -> int:
-        return int(np.count_nonzero(self.coords[:, 0] == 1))
+        # the affine chart X_0 = 1 holds the indices from theta_(r-1) on
+        at = np.searchsorted(self.indices, num_points(self.r - 1, self.ctx.order))
+        return self.n - int(at)
 
     def meta(self) -> dict:
         return {
@@ -242,11 +245,6 @@ class Variety:
         }
 
 
-def _variety_from_mask(kind, ctx, r, space, mask, params=None) -> Variety:
-    idx = np.nonzero(mask)[0]
-    return Variety(kind, ctx, r, space, idx, space.rows(idx), params)
-
-
 def _build(kind, ctx, r, budget, mask_of, params=None) -> Variety:
     """The points of PG(r, Q) whose rows mask_of marks, SUBSPACE_BLOCK
     at a time.  The budget refuses the scan before any point is built."""
@@ -255,7 +253,7 @@ def _build(kind, ctx, r, budget, mask_of, params=None) -> Variety:
     space = pg_space(ctx, r)
     mask = np.concatenate([mask_of(space.rows(np.arange(lo, min(lo + SUBSPACE_BLOCK, n))))
                            for lo in range(0, n, SUBSPACE_BLOCK)])
-    return _variety_from_mask(kind, ctx, r, space, mask, params)
+    return Variety(kind, ctx, r, space, np.flatnonzero(mask), params)
 
 
 def _power_sum(ctx: FiniteField, pts: np.ndarray, k: int, cols) -> np.ndarray:
@@ -385,9 +383,9 @@ class SpectrumReport:
 
 
 def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
-                  vcoords: np.ndarray) -> np.ndarray:
+                  indices: np.ndarray) -> np.ndarray:
     out = np.empty(space.n_points, dtype=np.int64)
-    n = len(vcoords)
+    n, vcoords = len(indices), space.rows(indices)
     for i, h in enumerate(space.points):
         out[i] = n - int(np.count_nonzero(dot_rows(ctx, h, vcoords)))
     return out
@@ -511,7 +509,7 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
 
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
-               vcoords: np.ndarray) -> np.ndarray:
+               indices: np.ndarray) -> np.ndarray:
     """Exact hyperplane section sizes from additive character transforms
     of affine charts (Lidl & Niederreiter, Finite Fields, ch. 5).
 
@@ -534,10 +532,13 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     transforms two digits per pass.  Every q T is a non-negative
     integer of at most q n < M, so g stays int64: for p = 2 the range
     check bounds (q - 1) n only.  The row-sum and divisibility asserts
-    would catch any packing mistake.
+    would catch any packing mistake.  V comes as strictly increasing
+    indices: A_k is their range theta_(k-1) .. theta_k - 1, and index -
+    theta_(k-1) is a point's offset in A_k's transform.
     """
     p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
-    nv = len(vcoords)
+    nv = len(indices)
+    assert np.all(np.diff(indices) > 0), "indices must be strictly increasing"
     M = zeta = 0
     if p > 2:
         M, zeta = _transform_modulus(p, (q - 1) * nv)
@@ -556,15 +557,15 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         trd += tr * p ** b
     # column of T[u, -1/d] for d = 1 .. q-1
     inv_cols = trd[[ctx.inv(d) for d in range(1, q)]]
-    # the point's chart: PG(r - lead) holds it in its affine part
-    lead = np.argmax(vcoords != 0, axis=1)
+    # at[k]: how many points of V have index below theta_(k-1), k = 0 .. r+1
+    starts = [num_points(k - 1, q) for k in range(r + 2)]
+    at = np.searchsorted(indices, starts)
     sizes = np.zeros(1, dtype=np.int64)
     for k, (idx, key) in enumerate(_scaled_tables(ctx, trd, r), 1):
-        weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        aff = vcoords[lead == r - k, r - k + 1:]
+        aff = indices[at[k]:at[k + 1]] - starts[k]
         # int32 holds p = 2 values up to n, odd p residues below M
         f = np.zeros(q ** k, dtype=np.int32)
-        f[aff @ weights] = 1
+        f[aff] = 1
         _radix_p_transform(f, p, M, zeta)
         # g[u, c] = f^ at the trace digits of c u; key[u, c] = c u itself
         g = f[idx].astype(np.int64)
@@ -575,7 +576,7 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         g //= q
         out = np.empty(sizes.size + q ** k, dtype=np.int64)
         out[:sizes.size] = sizes + g[:, 0]
-        out[sizes.size] = np.count_nonzero(lead > r - k)
+        out[sizes.size] = at[k]
         out[sizes.size + key[:, 1:]] = sizes[:, None] + g[:, inv_cols]
         sizes = out
     return sizes
@@ -602,9 +603,9 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
     if v._hyp_sizes is not None and v._hyp_engine == engine:
         return v._hyp_sizes
     if engine == "wht":
-        sizes = _sizes_wht(ctx, space, v.coords)
+        sizes = _sizes_wht(ctx, space, v.indices)
     elif engine == "direct":
-        sizes = _sizes_direct(ctx, space, v.coords)
+        sizes = _sizes_direct(ctx, space, v.indices)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     v._hyp_sizes, v._hyp_engine = sizes, engine

@@ -15,12 +15,11 @@ from qhcodes.code import (WORD_BLOCK, CodeError, CuttingReport, LinearCode,
                           higher_weight, minimality_bruteforce,
                           minimality_summary, weights_bruteforce,
                           weights_from_sections)
-from qhcodes.geom import (dot_rows, pg_space, rref_bases, span_rank,
+from qhcodes.geom import (dot_rows, num_points, pg_space, rref_bases, span_rank,
                           subspace_points)
 from qhcodes.gf import field_for_order, make_field
 from qhcodes.sss import perfectness_check
-from qhcodes.variety import (_variety_from_mask, build_variety,
-                             hyperplane_section_sizes)
+from qhcodes.variety import Variety, build_variety, hyperplane_section_sizes
 from qhcodes.verify import CROSS_FIXTURES, get_variety
 
 
@@ -32,12 +31,12 @@ def test_code_shape(tw33):
 
 
 def test_degenerate_point_set_refused(tw33):
-    from qhcodes.code import LinearCode
-    flat = tw33.coords.copy()
-    flat[:, 3] = 0
-    from qhcodes.variety import Variety
-    v = Variety("twisted", tw33.ctx, 3, tw33.space, tw33.indices, flat)
-    with pytest.raises(CodeError, match="proper subspace"):
+    # V's section by the plane X_0 = 0: the indices below theta_2
+    plane = tw33.indices[tw33.indices < num_points(2, 9)]
+    assert 0 < len(plane) < tw33.n
+    assert not tw33.space.rows(plane)[:, 0].any()
+    v = Variety("subset", tw33.ctx, 3, tw33.space, plane)
+    with pytest.raises(CodeError, match="proper subspace: rank 3 < 4"):
         code_from_variety(v)
 
 
@@ -109,9 +108,10 @@ def _cutting_by_ranks(v):
     """The cutting check one hyperplane at a time: row-reduce every
     section and stop at the first that does not span its hyperplane."""
     ctx, space = v.ctx, v.space
+    pts = space.rows(v.indices)
     for i, h in enumerate(space.points):
-        mask = dot_rows(ctx, h, v.coords) == 0
-        rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
+        mask = dot_rows(ctx, h, pts) == 0
+        rank = span_rank(ctx, pts[mask]) if mask.any() else 0
         if rank != v.r:
             return CuttingReport(False, space.n_points, i,
                                  tuple(int(x) for x in h), rank)
@@ -147,9 +147,9 @@ def _cutting_by_pencils(v):
                     witness = min(witness, int(fail.min()))
     if witness == space.n_points:
         return CuttingReport(True, space.n_points)
-    h = space.points[witness]
-    mask = dot_rows(ctx, h, v.coords) == 0
-    rank = span_rank(ctx, v.coords[mask]).rank if mask.any() else 0
+    h, pts = space.points[witness], space.rows(v.indices)
+    mask = dot_rows(ctx, h, pts) == 0
+    rank = span_rank(ctx, pts[mask]) if mask.any() else 0
     return CuttingReport(False, space.n_points, witness, tuple(int(x) for x in h), rank)
 
 
@@ -174,6 +174,12 @@ def test_pencils_agree_with_ranks_on_varieties(kind, q, r):
 
 def _ab_passes(v):
     return ab_condition(weights_from_sections(v)).passes
+
+
+def _variety_from_mask(kind, ctx, r, space, mask):
+    """The points that mask marks, as a Variety.  The inner test below
+    derandomizes from its own source, so it keeps this call."""
+    return Variety(kind, ctx, r, space, np.flatnonzero(mask))
 
 
 @pytest.mark.parametrize("Q,r", [(4, 1), (4, 2), (9, 2), (4, 3), (9, 3), (4, 4)])
@@ -222,7 +228,7 @@ def test_cutting_where_the_ratio_condition_fails_on_a_minimal_code():
     q w_min = 4 * 7 does not exceed (q-1) w_max = 3 * 10."""
     ctx = field_for_order(4)
     space = pg_space(ctx, 2)
-    v = _variety_from_mask("subset", ctx, 2, space, (space.points == 0).any(axis=1))
+    v = Variety("subset", ctx, 2, space, np.flatnonzero((space.points == 0).any(axis=1)))
     dist = weights_from_sections(v)
     assert (v.n, dist.w_min, dist.w_max) == (12, 7, 10)
     assert not ab_condition(dist).passes
@@ -510,6 +516,12 @@ def test_support_dedup_matches_unique_rows(kind, q, r):
     ref_classes, ref_inverse = np.unique(supports, axis=0, return_inverse=True)
     assert np.array_equal(classes, ref_classes)
     assert np.array_equal(inverse, ref_inverse.ravel())
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_unique_rows_of_no_rows(width):
+    classes, inverse = _unique_rows(np.zeros((0, width), dtype=np.uint8))
+    assert classes.shape == (0, width) and inverse.shape == (0,)
 
 
 def test_perfectness_keeps_its_verdicts(monkeypatch, scheme_h2, access_h2):

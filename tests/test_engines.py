@@ -35,7 +35,7 @@ def _prime(n):
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _both_engines(ctx, space, coords):
+def _both_engines(ctx, space, indices):
     """Sizes from both engines, and the (p, bound, M, zeta) of every
     modulus the transform chose."""
     moduli = []
@@ -46,8 +46,8 @@ def _both_engines(ctx, space, coords):
         return M, zeta
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variety_mod, "_transform_modulus", spy)
-        wht = _sizes_wht(ctx, space, coords)
-    direct = _sizes_direct(ctx, space, coords)
+        wht = _sizes_wht(ctx, space, indices)
+    direct = _sizes_direct(ctx, space, indices)
     return wht, direct, moduli
 
 
@@ -58,11 +58,10 @@ def test_transform_equals_direct_on_random_point_sets(qr, block, data):
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
     chosen = sorted(data.draw(st.sets(st.integers(0, space.n_points - 1))))
-    coords = space.points[np.array(chosen, dtype=np.int64)]
     # small pass blocks split and offset both the lead and trail axes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variety_mod, "_PASS_BLOCK", block)
-        wht, direct, moduli = _both_engines(ctx, space, coords)
+        wht, direct, moduli = _both_engines(ctx, space, np.array(chosen, dtype=np.int64))
     assert np.array_equal(wht, direct)
     if ctx.p == 2:
         assert moduli == []
@@ -74,14 +73,15 @@ def test_transform_equals_direct_on_random_point_sets(qr, block, data):
 
 
 def _structured_sets(space):
-    """Point sets that empty or fill whole charts: none, all, X_0 = 0
-    (PG(r-1) at infinity), X_0 = 1 (the affine chart A_r), and the last
-    point of each chart PG(k), one per level k = 0 .. r."""
+    """Indices of point sets that empty or fill whole charts: none, all,
+    X_0 = 0 (PG(r-1) at infinity), X_0 = 1 (the affine chart A_r), and
+    the last point of each chart PG(k), one per level k = 0 .. r."""
     pts = space.points
     Q, r = space.ctx.order, space.r
-    last = [num_points(k, Q) - 1 for k in range(r + 1)]
-    return {"empty": pts[:0], "all": pts, "infinity": pts[pts[:, 0] == 0],
-            "affine": pts[pts[:, 0] == 1], "one-per-level": pts[last]}
+    last = np.array([num_points(k, Q) - 1 for k in range(r + 1)])
+    return {"empty": last[:0], "all": np.arange(space.n_points),
+            "infinity": np.flatnonzero(pts[:, 0] == 0),
+            "affine": np.flatnonzero(pts[:, 0] == 1), "one-per-level": last}
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -91,8 +91,8 @@ def test_transform_equals_direct_on_structured_sets(Q, r, block):
     space = pg_space(ctx, r)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variety_mod, "_PASS_BLOCK", block)
-        for name, coords in _structured_sets(space).items():
-            wht, direct, moduli = _both_engines(ctx, space, coords)
+        for name, indices in _structured_sets(space).items():
+            wht, direct, moduli = _both_engines(ctx, space, indices)
             assert np.array_equal(wht, direct), name
             assert len(moduli) == (ctx.p > 2), name
 
@@ -104,8 +104,16 @@ def test_transform_equals_direct_on_structured_sets(Q, r, block):
 ])
 def test_transform_equals_direct_on_varieties(kind, q, r):
     v = build_variety(kind, q, r)
-    wht, direct, _ = _both_engines(v.ctx, v.space, v.coords)
+    wht, direct, _ = _both_engines(v.ctx, v.space, v.indices)
     assert np.array_equal(wht, direct)
+
+
+@pytest.mark.parametrize("indices", [[5, 2], [2, 2, 5]])
+def test_transform_refuses_indices_out_of_order(indices):
+    # a chart is a range of the index array only when it is strictly increasing
+    ctx = field_for_order(3)
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        _sizes_wht(ctx, pg_space(ctx, 2), np.array(indices))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +163,7 @@ def test_hyperplane_count_bounds_every_transform_array(Q, r, monkeypatch):
         sizes.append(f.size)
         return _radix_p_transform(f, *args, **kwargs)
     monkeypatch.setattr(variety_mod, "_radix_p_transform", spy)
-    _sizes_wht(ctx, space, space.points)
+    _sizes_wht(ctx, space, np.arange(space.n_points))
     assert len(sizes) == 2 * r
     assert max(sizes) < space.n_points
 
@@ -234,10 +242,11 @@ def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
     # objects; a Q x Q table at PG(1, 3721) alone would take 110 MB
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
-    _sizes_wht(ctx, space, space.points)   # the field's cached rows
+    every = np.arange(space.n_points)
+    _sizes_wht(ctx, space, every)   # the field's cached rows
     tracemalloc.start()
     try:
-        _sizes_wht(ctx, space, space.points)
+        _sizes_wht(ctx, space, every)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,7 +274,7 @@ def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     # evaluation is the only engine left
     v = SimpleNamespace(ctx=field_for_order(Q), r=r, n=2 ** 26,
                         space=SimpleNamespace(n_points=num_points(r, Q)),
-                        coords=None, _hyp_sizes=None, _hyp_engine=None)
+                        indices=None, _hyp_sizes=None, _hyp_engine=None)
 
     def spy(*args):
         raise AssertionError("the transform must not start")

@@ -169,7 +169,9 @@ def test_row_reduce_rank():
 def test_span_rank_full():
     ctx = make_field(2, 2)
     space = pg_space(ctx, 3)
-    assert span_rank(ctx, space.points).rank == 4
+    assert span_rank(ctx, space.points) == 4
+    assert span_rank(ctx, space.points[:1]) == 1
+    assert span_rank(ctx, space.points[:0]) == 0
 
 
 def test_rref_bases_count():

@@ -68,7 +68,7 @@ def test_third_moment_on_random_point_sets(qr, data):
                       dtype=np.int64)
     v = SimpleNamespace(ctx=ctx, r=r, space=space, indices=chosen)
     lhs, rhs = third_moment_sides(len(chosen), Q, r,
-                                  _sizes_direct(ctx, space, space.points[chosen]),
+                                  _sizes_direct(ctx, space, chosen),
                                   subspace_section_sizes(v, 2))
     assert lhs == rhs
 
@@ -120,7 +120,7 @@ def test_line_sizes_from_the_planes_on_random_point_sets(Q):
     chosen = np.flatnonzero(np.random.default_rng(Q).random(space.n_points) < 1 / 3)
     v = SimpleNamespace(ctx=ctx, r=3, space=space, indices=chosen)
     want = sizes_through_planes(ctx, len(chosen),
-                                _sizes_direct(ctx, space, space.points[chosen]))
+                                _sizes_direct(ctx, space, chosen))
     assert np.array_equal(subspace_section_sizes(v, 2), want)
 
 

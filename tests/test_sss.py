@@ -334,6 +334,12 @@ def test_develop_dedupes_across_starters():
     assert acc.count == 2
 
 
+def test_develop_of_no_starters_is_empty():
+    acc = develop([], group_closure(["(1,2)"], 3))
+    assert acc.count == 0 and acc.matrix.shape == (0, 3)
+    assert acc.participants == () and acc.sets() == []
+
+
 def test_structures_equal():
     group = group_closure(["(1,2,3,4)"], 4)
     a = develop([[1, 2]], group)
@@ -526,7 +532,7 @@ def test_democracy_closed_form(kind, q, r):
     assert rep.is_democratic
     assert rep.uniform_count == big_q ** r - big_q ** (r - 1)
     sizes = hyperplane_section_sizes(v)
-    off_p0 = dot_rows(v.ctx, v.coords[0], v.space.points) != 0
+    off_p0 = dot_rows(v.ctx, v.space.rows(v.indices[:1])[0], v.space.points) != 0
     assert acc.size_profile() == dict(Counter((v.n - 1 - sizes[off_p0]).tolist()))
 
 

@@ -44,3 +44,17 @@ def test_tracer_times_the_line_pass():
         tr.restore()
     assert "variety.lines" in {span[0] for span in tr.spans}
     assert tr.counters["variety.lines.count"] == sp.total == gaussian_binomial(4, 2, 9)
+
+
+def test_tracer_counts_direct_incidences():
+    """variety.sizes.direct.incidences reads the point set, the third
+    argument of _sizes_direct, as one entry per point."""
+    tr = spans.Tracer()
+    try:
+        spans.install(tr, [time.perf_counter()])
+        v = variety.build_variety("hermitian", 2, 3)
+        variety.hyperplane_spectrum(v, engine="direct")
+    finally:
+        tr.restore()
+    assert v.n == 45
+    assert tr.counters["variety.sizes.direct.incidences"] == v.space.n_points * v.n

@@ -91,8 +91,8 @@ def test_cone_and_infinity_pieces():
     binf = build_twisted_at_infinity(ctx, 3)
     assert binf.n == 19
     # both live in the hyperplane X0 = 0
-    assert bool(np.all(cn.coords[:, 0] == 0))
-    assert bool(np.all(binf.coords[:, 0] == 0))
+    assert bool(np.all(cn.space.rows(cn.indices)[:, 0] == 0))
+    assert bool(np.all(binf.space.rows(binf.indices)[:, 0] == 0))
 
 
 def test_quasi_hermitian_is_twisted_surgery(qh33, tw33):
@@ -334,6 +334,19 @@ def test_build_peaks_below_one_point_table():
     assert peak < 8 * 4 * theta
 
 
+def test_a_built_variety_holds_only_its_indices():
+    ctx = make_field(2, 6)
+    tracemalloc.start()
+    try:
+        v = build_hermitian(ctx, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert v.n == hermitian_size(3, 8) == 33345
+    assert np.all(np.diff(v.indices) > 0)
+    assert held < 8 * v.n + 64 * 1024
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_builds_do_not_depend_on_the_chunk(block, monkeypatch):
     cases = [(kind, q, 3) for kind in REFERENCE_MASKS for q in (3, 4)] + \
@@ -343,4 +356,3 @@ def test_builds_do_not_depend_on_the_chunk(block, monkeypatch):
     for case, ref in want.items():
         v = build_variety(*case)
         assert np.array_equal(v.indices, ref.indices)
-        assert np.array_equal(v.coords, ref.coords)
