@@ -32,7 +32,8 @@ import numpy as np
 from .budget import BudgetError, check_budget
 from .geom import _digit_matrix, dot_rows, span_rank
 from .gf import FiniteField
-from .variety import Variety, hyperplane_section_sizes, subspace_section_sizes
+from .variety import (Variety, hyperplane_section_sizes, size_counts,
+                      subspace_section_sizes)
 
 WORDS_HARD_CAP = 2 ** 24
 WORD_BLOCK = 4096
@@ -174,8 +175,7 @@ def weights_from_sections(v: Variety, engine: str = "auto",
     section size s accounts for q-1 words of weight n - s."""
     sizes = hyperplane_section_sizes(v, engine, budget)
     q = v.ctx.order
-    vals, cnts = np.unique(sizes, return_counts=True)
-    weights = {int(v.n - s): int(c) * (q - 1) for s, c in zip(vals, cnts)}
+    weights = {v.n - s: c * (q - 1) for s, c in size_counts(sizes).items()}
     dist = WeightDistribution(q, v.n, v.r + 1, weights, "hyperplane-sections")
     dist.check_complete()
     return dist

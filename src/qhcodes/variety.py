@@ -433,24 +433,39 @@ def _check_transform_range(p: int, bound: int) -> None:
 
 
 def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
-                       rows: int = 1) -> None:
+                       cols: int = 1) -> None:
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
-    vectors of the indices within each of the rows leading rows of f;
-    zeta = -1 exactly when p = 2, else mod M.  p = 2 takes two digits
-    per pass, and one in a last pass when their number is odd."""
+    vectors z, y of the row indices of f read as (f.size / cols, cols),
+    each column alone; zeta = -1 exactly when p = 2, else mod M.  p = 2
+    takes two digits per pass, and one in a last pass when their number
+    is odd.  The columns run along the contiguous axis of every pass."""
+    n = f.size // cols
+    # p = 2 on short rows: the high digits over rows of low * cols
+    # entries, then the low ones on a transposed copy, so that no pass
+    # works on rows of a few entries, whose short inner loops would
+    # dominate a chart; odd p's int64 contraction runs no faster on
+    # long rows
+    low = 1 << (n.bit_length() - 1) // 4 * 2 if p == 2 else 1
+    if cols < low:
+        _radix_p_transform(f, p, M, zeta, cols * low)
+        view = f.reshape(n // low, low, cols)
+        t = view.transpose(1, 0, 2).copy()
+        _radix_p_transform(t, p, M, zeta, cols * (n // low))
+        view[...] = t.transpose(1, 0, 2)
+        return
     if p > 2:
         assert M <= _transform_limit(p)
         w = np.array([[pow(zeta, i * j, M) for j in range(p)]
                       for i in range(p)], dtype=np.int64)
-    lead, trail = rows, f.size // rows
+    lead, trail = 1, n
     while trail > 1:
         radix = 4 if p == 2 and trail % 4 == 0 else p
         trail //= radix
-        view = f.reshape(lead, radix, trail)
-        tstep = min(trail, max(1, _PASS_BLOCK // radix))
+        view = f.reshape(lead, radix, trail * cols)
+        tstep = min(trail * cols, max(1, _PASS_BLOCK // radix))
         lstep = max(1, _PASS_BLOCK // (radix * tstep))
         for l0 in range(0, lead, lstep):
-            for t0 in range(0, trail, tstep):
+            for t0 in range(0, trail * cols, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
                 if radix == 4:
                     # the two digits' 2x2 butterflies in one: a, b, c, d
@@ -476,36 +491,65 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
 
 
 def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
-    """For k = 1 .. r, yield (idx, key): over the hyperplanes u of
-    PG(k-1), in the order of their first theta_(k-1) rows, and c in
-    GF(Q),
-        key[u, c] = sum_i (c u_i) Q^(k-1-i),
-        idx[u, c] = sum_i trd[c u_i] Q^(k-1-i).
-    Each level is a prefix of one (theta_(r-1), Q) array, filled level
-    by level: PG(k-1)'s rows are (0, PG(k-2)), level k-1's own rows,
-    then (1, x, w') for x in GF(Q), and
-        key[(1, x, w'), c] = key[(1, w'), c] + (x c) Q^(k-2)
-                             + c (Q^(k-1) - Q^(k-2)),
-    idx alike with trd[x c] and trd[c].  The product table x c is
-    built at k = 2, so its Q^2 < theta_2 entries stay below theta_r.
+    """For k = 1 .. r, yield level k's tables (idx, key) as blocks of
+    columns, one (2, Q, columns) array per block of at most _PASS_BLOCK
+    entries, or of one hyperplane: for c in GF(Q) and the hyperplanes u of PG(k-1), in the
+    order of their first theta_(k-1) rows,
+        key[c, u] = sum_i (c u_i) Q^(k-1-i),
+        idx[c, u] = sum_i trd[c u_i] Q^(k-1-i).
+    PG(k-1)'s rows are (0, PG(k-2)), level k-1's own rows, then
+    (1, x, w') for x in GF(Q), and
+        key[c, (1, x, w')] = key[c, (1, w')] + Q^(k-2) (x c + (Q - 1) c),
+    idx alike with trd[x c] and trd[c].  Levels below r fill one
+    (Q, theta_(r-2)) array in turn; the last level adds its (1, x, w')
+    columns a block at a time, so none of its theta_(r-1) columns is
+    held.  A block's rows run along u, so a transform over the digits
+    of c works on long contiguous rows.  Each level's blocks are read
+    before the next level is asked for.
     """
     q = ctx.order
     dtype = np.int32 if q ** r < 2 ** 31 else np.int64
-    key = np.empty((num_points(r - 1, q), q), dtype=dtype)
-    idx = np.empty_like(key)
-    elems = np.arange(q, dtype=np.int64)
-    key[0], idx[0] = elems, trd
-    yield idx[:1], key[:1]
+    # a block also stays below theta_r / 2 entries, so that its
+    # temporaries stay a small part of the sizes in small spaces too
+    step = max(1, min(_PASS_BLOCK, num_points(r, q) >> 1) // q)
+    trd, elems = trd.astype(dtype), np.arange(q, dtype=dtype)
+    tabs = np.empty((2, q, max(1, num_points(r - 2, q))), dtype=dtype)
+    tabs[:, :, 0] = trd, elems
+
+    def blocks(hi, held, lo=0):
+        # the columns below held are in tabs; column held + x (held - lo)
+        # + j is column lo + j plus shift[:, :, x]
+        count = -(-hi // step)
+        for b in range(count):
+            u0, u1 = hi * b // count, hi * (b + 1) // count
+            if u1 <= held:
+                yield tabs[:, :, u0:u1]
+                continue
+            x, j = np.divmod(np.arange(max(u0, held), u1) - held, held - lo)
+            new = tabs.take(lo + j, axis=2)
+            new += shift.take(x, axis=2)
+            yield new if u0 >= held else np.concatenate([tabs[:, :, u0:held], new], axis=2)
+    yield blocks(1, 1)
+    if r == 1:
+        return
+    # shift[:, c, x] = (trd[x c], x c) + (Q - 1) (trd[c], c), times
+    # Q^(k-2) at level k; the products a block of columns at a time
+    shift = np.empty((2, q, q), dtype=dtype)
+    for x0 in range(0, q, step):
+        shift[1, :, x0:x0 + step] = ctx.vmul(elems[:, None], elems[x0:x0 + step])
+    shift[0] = trd[shift[1]]
+    shift += (q - 1) * tabs[:, :, :1]
     for k in range(2, r + 1):
-        if k == 2:
-            mul = ctx.vmul(elems[:, None], elems)
-            steps = ((key, mul, elems), (idx, trd[mul], trd))
         lo, mid, hi = (num_points(j, q) for j in (k - 3, k - 2, k - 1))
-        for tab, xc, c in steps:
-            shift = xc * q ** (k - 2) + c * (q ** (k - 1) - q ** (k - 2))
-            np.add(tab[None, lo:mid], shift[:, None].astype(dtype),
-                   out=tab[mid:hi].reshape(q, mid - lo, q))
-        yield idx[:hi], key[:hi]
+        if k > 2:
+            shift *= q
+        if k == r:
+            yield blocks(hi, mid, lo)
+        else:
+            for tab, sh in zip(tabs, shift):
+                np.add(tab[:, None, lo:mid], sh[:, :, None],
+                       out=tab[:, mid:hi].reshape(q, q, mid - lo))
+            yield blocks(hi, hi)
 
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
@@ -525,20 +569,30 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     digit vector of a -> Tr(c u . a), is g_u(c) = sum_s T[u, s]
     zeta^Tr(cs).  A second transform over the digits of c gives
     q T[u, s] at the digit vector of -(x -> Tr(sx)), so T[u, -1/d]
-    sits in column trd[1/d] (p = 2 would hide the sign).  The tables
-    of c u over the hyperplanes u of PG(k-1) grow level by level, one
-    addition per row from the level below (_scaled_tables).  Each chart
-    has q^k entries, not the q^(r+1) of the cone over all of V; p = 2
-    transforms two digits per pass.  Every q T is a non-negative
-    integer of at most q n < M, so g stays int64: for p = 2 the range
-    check bounds (q - 1) n only.  The row-sum and divisibility asserts
-    would catch any packing mistake.  V comes as strictly increasing
-    indices: A_k is their range theta_(k-1) .. theta_k - 1, and index -
-    theta_(k-1) is a point's offset in A_k's transform.
+    sits at c = trd[1/d] (p = 2 would hide the sign).  The tables of
+    c u over the hyperplanes u of PG(k-1) grow level by level, one
+    addition per hyperplane from the level below (_scaled_tables).
+    Each chart has q^k entries, not the q^(r+1) of the cone over all of
+    V; p = 2 transforms two digits per pass.
+
+    The second transform acts on each hyperplane u alone, so it runs on
+    the tables' blocks of hyperplanes: each block is gathered from f^
+    as g[c, u], transformed along c, checked (its sums over c, and q
+    dividing every entry), divided by q and scattered into the sizes,
+    and only the chart f^ and the sizes span a whole level.  For p = 2,
+    g is int32: every partial sum of the second transform is at most
+    q n in absolute value, and the range check bounds q n below 2^31;
+    q = 2^m divides by a shift.  For odd p, g is int64 for the
+    contraction, and every q T <= q n < M is read from its residue.
+    Sizes are int32: the range check bounds (q - 1) n below 2^31 in
+    every characteristic, so products such as (q - 1) |H meet V| stay
+    exact too.  V comes as strictly increasing indices: A_k is their
+    range theta_(k-1) .. theta_k - 1, and index - theta_(k-1) is a
+    point's offset in A_k's transform.
     """
     p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
     nv = len(indices)
-    assert np.all(np.diff(indices) > 0), "indices must be strictly increasing"
+    assert np.all(indices[1:] > indices[:-1]), "indices must be strictly increasing"
     M = zeta = 0
     if p > 2:
         M, zeta = _transform_modulus(p, (q - 1) * nv)
@@ -556,28 +610,37 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         assert not np.any(tr >= p)
         trd += tr * p ** b
     # column of T[u, -1/d] for d = 1 .. q-1
-    inv_cols = trd[[ctx.inv(d) for d in range(1, q)]]
+    inv_cols = trd[ctx.exp[-ctx.log[1:] % (q - 1)]]
     # at[k]: how many points of V have index below theta_(k-1), k = 0 .. r+1
     starts = [num_points(k - 1, q) for k in range(r + 2)]
     at = np.searchsorted(indices, starts)
-    sizes = np.zeros(1, dtype=np.int64)
-    for k, (idx, key) in enumerate(_scaled_tables(ctx, trd, r), 1):
-        aff = indices[at[k]:at[k + 1]] - starts[k]
+    sizes = np.zeros(1, dtype=np.int32)
+    for k, blocks in enumerate(_scaled_tables(ctx, trd, r), 1):
         # int32 holds p = 2 values up to n, odd p residues below M
         f = np.zeros(q ** k, dtype=np.int32)
-        f[aff] = 1
+        f[indices[at[k]:at[k + 1]] - starts[k]] = 1
         _radix_p_transform(f, p, M, zeta)
-        # g[u, c] = f^ at the trace digits of c u; key[u, c] = c u itself
-        g = f[idx].astype(np.int64)
-        del f
-        _radix_p_transform(g, p, M, zeta, rows=len(idx))
-        assert np.all(g.sum(axis=1) == q * len(aff))
-        assert not np.any(g % q), "character sums must be divisible by the field order"
-        g //= q
-        out = np.empty(sizes.size + q ** k, dtype=np.int64)
-        out[:sizes.size] = sizes + g[:, 0]
+        out = np.empty(sizes.size + q ** k, dtype=np.int32)
         out[sizes.size] = at[k]
-        out[sizes.size + key[:, 1:]] = sizes[:, None] + g[:, inv_cols]
+        u0 = 0
+        for idx, key in blocks:
+            u = slice(u0, u0 + idx.shape[1])
+            # g[c, u] = f^ at the trace digits of c u; key[c, u] = c u itself
+            g = f[idx] if p == 2 else f[idx].astype(np.int64)
+            _radix_p_transform(g, p, M, zeta, cols=g.shape[1])
+            assert np.all(g.sum(axis=0) == q * (at[k + 1] - at[k]))
+            if p == 2:
+                low = np.bitwise_or.reduce(g, axis=None) & (q - 1)
+                assert not low, "character sums must be divisible by the field order"
+                g >>= m
+            else:
+                assert not np.any(g % q), "character sums must be divisible by the field order"
+                g //= q
+            out[u] = sizes[u] + g[0]
+            g = g[inv_cols]
+            g += sizes[u]
+            out[sizes.size:][key[1:]] = g
+            u0 = u.stop
         sizes = out
     return sizes
 
@@ -588,10 +651,14 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
 
     auto is the transform; direct evaluation stays as its reference.
     The hyperplane count theta_r bounds every array the transform
-    allocates: a chart holds Q^k < theta_r entries, the
-    (theta_(k-1), Q) tables theta_k - 1, and the product table of
-    GF(Q), built only for r > 1, Q^2 < theta_2.  The last result is
-    kept on v and reused only for the same engine, after the budget
+    allocates: the int32 sizes hold theta_r entries, a chart Q^k <
+    theta_r, the tables of the levels below r (Q, theta_(r-2)) <
+    theta_(r-1), a block of the last level's hyperplanes at most 2^16,
+    and the two product tables of GF(Q), built only for r > 1, Q^2 <
+    theta_2 each.
+    The transform's sizes are int32, direct evaluation's int64: it also
+    runs where the range check refuses the transform.  The last result
+    is kept on v and reused only for the same engine, after the budget
     check.
     """
     ctx, space = v.ctx, v.space
@@ -599,7 +666,10 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
     if engine == "auto":
         engine = "wht"
     if engine == "wht":
-        _check_transform_range(ctx.p, (ctx.order - 1) * v.n)
+        # p = 2 carries partial sums up to Q n in int32; odd p needs a
+        # modulus above 2 (Q - 1) n
+        q = ctx.order
+        _check_transform_range(ctx.p, (q if ctx.p == 2 else q - 1) * v.n)
     if v._hyp_sizes is not None and v._hyp_engine == engine:
         return v._hyp_sizes
     if engine == "wht":
@@ -615,10 +685,21 @@ def hyperplane_section_sizes(v: Variety, engine: str = "auto",
 def hyperplane_spectrum(v: Variety, engine: str = "auto",
                         budget: int | None = None) -> SpectrumReport:
     sizes = hyperplane_section_sizes(v, engine, budget)
-    vals, cnts = np.unique(sizes, return_counts=True)
-    counts = {int(a): int(b) for a, b in zip(vals, cnts)}
-    return SpectrumReport(v.meta(), "hyperplane", counts, int(cnts.sum()),
+    return SpectrumReport(v.meta(), "hyperplane", size_counts(sizes), len(sizes),
                           v._hyp_engine)
+
+
+def size_counts(sizes: np.ndarray) -> dict:
+    """{s: how many entries of sizes equal s}, in increasing s.  One
+    bincount over the range of sizes per block of at least
+    SUBSPACE_BLOCK entries: bincount widens its input to intp, and a
+    block as long as the range keeps the counting linear."""
+    lo = int(sizes.min())
+    width = int(sizes.max()) - lo + 1
+    step = max(SUBSPACE_BLOCK, width)
+    cnts = sum(np.bincount(sizes[at:at + step] - lo, minlength=width)
+               for at in range(0, len(sizes), step))
+    return {lo + int(s): int(cnts[s]) for s in np.flatnonzero(cnts)}
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +742,7 @@ def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
 
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
     sizes = line_section_sizes(v, budget)
-    # bincount widens its input to intp, so it takes one block at a time
-    cnts = sum(np.bincount(sizes[at:at + SUBSPACE_BLOCK], minlength=v.ctx.order + 2)
-               for at in range(0, len(sizes), SUBSPACE_BLOCK))
-    counts = {int(a): int(b) for a, b in enumerate(cnts) if b}
-    return SpectrumReport(v.meta(), "line", counts, int(cnts.sum()), "batched")
+    return SpectrumReport(v.meta(), "line", size_counts(sizes), len(sizes), "batched")
 
 
 # ---------------------------------------------------------------------------

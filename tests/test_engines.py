@@ -97,15 +97,31 @@ def test_transform_equals_direct_on_structured_sets(Q, r, block):
             assert len(moduli) == (ctx.p > 2), name
 
 
-@pytest.mark.parametrize("kind, q, r", [
+VARIETIES = [
     ("twisted", 3, 3), ("quasi-hermitian", 3, 3), ("hermitian", 3, 3),
     ("cone", 3, 3), ("twisted-infinity", 3, 3), ("twisted", 4, 3),
     ("quasi-hermitian", 4, 3), ("hermitian", 2, 3), ("hermitian", 2, 4),
-])
+]
+
+
+@pytest.mark.parametrize("kind, q, r", VARIETIES)
 def test_transform_equals_direct_on_varieties(kind, q, r):
     v = build_variety(kind, q, r)
     wht, direct, _ = _both_engines(v.ctx, v.space, v.indices)
     assert np.array_equal(wht, direct)
+
+
+@pytest.mark.parametrize("kind, q, r", VARIETIES)
+def test_section_sizes_hold_their_products_exactly(kind, q, r):
+    # cutting_blocking_check multiplies the sizes by Q - 1 in their own
+    # dtype, and surgery_check subtracts them: a signed dtype that holds
+    # (Q - 1) n, on both engines
+    v = build_variety(kind, q, r)
+    for engine in ("wht", "direct"):
+        sizes = hyperplane_section_sizes(v, engine)
+        assert np.issubdtype(sizes.dtype, np.signedinteger), engine
+        assert np.iinfo(sizes.dtype).max >= (v.ctx.order - 1) * v.n, engine
+    assert hyperplane_section_sizes(v).dtype == np.int32
 
 
 @pytest.mark.parametrize("indices", [[5, 2], [2, 2, 5]])
@@ -164,7 +180,8 @@ def test_hyperplane_count_bounds_every_transform_array(Q, r, monkeypatch):
         return _radix_p_transform(f, *args, **kwargs)
     monkeypatch.setattr(variety_mod, "_radix_p_transform", spy)
     _sizes_wht(ctx, space, np.arange(space.n_points))
-    assert len(sizes) == 2 * r
+    # per level, the chart and at least one block of hyperplanes
+    assert len(sizes) >= 2 * r
     assert max(sizes) < space.n_points
 
 
@@ -194,20 +211,21 @@ def _radix_p_by_digits(f, p, M, zeta, rows=1):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("cols", [1, 3])
 @pytest.mark.parametrize("p, digits", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 4)])
-def test_transform_passes_equal_the_one_digit_reference(p, digits, rows, block,
+def test_transform_passes_equal_the_one_digit_reference(p, digits, cols, block,
                                                         monkeypatch):
-    # odd and even digit counts: p = 2 ends on a one-digit pass when odd
+    # odd and even digit counts: p = 2 ends on a one-digit pass when odd;
+    # each column of f is one row of the reference's transposed copy
     monkeypatch.setattr(variety_mod, "_PASS_BLOCK", block)
     M, zeta = (0, 0) if p == 2 else _transform_modulus(p, 1000 * p ** digits)
-    rng = np.random.default_rng(digits * 10 + rows)
-    f = rng.integers(-1000 if p == 2 else 0, 1000, size=rows * p ** digits,
+    rng = np.random.default_rng(digits * 10 + cols)
+    f = rng.integers(-1000 if p == 2 else 0, 1000, size=(p ** digits, cols),
                      dtype=np.int32)
-    ref = f.copy()
-    _radix_p_by_digits(ref, p, M, zeta, rows=rows)
-    _radix_p_transform(f, p, M, zeta, rows=rows)
-    assert np.array_equal(f, ref)
+    ref = f.T.copy()
+    _radix_p_by_digits(ref, p, M, zeta, rows=cols)
+    _radix_p_transform(f, p, M, zeta, cols=cols)
+    assert np.array_equal(f, ref.T)
 
 
 def _trace_digits(ctx):
@@ -222,24 +240,36 @@ def test_scaled_tables_equal_their_definition(Q):
     trd = _trace_digits(ctx)
     pts = pg_space(ctx, 2).points
     elems = np.arange(Q)
-    for k, (idx, key) in enumerate(_scaled_tables(ctx, trd, 3), 1):
-        # the hyperplanes of PG(k-1): its first theta_(k-1) rows
-        hyp = pts[:num_points(k - 1, Q), 3 - k:]
-        want_key = np.zeros((len(hyp), Q), dtype=np.int64)
-        want_idx = np.zeros((len(hyp), Q), dtype=np.int64)
-        for i in range(k):
-            cu = ctx.vmul(hyp[:, i, None], elems)
-            want_key += cu * Q ** (k - 1 - i)
-            want_idx += trd[cu] * Q ** (k - 1 - i)
-        assert np.array_equal(key, want_key) and np.array_equal(idx, want_idx)
-        # c u over c != 0 and the hyperplanes: each nonzero vector once
-        assert np.array_equal(np.sort(key[:, 1:], axis=None), np.arange(1, Q ** k))
+    # one hyperplane per block, blocks that straddle the held and the
+    # added hyperplanes of the last level, and one block per level
+    for block in (1, 100, 1 << 16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variety_mod, "_PASS_BLOCK", block)
+            levels = [np.concatenate(list(blocks), axis=2)
+                      for blocks in _scaled_tables(ctx, trd, 3)]
+        for k, (idx, key) in enumerate(levels, 1):
+            idx, key = idx.T, key.T
+            # the hyperplanes of PG(k-1): its first theta_(k-1) rows
+            hyp = pts[:num_points(k - 1, Q), 3 - k:]
+            want_key = np.zeros((len(hyp), Q), dtype=np.int64)
+            want_idx = np.zeros((len(hyp), Q), dtype=np.int64)
+            for i in range(k):
+                cu = ctx.vmul(hyp[:, i, None], elems)
+                want_key += cu * Q ** (k - 1 - i)
+                want_idx += trd[cu] * Q ** (k - 1 - i)
+            assert np.array_equal(key, want_key) and np.array_equal(idx, want_idx)
+            # c u over c != 0 and the hyperplanes: each nonzero vector once
+            assert np.array_equal(np.sort(key[:, 1:], axis=None), np.arange(1, Q ** k))
 
 
-@pytest.mark.parametrize("Q, r", SPACES + [(64, 2), (3721, 1)])
+@pytest.mark.parametrize("Q, r", SPACES + [(64, 2), (3721, 1), (64, 3), (16, 4)])
 def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
-    # 24 eight-byte words per hyperplane, past a fixed 16 KiB of small
-    # objects; a Q x Q table at PG(1, 3721) alone would take 110 MB
+    # 32 bytes per hyperplane, past a fixed 16 KiB of small objects: the
+    # int32 sizes and the chart take 8, and the last level's tables and
+    # transform run in blocks of hyperplanes.  At r = 1 the one level is one row of
+    # Q ~ theta_1 entries, which no block splits, so the field's rows and
+    # an odd-p contraction of that row keep the former 24 words; a Q x Q
+    # table at PG(1, 3721) alone would take 110 MB
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
     every = np.arange(space.n_points)
@@ -250,7 +280,7 @@ def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 8 * space.n_points + (1 << 14)
+    assert peak < (32 if r > 1 else 24 * 8) * space.n_points + (1 << 14)
 
 
 def test_transform_range():
@@ -266,15 +296,20 @@ def test_transform_range():
             _check_transform_range(p, L // 2 + 1)
 
 
+def _stand_in(Q, r, n):
+    """A variety of n points of PG(r, Q) that holds no point."""
+    return SimpleNamespace(ctx=field_for_order(Q), r=r, n=n,
+                           space=SimpleNamespace(n_points=num_points(r, Q)),
+                           indices=None, _hyp_sizes=None, _hyp_engine=None)
+
+
 @pytest.mark.parametrize("Q, r", [(64, 5), (27, 6)])
 def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     # a stand-in for 2^26 points, whose character sums outgrow int32
     # (p = 2) or the int64 products modulo M (odd p); auto refuses too,
     # as for hermitian(89,2), (Q-1) n about 5.6 10^9, where direct
     # evaluation is the only engine left
-    v = SimpleNamespace(ctx=field_for_order(Q), r=r, n=2 ** 26,
-                        space=SimpleNamespace(n_points=num_points(r, Q)),
-                        indices=None, _hyp_sizes=None, _hyp_engine=None)
+    v = _stand_in(Q, r, 2 ** 26)
 
     def spy(*args):
         raise AssertionError("the transform must not start")
@@ -282,3 +317,17 @@ def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     for engine in ("wht", "auto"):
         with pytest.raises(BudgetError, match="character transform with sums"):
             hyperplane_section_sizes(v, engine, budget=2 ** 40)
+
+
+def test_transform_range_for_p2_bounds_q_times_n(monkeypatch):
+    # p = 2 carries the second transform's partial sums, up to Q n, in
+    # int32: at Q = 64, n = 2^25 has 63 n < 2^31 <= 64 n and is refused,
+    # and one point fewer starts the transform
+    calls = []
+    monkeypatch.setattr(variety_mod, "_sizes_wht",
+                        lambda *args: calls.append(args) or np.zeros(1, np.int32))
+    with pytest.raises(BudgetError, match="sums up to 2147483648"):
+        hyperplane_section_sizes(_stand_in(64, 5, 2 ** 25), budget=2 ** 40)
+    assert calls == []
+    hyperplane_section_sizes(_stand_in(64, 5, 2 ** 25 - 1), budget=2 ** 40)
+    assert len(calls) == 1

@@ -190,6 +190,24 @@ def test_surgery_identity_exact():
     assert rep["max_abs_residual"] == 0
 
 
+def test_surgery_check_sees_a_residual_of_minus_one(monkeypatch):
+    # one twisted section one point short: the signed sizes give a
+    # residual of -1 there, not an unsigned wrap-around
+    real = variety_mod.hyperplane_section_sizes
+
+    def planted(v, *args, **kwargs):
+        sizes = real(v, *args, **kwargs)
+        if v.kind == "twisted":
+            sizes = sizes.copy()
+            sizes[7] -= 1
+        return sizes
+    monkeypatch.setattr(variety_mod, "hyperplane_section_sizes", planted)
+    rep = surgery_check(default_params(3, 3))
+    assert rep["sets_match"]
+    assert not rep["per_hyperplane_ok"]
+    assert rep["max_abs_residual"] == 1
+
+
 def test_meta_carries_provenance(tw33):
     meta = tw33.meta()
     assert meta["point_order"] == "lex-v1"
