@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .budget import BudgetError, DEFAULT_BUDGET, check_budget
 from .gf import (CONWAY_POLYNOMIALS, FieldError, FiniteField,
                  factor_prime_power, field_for_order, make_field)
-from .geom import ProjectiveSpace, pg_space, num_points, line_count
+from .geom import ProjectiveSpace, pg_space, num_points
 from .variety import (POINT_ORDER_VERSION, Clause, ParamsError, Predicted,
                       SpectrumReport, TwistedParams, ValidationReport,
                       Variety, build_cone, build_hermitian,

@@ -213,6 +213,8 @@ class DivisibilityReport:
 
 
 def divisibility_report(dist: WeightDistribution, divisor: int) -> DivisibilityReport:
+    if divisor < 1:
+        raise CodeError(f"divisor {divisor} must be at least 1")
     offenders = {w: c for w, c in dist.weights.items() if w % divisor}
     return DivisibilityReport(divisor, not offenders, offenders)
 

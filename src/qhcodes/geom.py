@@ -11,7 +11,7 @@ a point P lies on a hyperplane H iff sum(P_i * H_i) = 0.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -37,17 +37,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def normalize_point(ctx: FiniteField, vec) -> tuple:
-    vec = tuple(int(v) for v in vec)
-    for i, v in enumerate(vec):
-        if v:
-            if v == 1:
-                return vec
-            s = ctx.inv(v)
-            return tuple(0 if j < i else ctx.mul(s, w) for j, w in enumerate(vec))
-    raise ValueError("the zero vector is not a projective point")
-
-
 def _digit_matrix(q: int, width: int, n: np.ndarray) -> np.ndarray:
     """Rows of the width base-q digits of n, most significant first."""
     n = np.array(n, dtype=np.int64)
@@ -60,8 +49,9 @@ def _digit_matrix(q: int, width: int, n: np.ndarray) -> np.ndarray:
 class ProjectiveSpace:
     """PG(r, q) in canonical order: the points whose leading 1 has w
     coordinates after it have indices theta_(w-1) .. theta_w - 1, the
-    i-th with key (its base-q value) q^w + i; theta_(-1) = 0.  points and
-    keys, the full tables, serve tests and the direct reference engine.
+    i-th with key (its base-q value) q^w + i; theta_(-1) = 0.  No table
+    of points or keys is stored: callers derive the rows of the indices
+    they need, a block at a time.
     Unmetered: the variety builders check the budget before a scan."""
 
     def __init__(self, ctx: FiniteField, r: int):
@@ -81,18 +71,6 @@ class ProjectiveSpace:
     def rows(self, idx) -> np.ndarray:
         """Coordinate rows, int64, of the points with canonical indices idx."""
         return _digit_matrix(self.ctx.order, self.r + 1, self.keys_of(idx))
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        return self.rows(np.arange(self.n_points))
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return self.keys_of(np.arange(self.n_points))
-
-    def index_of(self, vec) -> int:
-        """Canonical index of a (normalized) point."""
-        return int(self.index_array(np.array([vec], dtype=np.int64))[0])
 
     def index_array(self, pts: np.ndarray) -> np.ndarray:
         """Canonical indices of the rows of pts, all normalized points.
@@ -323,6 +301,3 @@ def _combinations(ctx: FiniteField, base: np.ndarray, rest: tuple):
         part = base if c == 0 else ctx.vadd(base, ctx.scalar_mul_row(c)[rest[0]])
         yield from _combinations(ctx, part, rest[1:])
 
-
-def line_count(ctx: FiniteField, r: int) -> int:
-    return gaussian_binomial(r + 1, 2, ctx.order)

@@ -314,10 +314,6 @@ class FiniteField:
         self._require_subfield()
         return self.pow(a, self.sub_order)
 
-    def in_subfield(self, a: int) -> bool:
-        self._require_subfield()
-        return self._down[a] >= 0
-
     def to_subfield(self, a: int) -> int:
         """Encoding of a in the GF(q) context; a must lie in the subfield."""
         self._require_subfield()
@@ -325,18 +321,6 @@ class FiniteField:
         if e < 0:
             raise FieldError(f"element {a} is not in GF({self.sub_order})")
         return e
-
-    def embed_subfield(self, e: int) -> int:
-        self._require_subfield()
-        return int(self.embed_table[e])
-
-    def trace_norm(self, a: int):
-        """Trace a + a^q and norm a * a^q down to GF(q), as subfield encodings."""
-        self._require_subfield()
-        c = self.frobenius_q(a)
-        t = self.add(a, c)
-        n = self.mul(a, c)
-        return self.to_subfield(t), self.to_subfield(n)
 
     def is_square(self, a: int) -> bool:
         if self.p == 2:

@@ -346,20 +346,17 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
 # ---------------------------------------------------------------------------
 # permutation groups and development
 
-@dataclass
+@dataclass(frozen=True)
 class PermGroup:
+    """A permutation group with all its elements, as group_closure
+    builds it."""
     degree: int
     generators: tuple
-    _elements: tuple | None = field(default=None, repr=False, compare=False)
+    elements: tuple = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements())
-
-    def elements(self, budget: int | None = None) -> tuple:
-        if self._elements is None:
-            self._elements = _closure(self.generators, self.degree, budget)
-        return self._elements
+        return len(self.elements)
 
 
 def _closure(gens, degree, budget=None) -> tuple:
@@ -396,9 +393,7 @@ def group_closure(gens, degree: int, budget: int | None = None) -> PermGroup:
             if sorted(t) != list(range(degree)):
                 raise SSSError("not a permutation in one-line notation")
             parsed.append(t)
-    group = PermGroup(degree, tuple(parsed))
-    group.elements(budget)
-    return group
+    return PermGroup(degree, tuple(parsed), _closure(parsed, degree, budget))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -442,17 +437,16 @@ def _unique_bool_rows(rows: np.ndarray) -> np.ndarray:
 def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStructure:
     """All images of the starter sets under the full group, one row per
     distinct image, ordered as binary numbers with label i worth 2^(i-1)."""
-    elements = group.elements(budget)
-    work = len(elements) * len(starters)
+    work = group.order * len(starters)
     check_budget(f"developing {work} set images", work, budget)
     starts = label_rows(starters, group.degree)
-    images = np.concatenate([permute_rows(g, starts) for g in elements])
+    images = np.concatenate([permute_rows(g, starts) for g in group.elements])
     # unique sorts from the first column: reversed, the highest label leads
     matrix = _unique_bool_rows(images[:, ::-1])[:, ::-1]
     return AccessStructure(tuple((np.flatnonzero(matrix.any(axis=0)) + 1).tolist()),
                            matrix,
                            {"source": "development", "degree": group.degree,
-                            "group_order": len(elements),
+                            "group_order": group.order,
                             "starters": [sorted(int(i) for i in s)
                                          for s in starters]})
 

@@ -384,10 +384,17 @@ class SpectrumReport:
 
 def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
                   indices: np.ndarray) -> np.ndarray:
-    out = np.empty(space.n_points, dtype=np.int64)
+    """The reference engine: |H meet V| for every hyperplane H, as n
+    minus the points of V off H, by one dot_rows per H.  The rows of the
+    hyperplanes are derived SUBSPACE_BLOCK at a time, as _build derives
+    the points', so no table of PG(r, Q) is held."""
+    total = space.n_points
+    out = np.empty(total, dtype=np.int64)
     n, vcoords = len(indices), space.rows(indices)
-    for i, h in enumerate(space.points):
-        out[i] = n - int(np.count_nonzero(dot_rows(ctx, h, vcoords)))
+    for lo in range(0, total, SUBSPACE_BLOCK):
+        hyps = space.rows(np.arange(lo, min(lo + SUBSPACE_BLOCK, total)))
+        for i, h in enumerate(hyps, lo):
+            out[i] = n - int(np.count_nonzero(dot_rows(ctx, h, vcoords)))
     return out
 
 

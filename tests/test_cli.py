@@ -189,6 +189,16 @@ def test_code_divisibility(capsys):
     assert doc["report"]["divisibility"]["all_divisible"] is True
 
 
+@pytest.mark.parametrize("divisor", ["0", "-3"])
+def test_divisor_below_one_is_an_error_exit_2(divisor, capsys):
+    rc, out, err = run(capsys, "code", "divisibility", "--q", "3", "--r", "3",
+                       "--divisor", divisor)
+    assert rc == 2
+    assert out == ""
+    assert f"error: divisor {divisor} must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_code_dk(capsys):
     rc, doc, _ = run_json(capsys, "code", "dk", "--q", "3", "--r", "3",
                           "--k", "2")

@@ -109,7 +109,7 @@ def _cutting_by_ranks(v):
     section and stop at the first that does not span its hyperplane."""
     ctx, space = v.ctx, v.space
     pts = space.rows(v.indices)
-    for i, h in enumerate(space.points):
+    for i, h in enumerate(space.rows(np.arange(space.n_points))):
         mask = dot_rows(ctx, h, pts) == 0
         rank = span_rank(ctx, pts[mask]) if mask.any() else 0
         if rank != v.r:
@@ -147,7 +147,7 @@ def _cutting_by_pencils(v):
                     witness = min(witness, int(fail.min()))
     if witness == space.n_points:
         return CuttingReport(True, space.n_points)
-    h, pts = space.points[witness], space.rows(v.indices)
+    h, pts = space.rows([witness])[0], space.rows(v.indices)
     mask = dot_rows(ctx, h, pts) == 0
     rank = span_rank(ctx, pts[mask]) if mask.any() else 0
     return CuttingReport(False, space.n_points, witness, tuple(int(x) for x in h), rank)
@@ -186,12 +186,12 @@ RATIO_MISSES = {(4, 2): (0, 1, 5), (9, 2): (0, 2, 10), (4, 3): (0, 2, 6),
 def test_pencils_agree_with_ranks_on_random_point_sets(Q, r):
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
-    seen = set()
+    pts = space.rows(np.arange(space.n_points))
 
     def union(hyps):
         mask = np.zeros(space.n_points, dtype=bool)
         for h in hyps:
-            mask |= dot_rows(ctx, space.points[h], space.points) == 0
+            mask |= dot_rows(ctx, pts[h], pts) == 0
         return mask
 
     def verdicts(mask):
@@ -220,16 +220,16 @@ def test_pencils_agree_with_ranks_on_random_point_sets(Q, r):
             mask[sorted(drawn)] = shape != "dense"
         ab, ok = verdicts(mask)
         event(f"Q={Q} r={r} {shape} cutting={ok}")
-        if ab is not None:
-            seen.add((ab, ok))
 
     check()
-    assert {ok for _, ok in seen} == {True, False}
-    # from r = 2 on, a minimal code that the weight ratio condition
-    # misses, so that the candidate ranks are exercised.  The drawn
-    # examples move with this function's source and with the modules
-    # loaded, whose constants hypothesis also draws, so a pinned union
-    # carries it
+    # the drawn examples move with this function's source and with the
+    # modules loaded, whose constants hypothesis also draws, so pinned
+    # sets carry the coverage: the whole space cuts, one hyperplane does
+    # not, and from r = 2 on a union of three is a minimal code that the
+    # weight ratio condition misses, so that the candidate ranks are
+    # exercised
+    assert verdicts(np.ones(space.n_points, dtype=bool))[1]
+    assert not verdicts(union([0]))[1]
     if r >= 2:
         assert verdicts(union(RATIO_MISSES[Q, r])) == (False, True)
 
@@ -240,7 +240,8 @@ def test_cutting_where_the_ratio_condition_fails_on_a_minimal_code():
     q w_min = 4 * 7 does not exceed (q-1) w_max = 3 * 10."""
     ctx = field_for_order(4)
     space = pg_space(ctx, 2)
-    v = Variety("subset", ctx, 2, space, np.flatnonzero((space.points == 0).any(axis=1)))
+    sides = (space.rows(np.arange(space.n_points)) == 0).any(axis=1)
+    v = Variety("subset", ctx, 2, space, np.flatnonzero(sides))
     dist = weights_from_sections(v)
     assert (v.n, dist.w_min, dist.w_max) == (12, 7, 10)
     assert not ab_condition(dist).passes
@@ -486,7 +487,11 @@ def test_bruteforce_minimality_finds_a_witness_beyond_the_first_word():
 
 
 def test_bruteforce_minimality_matches_the_pair_loop_on_random_codes():
-    seen = set()
+    def verdict(Q, cols):
+        code = LinearCode(field_for_order(Q), np.array(cols, dtype=np.int64))
+        rep = minimality_bruteforce(code)
+        assert rep == _minimality_by_pairs(code)
+        return rep.ok, rep.classes > 64
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(Q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
@@ -507,15 +512,16 @@ def test_bruteforce_minimality_matches_the_pair_loop_on_random_codes():
             # all but at most two columns inside the hyperplane x_0 = 0
             keep = data.draw(st.integers(0, 2))
             cols = cols[:keep] + [[0] + c[1:] for c in cols[keep:]]
-        code = LinearCode(field_for_order(Q), np.array(cols, dtype=np.int64))
-        rep = minimality_bruteforce(code)
-        event(f"{shape} minimal={rep.ok}")
-        assert rep == _minimality_by_pairs(code)
-        seen.add((rep.ok, rep.classes > 64))
+        event(f"{shape} minimal={verdict(Q, cols)[0]}")
 
     check()
-    assert {ok for ok, _ in seen} == {True, False}
-    assert (False, True) in seen
+    # the drawn examples move with the modules loaded, whose constants
+    # hypothesis also draws, so pinned codes carry the coverage: the
+    # binary simplex code of dimension 3 is minimal, and GF(2)^7, all
+    # supports, is not, on 127 classes whose bitsets span two words
+    simplex = [[(j >> i) & 1 for i in range(3)] for j in range(1, 8)]
+    assert verdict(2, simplex) == (True, False)
+    assert verdict(2, np.eye(7)) == (False, True)
 
 
 @pytest.mark.parametrize("kind,q,r", [("twisted", 4, 3), ("twisted", 3, 3),

@@ -76,7 +76,7 @@ def _structured_sets(space):
     """Indices of point sets that empty or fill whole charts: none, all,
     X_0 = 0 (PG(r-1) at infinity), X_0 = 1 (the affine chart A_r), and
     the last point of each chart PG(k), one per level k = 0 .. r."""
-    pts = space.points
+    pts = space.rows(np.arange(space.n_points))
     Q, r = space.ctx.order, space.r
     last = np.array([num_points(k, Q) - 1 for k in range(r + 1)])
     return {"empty": last[:0], "all": np.arange(space.n_points),
@@ -238,7 +238,7 @@ def _trace_digits(ctx):
 def test_scaled_tables_equal_their_definition(Q):
     ctx = field_for_order(Q)
     trd = _trace_digits(ctx)
-    pts = pg_space(ctx, 2).points
+    pts = pg_space(ctx, 2).rows(np.arange(num_points(2, Q)))
     elems = np.arange(Q)
     # one hyperplane per block, blocks that straddle the held and the
     # added hyperplanes of the last level, and one block per level

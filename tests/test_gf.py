@@ -53,7 +53,7 @@ def test_frobenius_fixed_field():
         ctx = field_for_order(q * q)
         fixed = [a for a in ctx.elements() if ctx.frobenius_q(a) == a]
         assert len(fixed) == q
-        assert all(ctx.in_subfield(a) for a in fixed)
+        assert sorted(fixed) == sorted(ctx.embed_table.tolist())
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -72,7 +72,9 @@ def test_trace_norm_land_in_subfield():
     traces = set()
     norms = set()
     for a in ctx.elements():
-        t, n = ctx.trace_norm(a)
+        # a + a^q and a a^q lie in GF(q); to_subfield refuses all else
+        c = ctx.frobenius_q(a)
+        t, n = ctx.to_subfield(ctx.add(a, c)), ctx.to_subfield(ctx.mul(a, c))
         assert 0 <= t < q and 0 <= n < q
         traces.add(t)
         norms.add(n)
@@ -82,17 +84,14 @@ def test_trace_norm_land_in_subfield():
 
 def test_subfield_roundtrip():
     ctx = make_field(3, 2)
-    sub = ctx.subfield
+    sub, up = ctx.subfield, ctx.embed_table
     for e in range(sub.order):
-        up = ctx.embed_subfield(e)
-        assert ctx.to_subfield(up) == e
+        assert ctx.to_subfield(int(up[e])) == e
     # embedding respects the operations
     for a in range(sub.order):
         for b in range(sub.order):
-            assert ctx.embed_subfield(sub.add(a, b)) == ctx.add(
-                ctx.embed_subfield(a), ctx.embed_subfield(b))
-            assert ctx.embed_subfield(sub.mul(a, b)) == ctx.mul(
-                ctx.embed_subfield(a), ctx.embed_subfield(b))
+            assert up[sub.add(a, b)] == ctx.add(int(up[a]), int(up[b]))
+            assert up[sub.mul(a, b)] == ctx.mul(int(up[a]), int(up[b]))
 
 
 def test_square_counts_odd_q():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qhcodes.sss as sss_mod
@@ -423,7 +423,7 @@ def _ref_develop_bits(starters, group):
     images = set()
     for s in starters:
         fs = frozenset(int(i) for i in s)
-        for g in group.elements():
+        for g in group.elements:
             images.add(frozenset(g[i - 1] + 1 for i in fs))
     return sorted(sum(1 << (i - 1) for i in img) for img in images)
 
@@ -480,6 +480,12 @@ def test_is_antichain_matches_bitset_reference_on_random_families():
     @given(n_rows=st.integers(0, 200), n_cols=st.integers(0, 70),
            density=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
            extra=st.sampled_from(["none", "empty", "full", "repeated", "subset"]))
+    # the drawn examples move with the modules loaded, whose constants
+    # hypothesis also draws, so these carry the four verdicts below
+    @example(n_rows=100, n_cols=70, density=0.5, seed=0, extra="none")
+    @example(n_rows=100, n_cols=70, density=0.5, seed=0, extra="subset")
+    @example(n_rows=10, n_cols=20, density=0.5, seed=0, extra="none")
+    @example(n_rows=10, n_cols=20, density=0.5, seed=0, extra="subset")
     def check(n_rows, n_cols, density, seed, extra):
         # one density for all rows: wide families spread over several
         # sizes yet rarely nest, narrow ones nest or repeat
@@ -532,7 +538,8 @@ def test_democracy_closed_form(kind, q, r):
     assert rep.is_democratic
     assert rep.uniform_count == big_q ** r - big_q ** (r - 1)
     sizes = hyperplane_section_sizes(v)
-    off_p0 = dot_rows(v.ctx, v.space.rows(v.indices[:1])[0], v.space.points) != 0
+    hyps = v.space.rows(np.arange(v.space.n_points))
+    off_p0 = dot_rows(v.ctx, v.space.rows(v.indices[:1])[0], hyps) != 0
     assert acc.size_profile() == dict(Counter((v.n - 1 - sizes[off_p0]).tolist()))
 
 

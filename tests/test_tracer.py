@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps qhcodes functions by name from outside
 (perfbench/spans.py), so a renamed or removed function would silently
-drop its metric.  Installing it here fails on any name it cannot find.
+drop its metric.  Installing it here fails on any name it cannot find,
+and the library jobs (perfbench/job.py) run here on small varieties.
 """
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -13,7 +15,9 @@ from qhcodes import sss, variety
 from qhcodes.geom import gaussian_binomial
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import job  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_wraps_every_layer():
@@ -58,3 +62,15 @@ def test_tracer_counts_direct_incidences():
         tr.restore()
     assert v.n == 45
     assert tr.counters["variety.sizes.direct.incidences"] == v.space.n_points * v.n
+
+
+def test_library_jobs_run_and_pass_their_checks(tmp_path):
+    builds = [["hermitian", 2, 3], ["twisted", 3, 3]]
+    calls = [[fn, *b] for b in builds for fn in job.LIBRARY_CALLS]
+    spec = {"builds": builds, "calls": calls, "result": str(tmp_path / "result.json")}
+    assert job.run_library(qhcodes, spec, None, [None]) == 0
+    results = json.loads((tmp_path / "result.json").read_text())["results"]
+    assert [res["call"] for res in results] == calls
+    for res in results:
+        assert "error" not in res, res.get("error")
+        assert workloads.library_problems(res["call"], res["data"]) == []

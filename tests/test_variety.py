@@ -8,7 +8,7 @@ import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
 from qhcodes.code import cutting_blocking_check, higher_weight, minimality_summary
-from qhcodes.geom import ProjectiveSpace, num_points, pg_space
+from qhcodes.geom import ProjectiveSpace, num_points
 from qhcodes.gf import make_field
 from qhcodes.sss import access_structure, democracy_report
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
@@ -282,7 +282,7 @@ BUILD_CASES = [(kind, q, r) for kind in REFERENCE_MASKS
 @pytest.mark.parametrize("kind,q,r", BUILD_CASES)
 def test_builders_match_reference_masks(kind, q, r):
     v = build_variety(kind, q, r)
-    pts = pg_space(v.ctx, r).points
+    pts = v.space.rows(np.arange(v.space.n_points))
     ref = np.nonzero(REFERENCE_MASKS[kind](v.params, v.ctx, r, pts))[0]
     assert np.array_equal(v.indices, ref)
 
@@ -318,18 +318,18 @@ def test_points_budget_is_the_only_bound(monkeypatch):
     assert ProjectiveSpace(make_field(2, 2), 2).n_points == 21
 
 
-def test_no_path_reads_the_point_table(monkeypatch):
-    """Builders, spectra, minimality and the access structure derive
-    the rows and keys they need; none reads the full tables."""
-    def refuse(space):
-        raise AssertionError("the point table was read")
-    monkeypatch.setattr(ProjectiveSpace, "points", property(refuse))
-    monkeypatch.setattr(ProjectiveSpace, "keys", property(refuse))
+def test_no_path_reads_the_point_table():
+    """Builders, spectra of both engines, minimality and the access
+    structure derive the rows and keys they need: a space has no full
+    table to read."""
+    assert not hasattr(ProjectiveSpace, "points")
+    assert not hasattr(ProjectiveSpace, "keys")
     for kind in REFERENCE_MASKS:
         assert build_variety(kind, 3, 3).n > 0
     for kind, q, r in [("twisted", 3, 3), ("twisted", 4, 3),
                        ("hermitian", 2, 3), ("hermitian", 2, 4)]:
         v = build_variety(kind, q, r)
+        hyperplane_spectrum(v, engine="direct")
         hyperplane_spectrum(v)
         line_spectrum(v)
         higher_weight(v, 2)
@@ -350,6 +350,23 @@ def test_build_peaks_below_one_point_table():
         tracemalloc.stop()
     assert v.n == hermitian_size(3, 8)
     assert peak < 8 * 4 * theta
+
+
+def test_direct_engine_peaks_below_one_point_table(monkeypatch):
+    """The reference engine walks the hyperplanes a block at a time, on
+    a fresh space, below the 8 (r+1) theta_r bytes of a point table."""
+    v = build_variety("hermitian", 4, 3)
+    want = hyperplane_section_sizes(v)
+    space = ProjectiveSpace(v.ctx, 3)
+    monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", 64)
+    tracemalloc.start()
+    try:
+        sizes = variety_mod._sizes_direct(v.ctx, space, v.indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sizes, want)
+    assert peak < 8 * 4 * num_points(3, 16) == 139808
 
 
 def test_a_built_variety_holds_only_its_indices():
