@@ -62,14 +62,6 @@ class LinearCode:
     def k(self) -> int:
         return int(self.cols.shape[1])
 
-    def codeword(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64)
-        if u.shape != (self.k,):
-            raise CodeError(f"message must have length {self.k}")
-        if not u.any():
-            return np.zeros(self.n, dtype=np.int64)
-        return dot_rows(self.ctx, u, self.cols)
-
     def message_block(self, lo: int, hi: int) -> np.ndarray:
         """Messages lo .. hi-1 as base-q digit rows, most significant first."""
         return _digit_matrix(self.ctx.order, self.k, np.arange(lo, hi))

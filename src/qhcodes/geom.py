@@ -19,8 +19,9 @@ import numpy as np
 from .budget import check_budget
 from .gf import FiniteField
 
-# subspaces per block of rref_bases, keys per chunk of subspace_keys,
-# points per chunk of a variety build; bounds the memory of every caller
+# subspaces per block of rref_bases, keys per chunk of subspace_counts,
+# points per chunk of a variety build, entries per block of a transform
+# pass or of the access matrix's codewords; bounds the memory of every caller
 SUBSPACE_BLOCK = 1 << 16
 
 
@@ -180,42 +181,42 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
             yield tuple(rows)
 
 
-def subspace_keys(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
-    """The points of the subspaces of rref_bases as keys, without the rows.
+def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
+                    budget: int | None = None) -> np.ndarray:
+    """|S meet V| for V the points with canonical indices `indices` and
+    every subspace S of vector dimension nrows, in rref_bases order,
+    without the rows of rref_bases or subspace_points.
 
-    Makes the budget check of rref_bases at once, then returns an
-    iterator with one item (at, shape, starts, offsets, chunks) per
-    choice of pivot columns and lead row t.  That choice's subspaces
-    are those from at on in rref_bases order, their counter reshaped to
-    shape = (P, M, Y, Z): the digits of the rows before t (on which
-    lead t's points do not depend), of row t left and right of row t+1's
-    pivot, and of the rows after t.  For the k-th coefficient pattern of
-    subspace_points with lead t, start = starts[k] fixes the pivot
-    entries, and chunks yields (z, rows), z a slice of the Z axis with
-    at most SUBSPACE_BLOCK keys unless one z has more: the pattern's
-    keys are start + offsets[:, rows[k]], in layout (M, len(z), Y).
-
-    Row t's digits left of row t+1's pivot add as integers, in the rows
-    of offsets.  Right of it, in the f columns that are no pivot, row t's
-    digits y take the field sum with x, the sum of the c_j multiples of
-    the later rows: rows[k] holds row x of one table of sums (_low_adder)
-    over keys of f digits, and offsets maps its columns to the keys.  The
-    table has no more entries than the subspaces the budget meters.
+    Makes the budget check of rref_bases before anything is built.  The
+    sizes are np.min_scalar_type(theta), theta = (q^nrows - 1) / (q - 1)
+    the number of points of one S.  V is a boolean mask over all 2 q^r
+    keys.  The subspaces of one choice of pivot columns, counted from
+    lead row t, form a (P, M, Y, Z) counter: the digits of the rows
+    before t (on which lead t's points do not depend), of row t left and
+    right of row t+1's pivot, and of the rows after t.  Row t's digits
+    left of row t+1's pivot add as integers, in the rows of offsets, so
+    each coefficient pattern reads its (M, Y) run of the mask once, from
+    the key of its pivot entries.  Right of that pivot, in the f columns
+    that are no pivot, row t's digits y take the field sum with x, the
+    sum of the c_j multiples of the later rows: one table of sums
+    (_low_adder) over keys of f digits, no larger than the number of
+    subspaces the budget meters, maps (x, y) to the run's column.  The Z
+    axis goes in chunks of at most SUBSPACE_BLOCK keys (unless one z has
+    more); each pattern's table rows for a chunk are gathered and added
+    to the chunk's counts before the next pattern's are made.
     """
-    q = ctx.order
+    ctx, r, q = space.ctx, space.r, space.ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
-    return _key_blocks(ctx, r, nrows)
-
-
-def _key_blocks(ctx: FiniteField, r: int, nrows: int):
-    q = ctx.order
+    mask = np.zeros(2 * q ** r, dtype=bool)
+    mask[space.keys_of(indices)] = True
     weight = [q ** (r - c) for c in range(r + 1)]
     # the widest sum is that of row 1 of pivots 0, 1, ..., nrows-1
     width = r + 1 - nrows if nrows > 1 else 0
     table = _low_adder(ctx, width)
     # scaled[c, d]: key of c times the digits d, on the table's keys
     scaled = _scaled_keys(ctx, [q ** i for i in range(width - 1, -1, -1)]).astype(table.dtype)
+    sizes = np.zeros(total, dtype=np.min_scalar_type(num_points(nrows - 1, q)))
     at = 0
     for pivots, free, _ in _pivot_blocks(q, r, nrows):
         widths = [len(cols) for cols in free]
@@ -229,20 +230,23 @@ def _key_blocks(ctx: FiniteField, r: int, nrows: int):
             offsets = np.arange(M)[:, None] * step + _scaled_keys(
                 ctx, [weight[c] for c in low])[1]
             offsets = offsets.astype(np.min_scalar_type(weight[pivots[t]] - 1))
-            starts = [weight[pivots[t]] + sum(c * weight[p] for c, p in zip(cs, pivots[t + 1:]))
-                      for cs in product(range(q), repeat=nrows - 1 - t)]
+            starts = (weight[pivots[t]] + sum(c * weight[p]
+                                              for c, p in zip(cs, pivots[t + 1:]))
+                      for cs in product(range(q), repeat=nrows - 1 - t))
+            runs = [mask[start:][offsets] for start in starts]
             spans = [(q ** sum(widths[j + 1:]), q ** widths[j]) for j in range(t + 1, nrows)]
-            yield (at, (P, M, Y, Z), starts, offsets,
-                   _chunks(table, scaled, spans, Y, Z, max(1, SUBSPACE_BLOCK // (M * Y))))
+            out = sizes[at:at + size].reshape(P, M, Y, Z)
+            chunk = max(1, SUBSPACE_BLOCK // (M * Y))
+            for lo in range(0, Z, chunk):
+                n = np.arange(lo, min(lo + chunk, Z), dtype=np.intp)
+                subs = [n // shift % w for shift, w in spans]
+                cnt = np.zeros((M, len(n), Y), dtype=sizes.dtype)
+                sums = _sums(table, scaled, np.zeros(len(n), dtype=table.dtype), subs)
+                for run, x in zip(runs, sums, strict=True):
+                    cnt += run.take(table[x, :Y], axis=1)
+                out[..., lo:lo + len(n)] += cnt.transpose(0, 2, 1)
         at += size
-
-
-def _chunks(table, scaled, spans, Y, Z, step):
-    for lo in range(0, Z, step):
-        n = np.arange(lo, min(lo + step, Z), dtype=np.intp)
-        subs = [n // shift % width for shift, width in spans]
-        sums = _sums(table, scaled, np.zeros(len(n), dtype=table.dtype), subs)
-        yield slice(lo, lo + len(n)), [table[x, :Y] for x in sums]
+    return sizes
 
 
 def _sums(table, scaled, part, subs):

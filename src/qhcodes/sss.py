@@ -31,7 +31,7 @@ import numpy as np
 from .budget import check_budget
 from .code import (LinearCode, _unique_rows, code_from_variety,
                    cutting_blocking_check, first_inside)
-from .geom import row_reduce
+from .geom import SUBSPACE_BLOCK, row_reduce
 from .variety import Variety
 
 CLOSURE_CAP = 10 ** 6
@@ -115,7 +115,7 @@ def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
         if i != piv and u[i]:
             acc = ctx.add(acc, ctx.mul(int(u[i]), int(g0[i])))
     u[piv] = ctx.div(ctx.sub(secret, acc), int(g0[piv]))
-    word = scheme.code.codeword(u)
+    word = scheme.code.codeword_block(u[None])[0]
     shares = {i: int(word[i]) for i in range(1, scheme.code.n)}
     return DealReport(secret, seed, shares)
 
@@ -167,9 +167,6 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # access structures
-
-BLOCK_ENTRIES = 2 ** 18    # per block of hyperplane codewords
-
 
 @dataclass
 class AccessStructure:
@@ -261,7 +258,7 @@ def access_structure(v: Variety, p0: int = 0,
             f"rank-{cut.witness_rank} section)")
     entries = v.ctx.order ** v.r * (code.n - 1)
     check_budget(f"an access matrix of {entries} entries", entries, budget)
-    space, step = v.space, BLOCK_ENTRIES // code.n + 1
+    space, step = v.space, SUBSPACE_BLOCK // code.n + 1
     words = (code.codeword_block(space.rows(np.arange(lo, min(lo + step, space.n_points))))
              for lo in range(0, space.n_points, step))
     matrix = np.concatenate([w[w[:, 0] != 0, 1:] != 0 for w in words])

@@ -23,13 +23,13 @@ validate_params for the exact clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, gaussian_binomial,
-                   num_points, pg_space, subspace_keys)
+from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, num_points, pg_space,
+                   subspace_counts)
 from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
@@ -74,13 +74,15 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.clauses if not c.ok]
 
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "trace_kind": self.trace_kind,
-            "clauses": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                        for c in self.clauses],
-        }
+
+def _qr_clauses(q: int, r: int) -> list:
+    """The clauses on q and r alone: if one fails, no (alpha, beta) is valid."""
+    base_ok, dim_ok = q >= 3, r >= 3
+    return [Clause("base-field", base_ok,
+                   f"q = {q} must be at least 3 (even q > 2 required)" if not base_ok
+                   else f"q = {q} acceptable"),
+            Clause("dimension", dim_ok,
+                   f"r = {r} acceptable" if dim_ok else f"r = {r} must be at least 3")]
 
 
 def validate_params(params: TwistedParams) -> ValidationReport:
@@ -94,21 +96,10 @@ def validate_params(params: TwistedParams) -> ValidationReport:
     """
     q, r = params.q, params.r
     ctx = params.ctx
-    clauses = []
+    clauses = _qr_clauses(q, r)
     trace_kind = None
 
     p, _ = factor_prime_power(q)
-    base_ok = q >= 3
-    clauses.append(Clause(
-        "base-field",
-        base_ok,
-        f"q = {q} must be at least 3 (even q > 2 required)" if not base_ok
-        else f"q = {q} acceptable"))
-    dim_ok = r >= 3
-    clauses.append(Clause(
-        "dimension", dim_ok,
-        f"r = {r} acceptable" if dim_ok else f"r = {r} must be at least 3"))
-
     alpha, beta = params.alpha, params.beta
     a_ok = 0 < alpha < ctx.order
     clauses.append(Clause(
@@ -120,7 +111,7 @@ def validate_params(params: TwistedParams) -> ValidationReport:
         "beta lies outside GF(q)" if b_ok
         else f"beta = {beta} is fixed by x -> x^q, so it lies in GF(q)"))
 
-    if base_ok and dim_ok and a_ok and b_ok:
+    if all(c.ok for c in clauses):
         sub = ctx.subfield
         norm_a = ctx.mul(alpha, ctx.frobenius_q(alpha))
         if p != 2:
@@ -171,11 +162,18 @@ def default_params(q: int, r: int) -> TwistedParams:
     """First valid (alpha, beta) in encoding order, a deterministic fixture.
 
     Scans alpha ascending then beta ascending and returns on the first
-    admissible pair.  If the exhaustive scan finds none (as happens for
-    q = 3 with even r, where the discriminant only reaches squares), the
-    refusal says so.
+    admissible pair.  A q or r that no pair can mend is refused before
+    the scan, naming its clause.  If the exhaustive scan finds none (as
+    happens for q = 3 with even r, where the discriminant only reaches
+    squares), the refusal says so.
     """
     p, e = factor_prime_power(q)
+    clauses = _qr_clauses(q, r)
+    if not all(c.ok for c in clauses):
+        rep = ValidationReport(False, clauses)
+        msgs = "; ".join(c.detail for c in rep.failures())
+        raise ParamsError(f"no (alpha, beta) is valid for q={q}, r={r}: {msgs}",
+                          report=rep)
     order = p ** (2 * e)
     last = None
     for alpha in range(1, order):
@@ -401,9 +399,8 @@ def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
 # Characters of GF(p)^D: a radix-p pass per digit.  Characteristic 2
 # transforms exactly in integers; odd p transforms modulo a prime M with
 # M = 1 (mod p), so zeta, a p-th root of unity mod M, stands in for
-# exp(2 pi i / p).  Blocks of at most _PASS_BLOCK entries bound every
+# exp(2 pi i / p).  Blocks of at most SUBSPACE_BLOCK entries bound every
 # temporary, so no full-size int64 copy is made.
-_PASS_BLOCK = 1 << 16
 
 
 def _transform_modulus(p: int, bound: int) -> tuple:
@@ -469,8 +466,8 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
         radix = 4 if p == 2 and trail % 4 == 0 else p
         trail //= radix
         view = f.reshape(lead, radix, trail * cols)
-        tstep = min(trail * cols, max(1, _PASS_BLOCK // radix))
-        lstep = max(1, _PASS_BLOCK // (radix * tstep))
+        tstep = min(trail * cols, max(1, SUBSPACE_BLOCK // radix))
+        lstep = max(1, SUBSPACE_BLOCK // (radix * tstep))
         for l0 in range(0, lead, lstep):
             for t0 in range(0, trail * cols, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
@@ -499,7 +496,7 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
 
 def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     """For k = 1 .. r, yield level k's tables (idx, key) as blocks of
-    columns, one (2, Q, columns) array per block of at most _PASS_BLOCK
+    columns, one (2, Q, columns) array per block of at most SUBSPACE_BLOCK
     entries, or of one hyperplane: for c in GF(Q) and the hyperplanes u of PG(k-1), in the
     order of their first theta_(k-1) rows,
         key[c, u] = sum_i (c u_i) Q^(k-1-i),
@@ -518,7 +515,7 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     dtype = np.int32 if q ** r < 2 ** 31 else np.int64
     # a block also stays below theta_r / 2 entries, so that its
     # temporaries stay a small part of the sizes in small spaces too
-    step = max(1, min(_PASS_BLOCK, num_points(r, q) >> 1) // q)
+    step = max(1, min(SUBSPACE_BLOCK, num_points(r, q) >> 1) // q)
     trd, elems = trd.astype(dtype), np.arange(q, dtype=dtype)
     tabs = np.empty((2, q, max(1, num_points(r - 2, q))), dtype=dtype)
     tabs[:, :, 0] = trd, elems
@@ -715,30 +712,9 @@ def size_counts(sizes: np.ndarray) -> dict:
 def subspace_section_sizes(v: Variety, nrows: int,
                            budget: int | None = None) -> np.ndarray:
     """|S meet v| for every subspace S of vector dimension nrows, in the
-    order of geom.rref_bases.
-
-    The sizes come in np.min_scalar_type(theta), theta = (Q^nrows - 1) /
-    (Q - 1) the number of points of one S, Q = q^2: uint8 for the lines
-    of every q up to 15.  Each pattern of geom.subspace_keys reads its
-    (M, Y) keys once from a boolean mask over all 2 Q^r keys and
-    gathers each chunk from that run through its table rows; a chunk's
-    counts, summed over the patterns, go into the sizes once, in rref order.
-    """
-    Q = v.ctx.order
-    blocks = subspace_keys(v.ctx, v.r, nrows, budget)
-    mask = np.zeros(2 * Q ** v.r, dtype=bool)
-    mask[v.space.keys_of(v.indices)] = True
-    sizes = np.zeros(gaussian_binomial(v.r + 1, nrows, Q),
-                     dtype=np.min_scalar_type(num_points(nrows - 1, Q)))
-    for at, shape, starts, offsets, chunks in blocks:
-        out = sizes[at:at + prod(shape)].reshape(shape)
-        runs = [mask[start:][offsets] for start in starts]
-        for z, rows in chunks:
-            cnt = np.zeros((shape[1], z.stop - z.start, shape[2]), dtype=sizes.dtype)
-            for run, k in zip(runs, rows):
-                cnt += run.take(k, axis=1)
-            out[..., z] += cnt.transpose(0, 2, 1)
-    return sizes
+    order of geom.rref_bases, from geom.subspace_counts: uint8 for the
+    lines of every q up to 15."""
+    return subspace_counts(v.space, v.indices, nrows, budget)
 
 
 def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:

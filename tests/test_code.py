@@ -26,7 +26,7 @@ from qhcodes.verify import CROSS_FIXTURES, get_variety
 def test_code_shape(tw33):
     code = code_from_variety(tw33)
     assert (code.n, code.k) == (262, 4)
-    word = code.codeword(np.array([1, 0, 0, 0]))
+    word = code.codeword_block(np.array([[1, 0, 0, 0]]))[0]
     assert len(word) == 262
 
 

@@ -60,7 +60,7 @@ def test_transform_equals_direct_on_random_point_sets(qr, block, data):
     chosen = sorted(data.draw(st.sets(st.integers(0, space.n_points - 1))))
     # small pass blocks split and offset both the lead and trail axes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(variety_mod, "_PASS_BLOCK", block)
+        mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
         wht, direct, moduli = _both_engines(ctx, space, np.array(chosen, dtype=np.int64))
     assert np.array_equal(wht, direct)
     if ctx.p == 2:
@@ -90,7 +90,7 @@ def test_transform_equals_direct_on_structured_sets(Q, r, block):
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(variety_mod, "_PASS_BLOCK", block)
+        mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
         for name, indices in _structured_sets(space).items():
             wht, direct, moduli = _both_engines(ctx, space, indices)
             assert np.array_equal(wht, direct), name
@@ -194,8 +194,8 @@ def _radix_p_by_digits(f, p, M, zeta, rows=1):
     lead, trail = rows, f.size // (rows * p)
     while trail >= 1:
         view = f.reshape(lead, p, trail)
-        tstep = min(trail, max(1, variety_mod._PASS_BLOCK // p))
-        lstep = max(1, variety_mod._PASS_BLOCK // (p * tstep))
+        tstep = min(trail, max(1, variety_mod.SUBSPACE_BLOCK // p))
+        lstep = max(1, variety_mod.SUBSPACE_BLOCK // (p * tstep))
         for l0 in range(0, lead, lstep):
             for t0 in range(0, trail, tstep):
                 blk = view[l0:l0 + lstep, :, t0:t0 + tstep]
@@ -217,7 +217,7 @@ def test_transform_passes_equal_the_one_digit_reference(p, digits, cols, block,
                                                         monkeypatch):
     # odd and even digit counts: p = 2 ends on a one-digit pass when odd;
     # each column of f is one row of the reference's transposed copy
-    monkeypatch.setattr(variety_mod, "_PASS_BLOCK", block)
+    monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)
     M, zeta = (0, 0) if p == 2 else _transform_modulus(p, 1000 * p ** digits)
     rng = np.random.default_rng(digits * 10 + cols)
     f = rng.integers(-1000 if p == 2 else 0, 1000, size=(p ** digits, cols),
@@ -244,7 +244,7 @@ def test_scaled_tables_equal_their_definition(Q):
     # added hyperplanes of the last level, and one block per level
     for block in (1, 100, 1 << 16):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(variety_mod, "_PASS_BLOCK", block)
+            mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
             levels = [np.concatenate(list(blocks), axis=2)
                       for blocks in _scaled_tables(ctx, trd, 3)]
         for k, (idx, key) in enumerate(levels, 1):

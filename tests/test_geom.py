@@ -8,11 +8,12 @@ import pytest
 
 import qhcodes.geom as geom_mod
 import qhcodes.gf as gf_mod
+from qhcodes.budget import BudgetError
 from qhcodes.geom import (ProjectiveSpace, gaussian_binomial, num_points,
                           pg_space, dot_rows, row_reduce, rref_bases,
-                          span_rank, subspace_keys, subspace_points)
+                          span_rank, subspace_counts, subspace_points)
 from qhcodes.gf import field_for_order, make_field
-from qhcodes.variety import build_variety, subspace_section_sizes
+from qhcodes.variety import build_variety, line_section_sizes, subspace_section_sizes
 
 
 def test_point_counts():
@@ -279,39 +280,52 @@ KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4))
 @pytest.mark.parametrize("Q,r,nrows",
                          [(Q, r, s) for Q, r in KEY_SPACES for s in range(2, r + 1)])
 def test_subspace_keys_match_the_points(Q, r, nrows, monkeypatch):
-    """The gathered keys are the keys of subspace_points, subspace by
-    subspace and pattern by pattern."""
+    """subspace_counts of one point is that point's incidence with the
+    subspaces of subspace_points, subspace by subspace, on a seeded
+    sample of points that holds the first and last of every chart."""
     monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
-    # ref[i, s]: key of the point of pattern i of subspace s
-    ref = np.concatenate([np.stack([space.keys_of(space.index_array(p))
-                                    for p in subspace_points(ctx, rows)])
-                          for rows in rref_bases(ctx, r, nrows)], axis=1)
-    leads = np.cumsum([0] + [Q ** (nrows - 1 - t) for t in range(nrows)])
-    covered = np.zeros(ref.shape[1], dtype=np.int64)
-    chunks = 0
-    for i, (at, shape, starts, offsets, parts) in enumerate(subspace_keys(ctx, r, nrows)):
-        t = i % nrows
-        P, M, Y, Z = shape
-        assert len(starts) == leads[t + 1] - leads[t]
-        assert offsets.shape == (M, Y) and offsets.dtype.kind == "u"
-        want = ref[leads[t]:leads[t + 1], at:at + P * M * Y * Z].reshape(-1, *shape)
-        seen = 0
-        for z, rows in parts:
-            assert z.start == seen and z.stop > z.start
-            seen = z.stop
-            assert M * (z.stop - z.start) * Y <= max(7, M * Y)
-            for start, k, w in zip(starts, rows, want, strict=True):
-                assert k.dtype.kind == "u"
-                keys = start + offsets[:, k].astype(np.intp)
-                assert np.array_equal(w[..., z], np.broadcast_to(
-                    keys.transpose(0, 2, 1), w[..., z].shape))
-            chunks += 1
-        assert seen == Z
-        covered[at:at + P * M * Y * Z] += 1
-    assert np.all(covered == nrows)
-    assert chunks > len(list(combinations(range(r + 1), nrows))) * nrows
+    # idx[s]: the indices of the points of subspace s
+    idx = np.concatenate([np.stack([space.index_array(p) for p in subspace_points(ctx, rows)],
+                                   axis=1) for rows in rref_bases(ctx, r, nrows)])
+    # chart k holds the indices theta_(k-1) .. theta_k - 1
+    ends = [num_points(k - 1, Q) for k in range(r + 1)] + \
+        [num_points(k, Q) - 1 for k in range(r + 1)]
+    rng = np.random.default_rng(Q * 100 + r * 10 + nrows)
+    sample = np.union1d(ends, rng.choice(space.n_points, 6, replace=False))
+    for i in sample:
+        sizes = subspace_counts(space, np.array([i]), nrows)
+        assert sizes.dtype == np.min_scalar_type(num_points(nrows - 1, Q))
+        assert np.array_equal(sizes, np.count_nonzero(idx == i, axis=1))
+
+
+def test_line_pass_peaks_below_its_sizes_and_table_of_sums():
+    """Twisted (5,3)'s line pass holds its sizes, the table of sums over
+    two columns and at most 2 MiB more: each pattern's gathered table
+    rows are counted as they are made."""
+    v = build_variety("twisted", 5, 3)
+    table = geom_mod._low_adder(v.ctx, 2)
+    tracemalloc.start()
+    try:
+        sizes = line_section_sizes(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes.nbytes == gaussian_binomial(4, 2, 25) and table.shape == (625, 625)
+    assert peak < sizes.nbytes + table.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 3])
+def test_subspace_counts_refuse_before_building(nrows, monkeypatch):
+    def built(*args):
+        raise AssertionError("built before the budget check")
+    monkeypatch.setattr(geom_mod, "_low_adder", built)
+    monkeypatch.setattr(ProjectiveSpace, "keys_of", built)
+    space = pg_space(field_for_order(9), 3)
+    total = gaussian_binomial(4, nrows, 9)
+    with pytest.raises(BudgetError, match=rf"enumerating {total} subspaces of PG\(3,9\)"):
+        subspace_counts(space, np.arange(10), nrows, budget=total - 1)
 
 
 def reference_section_sizes(v, nrows):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -57,6 +58,16 @@ def test_even_q_even_r_trace_clause():
 def test_q3_even_r_is_unsatisfiable():
     with pytest.raises(ParamsError, match="exhaustive scan"):
         default_params(3, 4)
+
+
+@pytest.mark.parametrize("q,r,clause", [(64, 2, "dimension"), (2, 3, "base-field")])
+def test_a_q_or_r_no_pair_can_meet_is_refused_before_the_scan(q, r, clause):
+    t0 = time.perf_counter()
+    with pytest.raises(ParamsError) as err:
+        default_params(q, r)
+    assert time.perf_counter() - t0 < 1
+    [failed] = err.value.report.failures()
+    assert failed.name == clause and failed.detail in str(err.value)
 
 
 def test_default_params_deterministic():
