@@ -16,6 +16,17 @@ cone F: sum_{i=1}^{r-1} X_i^{q+1} = 0 inside X_0 = 0 yields a
 quasi-Hermitian variety: same size and same two hyperplane intersection
 numbers as the nondegenerate Hermitian variety of PG(r, q^2).
 
+Every equation here is a sum of one-coordinate terms.  L(t) = t^q - t
+is additive, so the affine equation is L(alpha s2 + x_r) = (beta^q - beta) sN
+with s2 = sum x_i^2, sN = sum x_i^{q+1}, and reads
+
+    h(x_1) + ... + h(x_{r-1}) + L(x_r) = 0,
+    h(x) = L(alpha x^2) - (beta^q - beta) x^{q+1};
+
+the Hermitian, cone and infinity equations sum x^{q+1}, x^2 or x.  The
+builders tabulate one term per coordinate over GF(q^2) and sum those
+tables over each chart of PG(r, q^2) (_build), expanding no point.
+
 Parameter admissibility depends on the parities of q and r; see
 validate_params for the exact clauses.
 """
@@ -243,92 +254,131 @@ class Variety:
         }
 
 
-def _build(kind, ctx, r, budget, mask_of, params=None) -> Variety:
-    """The points of PG(r, Q) whose rows mask_of marks, SUBSPACE_BLOCK
-    at a time.  The budget refuses the scan before any point is built."""
-    n = num_points(r, ctx.order)
+def _build(kind, ctx, r, budget, affine, infinity, params=None) -> Variety:
+    """The points of PG(r, Q) whose coordinates x satisfy
+    sum_c g_c(x_c) = 0, for g_0, g_1 = .. = g_(r-1) and g_r the three
+    tables of `affine` on the chart X_0 = 1 and of `infinity` off it
+    (None: no point there).  The points with lead 1 at column l,
+    (0, .., 0, 1, a_1 .. a_w) with w = r - l, hold the indices
+    theta_(w-1) .. theta_w - 1 in the base-Q order of (a_1 .. a_w): a
+    product set, on which _chart_zeros sums
+    g_l(1) + g_(l+1)(a_1) + ... + g_r(a_w).  The budget refuses the scan
+    before any chart is summed."""
+    q = ctx.order
+    n = num_points(r, q)
     check_budget(f"scanning {n} points", n, budget)
     space = pg_space(ctx, r)
-    mask = np.concatenate([mask_of(space.rows(np.arange(lo, min(lo + SUBSPACE_BLOCK, n))))
-                           for lo in range(0, n, SUBSPACE_BLOCK)])
-    return Variety(kind, ctx, r, space, np.flatnonzero(mask), params)
+    dtype = np.min_scalar_type(q - 1)
+    charts = []
+    for w in range(r + 1):
+        part = affine if w == r else infinity
+        if part is not None:
+            first, middle, last = (t.astype(dtype) for t in part)
+            g = ([first] + [middle] * (r - 1) + [last])[r - w:]
+            charts.append((num_points(w - 1, q), g[0][1], g[1:]))
+    return Variety(kind, ctx, r, space, _chart_zeros(ctx, charts), params)
 
 
-def _power_sum(ctx: FiniteField, pts: np.ndarray, k: int, cols) -> np.ndarray:
-    """sum of x_i^k over the columns i in cols, for every row of pts."""
-    row = ctx.pow_row(k)
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for i in cols:
-        acc = ctx.vadd(acc, row[pts[:, i]])
-    return acc
+def _chart_zeros(ctx: FiniteField, charts) -> np.ndarray:
+    """The indices of the zeros of lead + sum_c g_c(a_c) over the charts
+    (start, lead, [g_1 .. g_w]): the point start + i, for i the base-Q
+    number a_1 .. a_w, with the tables in the narrowest dtype of GF(Q).
 
-
-def _twisted_affine_mask(params: TwistedParams, pts: np.ndarray) -> np.ndarray:
-    """Rows with X_0 = 1 satisfying the defining affine equation.
-
-    Uses (alpha s2 + x_r)^q - (alpha s2 + x_r) = (beta^q - beta) sN with
-    s2 = sum x_i^2 and sN = sum x_i^{q+1}, i = 1 .. r-1, since raising a
-    sum to the q-th power Frobenius-commutes coordinatewise.
+    The sums over the trailing columns, at most SUBSPACE_BLOCK of them,
+    form the tail and those over the leading ones, with lead, the head,
+    each built by one broadcast field addition per column; no point's
+    row is expanded.  A point is a zero iff its tail sum is minus its
+    head sum: SUBSPACE_BLOCK comparisons at a time write their offsets
+    into one array, sized beforehand from the tails' value counts.
     """
-    ctx = params.ctx
-    q = ctx.sub_order
-    r = params.r
-    s2 = _power_sum(ctx, pts, 2, range(1, r))
-    sN = _power_sum(ctx, pts, q + 1, range(1, r))
-    t = ctx.vadd(ctx.scalar_mul_row(params.alpha)[s2], pts[:, r])
-    lhs = ctx.vadd(ctx.pow_row(q)[t], ctx.vneg(t))
-    bqb = ctx.sub(ctx.frobenius_q(params.beta), params.beta)
-    rhs = ctx.scalar_mul_row(bqb)[sN]
-    return (pts[:, 0] == 1) & (lhs == rhs)
+    q = ctx.order
+    sums = []
+    for start, lead, tables in charts:
+        t = len(tables)
+        while q ** t > SUBSPACE_BLOCK:
+            t -= 1
+        head, tail = np.array([lead]), np.zeros(1, dtype=lead.dtype)
+        for g in tables[:len(tables) - t]:
+            head = ctx.vadd(head[:, None], g).reshape(-1)
+        for g in tables[len(tables) - t:]:
+            tail = ctx.vadd(tail[:, None], g).reshape(-1)
+        sums.append((start, ctx.vneg(head).astype(lead.dtype), tail))
+    out = np.empty(sum(int(np.bincount(tail, minlength=q)[need].sum())
+                       for _, need, tail in sums), dtype=np.int64)
+    at = 0
+    for start, need, tail in sums:
+        step = max(1, SUBSPACE_BLOCK // tail.size)
+        for h in range(0, need.size, step):
+            hit = np.flatnonzero(tail == need[h:h + step, None])
+            np.add(hit, start + h * tail.size, out=out[at:at + hit.size])
+            at += hit.size
+    assert at == out.size
+    return out
 
 
-def _twisted_infinity_mask(ctx: FiniteField, r: int, pts: np.ndarray) -> np.ndarray:
+def _norms(ctx: FiniteField) -> np.ndarray:
+    return ctx.pow_row(ctx.sub_order + 1)
+
+
+def _off_chart(ctx: FiniteField, middle: np.ndarray) -> tuple:
+    """Tables for X_0 = 0: the section equations sum middle over the
+    columns 1 .. r-1 and leave X_r free."""
+    zero = np.zeros(ctx.order, dtype=np.int64)
+    return zero, middle, zero
+
+
+def _twisted_infinity(ctx: FiniteField) -> tuple:
     # the quadric sum x_i^2 = 0 for odd q, the hyperplane sum x_i = 0 for even q
-    k = 1 if ctx.p == 2 else 2
-    return (pts[:, 0] == 0) & (_power_sum(ctx, pts, k, range(1, r)) == 0)
+    return _off_chart(ctx, ctx.pow_row(1 if ctx.p == 2 else 2))
 
 
-def _cone_mask(ctx: FiniteField, r: int, pts: np.ndarray) -> np.ndarray:
-    nrm = _power_sum(ctx, pts, ctx.sub_order + 1, range(1, r))
-    return (pts[:, 0] == 0) & (nrm == 0)
+def _twisted_affine(params: TwistedParams) -> tuple:
+    """Tables (0, h, L) of the affine equation on X_0 = 1, with
+    L(t) = t^q - t and h(x) = L(alpha x^2) - (beta^q - beta) x^{q+1}."""
+    ctx = params.ctx
+    e = np.arange(ctx.order)
+    lin = ctx.vadd(ctx.pow_row(ctx.sub_order), ctx.vneg(e))
+    bqb = ctx.sub(ctx.frobenius_q(params.beta), params.beta)
+    h = ctx.vadd(lin[ctx.scalar_mul_row(params.alpha)[ctx.pow_row(2)]],
+                 ctx.vneg(ctx.scalar_mul_row(bqb)[_norms(ctx)]))
+    return np.zeros_like(e), h, lin
 
 
 def build_twisted(params: TwistedParams, budget: int | None = None) -> Variety:
-    """The twisted Hermitian hypersurface for admissible (alpha, beta)."""
+    """The twisted Hermitian hypersurface for admissible (alpha, beta).
+    L(t) = t^q - t is additive, so its affine equation reads
+    sum_{i<r} h(x_i) + L(x_r) = 0, h(x) = L(alpha x^2) - (beta^q - beta) x^{q+1}."""
     require_valid(params)
-    ctx, r = params.ctx, params.r
-    return _build("twisted", ctx, r, budget, lambda pts: (
-        _twisted_affine_mask(params, pts) | _twisted_infinity_mask(ctx, r, pts)),
-        params)
+    return _build("twisted", params.ctx, params.r, budget, _twisted_affine(params),
+                  _twisted_infinity(params.ctx), params)
 
 
 def build_twisted_at_infinity(ctx: FiniteField, r: int,
                               budget: int | None = None) -> Variety:
     """Section of the twisted hypersurface by the hyperplane X_0 = 0."""
     ctx._require_subfield()
-    return _build("twisted-infinity", ctx, r, budget,
-                  lambda pts: _twisted_infinity_mask(ctx, r, pts))
+    return _build("twisted-infinity", ctx, r, budget, None, _twisted_infinity(ctx))
 
 
 def build_cone(ctx: FiniteField, r: int, budget: int | None = None) -> Variety:
     """Hermitian cone F: X_0 = 0 and sum_{i=1}^{r-1} X_i^{q+1} = 0."""
     ctx._require_subfield()
-    return _build("cone", ctx, r, budget, lambda pts: _cone_mask(ctx, r, pts))
+    return _build("cone", ctx, r, budget, None, _off_chart(ctx, _norms(ctx)))
 
 
 def build_hermitian(ctx: FiniteField, r: int, budget: int | None = None) -> Variety:
     """Nondegenerate Hermitian variety sum X_i^{q+1} = 0 of PG(r, q^2)."""
     ctx._require_subfield()
-    return _build("hermitian", ctx, r, budget, lambda pts: (
-        _power_sum(ctx, pts, ctx.sub_order + 1, range(r + 1)) == 0))
+    norms = (_norms(ctx),) * 3
+    return _build("hermitian", ctx, r, budget, norms, norms)
 
 
 def build_quasi_hermitian(params: TwistedParams, budget: int | None = None) -> Variety:
-    """Affine part of the twisted hypersurface glued to the cone F."""
+    """Affine part of the twisted hypersurface, sum_{i<r} h(x_i) + L(x_r) = 0
+    with L(t) = t^q - t additive (build_twisted), glued to the cone F."""
     require_valid(params)
-    ctx, r = params.ctx, params.r
-    return _build("quasi-hermitian", ctx, r, budget, lambda pts: (
-        _twisted_affine_mask(params, pts) | _cone_mask(ctx, r, pts)), params)
+    return _build("quasi-hermitian", params.ctx, params.r, budget, _twisted_affine(params),
+                  _off_chart(params.ctx, _norms(params.ctx)), params)
 
 
 BUILDERS_WITH_PARAMS = {"twisted": build_twisted, "quasi-hermitian": build_quasi_hermitian}
@@ -384,8 +434,8 @@ def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
                   indices: np.ndarray) -> np.ndarray:
     """The reference engine: |H meet V| for every hyperplane H, as n
     minus the points of V off H, by one dot_rows per H.  The rows of the
-    hyperplanes are derived SUBSPACE_BLOCK at a time, as _build derives
-    the points', so no table of PG(r, Q) is held."""
+    hyperplanes are derived SUBSPACE_BLOCK at a time, so no table of
+    PG(r, Q) is held."""
     total = space.n_points
     out = np.empty(total, dtype=np.int64)
     n, vcoords = len(indices), space.rows(indices)
@@ -461,6 +511,8 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
         assert M <= _transform_limit(p)
         w = np.array([[pow(zeta, i * j, M) for j in range(p)]
                       for i in range(p)], dtype=np.int64)
+        # a block's int64 copy and product, in two rows every block reuses
+        bufs = np.empty((2, min(f.size, max(SUBSPACE_BLOCK, p))), dtype=np.int64)
     lead, trail = 1, n
     while trail > 1:
         radix = 4 if p == 2 and trail % 4 == 0 else p
@@ -488,7 +540,9 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                     np.subtract(x, blk[:, 1], out=blk[:, 1])
                 else:
                     # (p, p) @ (lead, p, trail): one contraction per block
-                    y = w @ blk.astype(np.int64)
+                    x, y = (b[:blk.size].reshape(blk.shape) for b in bufs)
+                    np.copyto(x, blk)
+                    np.matmul(w, x, out=y)
                     np.remainder(y, M, out=y)
                     blk[...] = y
         lead *= radix
@@ -508,8 +562,8 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     (Q, theta_(r-2)) array in turn; the last level adds its (1, x, w')
     columns a block at a time, so none of its theta_(r-1) columns is
     held.  A block's rows run along u, so a transform over the digits
-    of c works on long contiguous rows.  Each level's blocks are read
-    before the next level is asked for.
+    of c works on long contiguous rows.  Each block is read before the
+    next is asked for: the last level's blocks share one array.
     """
     q = ctx.order
     dtype = np.int32 if q ** r < 2 ** 31 else np.int64
@@ -522,17 +576,27 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
 
     def blocks(hi, held, lo=0):
         # the columns below held are in tabs; column held + x (held - lo)
-        # + j is column lo + j plus shift[:, :, x]
+        # + j is column lo + j plus shift[:, :, x], added a run of one x
+        # at a time into an array that every block reuses
         count = -(-hi // step)
+        buf = None
         for b in range(count):
             u0, u1 = hi * b // count, hi * (b + 1) // count
             if u1 <= held:
                 yield tabs[:, :, u0:u1]
                 continue
-            x, j = np.divmod(np.arange(max(u0, held), u1) - held, held - lo)
-            new = tabs.take(lo + j, axis=2)
-            new += shift.take(x, axis=2)
-            yield new if u0 >= held else np.concatenate([tabs[:, :, u0:held], new], axis=2)
+            if buf is None:
+                buf = np.empty(2 * q * -(-hi // count), dtype=dtype)
+            out = buf[:2 * q * (u1 - u0)].reshape(2, q, u1 - u0)
+            at = max(u0, held)
+            out[:, :, :at - u0] = tabs[:, :, u0:at]
+            while at < u1:
+                x, j = divmod(at - held, held - lo)
+                end = min(u1, at + held - lo - j)
+                np.add(tabs[:, :, lo + j:lo + j + end - at], shift[:, :, x, None],
+                       out=out[:, :, at - u0:end - u0])
+                at = end
+            yield out
     yield blocks(1, 1)
     if r == 1:
         return
@@ -739,7 +803,9 @@ def hermitian_size(r: int, q: int) -> int:
 
 
 def cone_size(r: int, q: int) -> int:
-    return 1 + q * q * hermitian_size(r - 2, q)
+    # the vertex (0, .., 0, 1) and q^2 more points on its line to each
+    # point of the Hermitian variety of PG(r - 2, q^2); none for r < 2
+    return 1 + q * q * hermitian_size(r - 2, q) if r >= 2 else 1
 
 
 @dataclass

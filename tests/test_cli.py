@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +36,16 @@ def test_build_pass(capsys):
     assert cfg["field"] == {"p": 3, "m": 2, "modulus": [2, 2, 1]}
     assert cfg["point_order"] == "lex-v1"
     assert "seed" in cfg
+
+
+@pytest.mark.parametrize("r", ["1", "2", "3", "4"])
+def test_cone_build_predicts_an_integer(r, capsys):
+    rc, doc, _ = run_json(capsys, "variety", "build", "--variety", "cone",
+                          "--q", "2", "--r", r)
+    assert rc == 0
+    predicted = doc["report"]["predicted_n"]
+    assert type(predicted) is int
+    assert predicted == doc["report"]["measured_n"]
 
 
 def test_build_usage_error_exit_2(capsys):
@@ -150,12 +159,11 @@ def test_code_minimality_skips_an_over_budget_cross_check(capsys):
 
 
 def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
-    # PG(4, 64) has 17,043,521 points: stand in a space of the right
-    # count whose rows are empty, built at the default budget, so the
-    # spectrum's refusal, not the enumeration, is under test
-    monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
-        n_points=num_points(r, ctx.order), r=r,
-        rows=lambda idx: np.zeros((0, r + 1), dtype=np.int64)))
+    # PG(4, 64) has 17,043,521 points: stand in a chart kernel that
+    # finds no point, built at the default budget, so the spectrum's
+    # refusal, not the enumeration, is under test
+    monkeypatch.setattr(variety_mod, "_chart_zeros",
+                        lambda ctx, charts: np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(cli_mod, "build_variety",
                         lambda kind, q, r, alpha, beta, budget:
                         variety_mod.build_variety(kind, q, r, alpha, beta))

@@ -245,7 +245,8 @@ def test_scaled_tables_equal_their_definition(Q):
     for block in (1, 100, 1 << 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
-            levels = [np.concatenate(list(blocks), axis=2)
+            # a block is read before the next is asked for
+            levels = [np.concatenate([b.copy() for b in blocks], axis=2)
                       for blocks in _scaled_tables(ctx, trd, 3)]
         for k, (idx, key) in enumerate(levels, 1):
             idx, key = idx.T, key.T

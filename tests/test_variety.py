@@ -1,6 +1,6 @@
+import random
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
 from qhcodes.code import cutting_blocking_check, higher_weight, minimality_summary
-from qhcodes.geom import ProjectiveSpace, num_points
+from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points
 from qhcodes.gf import make_field
 from qhcodes.sss import access_structure, democracy_report
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
@@ -283,19 +283,37 @@ REFERENCE_MASKS = {
     "hermitian": lambda p, ctx, r, pts: _ref_hermitian(ctx, r, pts),
 }
 PLAIN_KINDS = ("twisted-infinity", "cone", "hermitian")
-# twisted and quasi-hermitian have no parameters at (3, 4) or q = 2
+# twisted and quasi-hermitian have no parameters at (3, 4) or q = 2;
+# hermitian (37, 2) is over GF(1369), where vadd adds digit by digit
 BUILD_CASES = [(kind, q, r) for kind in REFERENCE_MASKS
                for q in (3, 4, 5) for r in (3, 4)
                if (q, r) != (3, 4) or kind in PLAIN_KINDS] + \
-              [(kind, 2, r) for kind in PLAIN_KINDS for r in (3, 4)]
+              [(kind, 2, r) for kind in PLAIN_KINDS for r in (3, 4)] + \
+              [(kind, q, r) for kind in PLAIN_KINDS for q in (2, 3, 4) for r in (1, 2)] + \
+              [("hermitian", 37, 2)]
+
+
+def _parameters(kind, q, r):
+    """(alpha, beta) to build kind at (q, r) with: the default pair, and
+    for twisted and quasi-hermitian at r = 3 every valid pair at q = 3
+    and 4 and a seeded sample of twelve at q = 5."""
+    if kind in PLAIN_KINDS or (q, r) not in ((3, 3), (4, 3), (5, 3)):
+        return [(None, None)]
+    order = q * q
+    valid = [(a, b) for a in range(1, order) for b in range(order)
+             if validate_params(TwistedParams(q, r, a, b)).ok]
+    return valid if q < 5 else random.Random(q).sample(valid, 12)
 
 
 @pytest.mark.parametrize("kind,q,r", BUILD_CASES)
 def test_builders_match_reference_masks(kind, q, r):
-    v = build_variety(kind, q, r)
-    pts = v.space.rows(np.arange(v.space.n_points))
-    ref = np.nonzero(REFERENCE_MASKS[kind](v.params, v.ctx, r, pts))[0]
-    assert np.array_equal(v.indices, ref)
+    pts = None
+    for alpha, beta in _parameters(kind, q, r):
+        v = build_variety(kind, q, r, alpha, beta)
+        if pts is None:
+            pts = v.space.rows(np.arange(v.space.n_points))
+        ref = np.nonzero(REFERENCE_MASKS[kind](v.params, v.ctx, r, pts))[0]
+        assert np.array_equal(v.indices, ref), (alpha, beta)
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_MASKS))
@@ -313,13 +331,12 @@ def test_points_budget_refuses_before_enumerating(kind, monkeypatch):
 
 
 def test_points_budget_is_the_only_bound(monkeypatch):
-    # PG(4, 121) has 216 million points: stand in a space of the right
-    # count whose rows are empty, so only the budget check is under test
+    # PG(4, 121) has 216 million points: stand in a chart kernel that
+    # finds no point, so only the budget check is under test
     n = num_points(4, 121)
     assert n > DEFAULT_BUDGET
-    monkeypatch.setattr(variety_mod, "pg_space", lambda ctx, r: SimpleNamespace(
-        n_points=num_points(r, ctx.order), r=r,
-        rows=lambda idx: np.zeros((0, r + 1), dtype=np.int64)))
+    monkeypatch.setattr(variety_mod, "_chart_zeros",
+                        lambda ctx, charts: np.zeros(0, dtype=np.int64))
     with pytest.raises(BudgetError, match=f"scanning {n} points"):
         build_variety("hermitian", 11, 4)
     assert build_variety("hermitian", 11, 4, budget=n).n == 0
@@ -360,7 +377,9 @@ def test_build_peaks_below_one_point_table():
     finally:
         tracemalloc.stop()
     assert v.n == hermitian_size(3, 8)
-    assert peak < 8 * 4 * theta
+    # the indices and a few blocks of sums take 0.48 MB; int64 rows of
+    # the points, 2^16 at a time, would peak at 3.87 MB
+    assert peak < 8 * v.n + 8 * SUBSPACE_BLOCK < 8 * 4 * theta / 10
 
 
 def test_direct_engine_peaks_below_one_point_table(monkeypatch):
@@ -395,8 +414,11 @@ def test_a_built_variety_holds_only_its_indices():
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_builds_do_not_depend_on_the_chunk(block, monkeypatch):
+    # at r = 4 every block splits the last chart, of 9^4 or 16^4 points
     cases = [(kind, q, 3) for kind in REFERENCE_MASKS for q in (3, 4)] + \
-            [(kind, 2, 3) for kind in PLAIN_KINDS]
+            [(kind, 2, 3) for kind in PLAIN_KINDS] + \
+            [(kind, 3, 4) for kind in PLAIN_KINDS] + \
+            [(kind, 4, 4) for kind in ("twisted", "quasi-hermitian")]
     want = {case: build_variety(*case) for case in cases}
     monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)
     for case, ref in want.items():
