@@ -45,6 +45,6 @@ from .sss import (AccessStructure, DealReport, DemocracyReport, Fixture,
                   PerfectnessReport, SSSError, Scheme, access_structure,
                   deal, democracy_report, develop, group_closure,
                   load_fixture, parse_cycles, perfectness_check, recover,
-                  structures_equal, verify_example)
+                  verify_example)
 
 __version__ = "0.1.0"

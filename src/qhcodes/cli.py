@@ -61,8 +61,7 @@ def run_config(args, variety=None) -> dict:
         "point_order": POINT_ORDER_VERSION,
         "seed": getattr(args, "seed", None),
     }
-    for name in ("q", "r", "p0", "secret", "k", "divisor", "engine",
-                 "fixture", "subset"):
+    for name in ("q", "r", "p0", "secret", "k", "divisor", "fixture", "subset"):
         if hasattr(args, name):
             cfg[name] = getattr(args, name)
     if variety is not None:
@@ -134,8 +133,6 @@ def _status(msg: str) -> None:
 # shared argument handling
 
 def make_variety(args):
-    if args.auto_params and (args.alpha is not None or args.beta is not None):
-        raise ParamsError("--auto-params conflicts with explicit --alpha/--beta")
     if (args.alpha is None) != (args.beta is None):
         raise ParamsError("pass both --alpha and --beta, or neither")
     return build_variety(args.variety, args.q, args.r,
@@ -174,7 +171,7 @@ def cmd_variety_build(args) -> int:
 
 def cmd_variety_spectrum(args) -> int:
     v = make_variety(args)
-    sp = hyperplane_spectrum(v, engine=args.engine, budget=args.budget)
+    sp = hyperplane_spectrum(v, budget=args.budget)
     pred = _predicted(v.kind, args.q, args.r)
     support_match = counts_match = None
     if pred is not None:
@@ -217,7 +214,7 @@ def cmd_variety_lines(args) -> int:
 
 def cmd_code_weights(args) -> int:
     v = make_variety(args)
-    dist = weights_from_sections(v, engine=args.engine, budget=args.budget)
+    dist = weights_from_sections(v, budget=args.budget)
     verdict = None
     cross = None
     if args.cross_check:
@@ -234,7 +231,7 @@ def cmd_code_weights(args) -> int:
 
 def cmd_code_minimality(args) -> int:
     v = make_variety(args)
-    summary = minimality_summary(v, engine=args.engine, budget=args.budget)
+    summary = minimality_summary(v, budget=args.budget)
     ab_ok = summary["ab"]["passes"]
     cut_ok = summary["cutting"]["ok"]
     agree = summary.get("agree")
@@ -260,7 +257,7 @@ def cmd_code_minimality(args) -> int:
 
 def cmd_code_divisibility(args) -> int:
     v = make_variety(args)
-    dist = weights_from_sections(v, engine=args.engine, budget=args.budget)
+    dist = weights_from_sections(v, budget=args.budget)
     divisor = args.divisor if args.divisor is not None else args.q
     rep = divisibility_report(dist, divisor)
     report = {"variety": v.meta(), "divisibility": rep.as_dict(),
@@ -273,7 +270,7 @@ def cmd_code_divisibility(args) -> int:
 
 def cmd_code_dk(args) -> int:
     v = make_variety(args)
-    rep = higher_weight(v, args.k, engine=args.engine, budget=args.budget)
+    rep = higher_weight(v, args.k, budget=args.budget)
     report = {"variety": v.meta(), "higher_weight": rep.as_dict()}
     emit(args, "code dk", run_config(args, v), report, None,
          ["k", "d", "max_section", "subspaces"],
@@ -462,16 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="alpha as an integer field encoding")
     var.add_argument("--beta", type=int, default=None, metavar="ENC",
                      help="beta as an integer field encoding")
-    var.add_argument("--auto-params", action="store_true",
-                     help="first valid (alpha, beta) in encoding order")
-
-    eng = argparse.ArgumentParser(add_help=False)
-    eng.add_argument("--engine", choices=("auto", "direct", "wht"),
-                     default="auto",
-                     help="spectrum engine: wht, the exact p-ary "
-                          "Walsh-Hadamard transform for every characteristic, "
-                          "or direct evaluation, its reference; auto runs wht "
-                          "(default auto)")
 
     p0p = argparse.ArgumentParser(add_help=False)
     p0p.add_argument("--p0", type=int, default=0, metavar="I",
@@ -488,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = pv_sub.add_parser("build", parents=[var, fmt],
                            help="point counts against the closed forms")
     sp.set_defaults(func=cmd_variety_build)
-    sp = pv_sub.add_parser("spectrum", parents=[var, eng, fmt],
+    sp = pv_sub.add_parser("spectrum", parents=[var, fmt],
                            help="hyperplane intersection spectrum")
     sp.set_defaults(func=cmd_variety_spectrum)
     sp = pv_sub.add_parser("lines", parents=[var, fmt],
@@ -497,20 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = groups.add_parser("code", help="projective code reports")
     pc_sub = pc.add_subparsers(dest="action", required=True, metavar="ACTION")
-    sp = pc_sub.add_parser("weights", parents=[var, eng, fmt],
+    sp = pc_sub.add_parser("weights", parents=[var, fmt],
                            help="weight distribution")
     sp.add_argument("--cross-check", action="store_true",
                     help="confirm by full codeword enumeration")
     sp.set_defaults(func=cmd_code_weights)
-    sp = pc_sub.add_parser("minimality", parents=[var, eng, fmt],
+    sp = pc_sub.add_parser("minimality", parents=[var, fmt],
                            help="all applicable minimality criteria")
     sp.set_defaults(func=cmd_code_minimality)
-    sp = pc_sub.add_parser("divisibility", parents=[var, eng, fmt],
+    sp = pc_sub.add_parser("divisibility", parents=[var, fmt],
                            help="weight divisibility")
     sp.add_argument("--divisor", type=int, default=None,
                     help="candidate divisor (default q)")
     sp.set_defaults(func=cmd_code_divisibility)
-    sp = pc_sub.add_parser("dk", parents=[var, eng, fmt],
+    sp = pc_sub.add_parser("dk", parents=[var, fmt],
                            help="generalized Hamming weight d_k")
     sp.add_argument("--k", type=int, required=True, help="which d_k")
     sp.set_defaults(func=cmd_code_dk)

@@ -161,11 +161,11 @@ class WeightDistribution:
         }
 
 
-def weights_from_sections(v: Variety, engine: str = "auto",
+def weights_from_sections(v: Variety,
                           budget: int | None = None) -> WeightDistribution:
     """Weight distribution via hyperplane sections: each hyperplane of
     section size s accounts for q-1 words of weight n - s."""
-    sizes = hyperplane_section_sizes(v, engine, budget)
+    sizes = hyperplane_section_sizes(v, budget)
     q = v.ctx.order
     weights = {v.n - s: c * (q - 1) for s, c in size_counts(sizes).items()}
     dist = WeightDistribution(q, v.n, v.r + 1, weights, "hyperplane-sections")
@@ -223,7 +223,7 @@ class HigherWeightReport:
                 "subspaces": self.subspaces}
 
 
-def higher_weight(v: Variety, k: int, engine: str = "auto",
+def higher_weight(v: Variety, k: int,
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|."""
     r = v.r
@@ -232,7 +232,7 @@ def higher_weight(v: Variety, k: int, engine: str = "auto",
     if k == r:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
     if k == 1:
-        sizes = hyperplane_section_sizes(v, engine, budget)
+        sizes = hyperplane_section_sizes(v, budget)
     else:
         sizes = subspace_section_sizes(v, r + 1 - k, budget)
     best = int(sizes.max())
@@ -280,8 +280,8 @@ class CuttingReport:
                 "witness_rank": self.witness_rank}
 
 
-def cutting_blocking_check(v: Variety, budget: int | None = None, *,
-                           engine: str = "auto") -> CuttingReport:
+def cutting_blocking_check(v: Variety,
+                           budget: int | None = None) -> CuttingReport:
     """Does every hyperplane section of v span its hyperplane?
 
     Equivalent to minimality of the code with columns v.  A section
@@ -295,7 +295,7 @@ def cutting_blocking_check(v: Variety, budget: int | None = None, *,
     holds no hyperplane is a candidate.
     """
     ctx, space, q = v.ctx, v.space, v.ctx.order
-    sizes = hyperplane_section_sizes(v, engine, budget)
+    sizes = hyperplane_section_sizes(v, budget)
     cand = np.flatnonzero((q - 1) * sizes <= q * int(sizes.max()) - v.n)
     check_budget(f"row-reducing {len(cand)} candidate hyperplane sections of "
                  f"{v.n} points", len(cand) * v.n, budget)
@@ -428,12 +428,11 @@ def minimality_bruteforce(code: LinearCode,
                             non_min_words, non_min_weights, witnesses)
 
 
-def minimality_summary(v: Variety, engine: str = "auto",
-                       budget: int | None = None) -> dict:
+def minimality_summary(v: Variety, budget: int | None = None) -> dict:
     """All three minimality views of the code on v, cross-checked."""
-    dist = weights_from_sections(v, engine, budget)
+    dist = weights_from_sections(v, budget)
     ab = ab_condition(dist)
-    cut = cutting_blocking_check(v, budget, engine=engine)
+    cut = cutting_blocking_check(v, budget)
     out = {"variety": v.meta(), "weights": dist.as_dict(),
            "ab": ab.as_dict(), "cutting": cut.as_dict()}
     n_words = v.ctx.order ** (v.r + 1)

@@ -295,14 +295,6 @@ class FiniteField:
             return 0
         return int(self.exp[(int(self.log[a]) * k) % (self.order - 1)])
 
-    def elements(self):
-        return range(self.order)
-
-    @property
-    def generator(self):
-        """The class of x, a primitive element."""
-        return int(self.exp[1])
-
     # -- subfield structure ----------------------------------------------
 
     def _require_subfield(self):

@@ -448,10 +448,6 @@ def develop(starters, group: PermGroup, budget: int | None = None) -> AccessStru
                                          for s in starters]})
 
 
-def structures_equal(a: AccessStructure, b: AccessStructure) -> bool:
-    return set(a.sets()) == set(b.sets())
-
-
 # ---------------------------------------------------------------------------
 # shipped example data
 

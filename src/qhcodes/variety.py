@@ -214,7 +214,6 @@ class Variety:
     indices: np.ndarray = field(repr=False)
     params: TwistedParams | None = None
     _hyp_sizes: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _hyp_engine: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -432,10 +431,11 @@ class SpectrumReport:
 
 def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
                   indices: np.ndarray) -> np.ndarray:
-    """The reference engine: |H meet V| for every hyperplane H, as n
-    minus the points of V off H, by one dot_rows per H.  The rows of the
-    hyperplanes are derived SUBSPACE_BLOCK at a time, so no table of
-    PG(r, Q) is held."""
+    """The reference for the transform: |H meet V| for every hyperplane
+    H, as n minus the points of V off H, by one dot_rows per H, in int64.
+    The rows of the hyperplanes are derived SUBSPACE_BLOCK at a time, so
+    no table of PG(r, Q) is held.  Nothing in the package calls it; the
+    tests compare the transform against it."""
     total = space.n_points
     out = np.empty(total, dtype=np.int64)
     n, vcoords = len(indices), space.rows(indices)
@@ -713,48 +713,34 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     return sizes
 
 
-def hyperplane_section_sizes(v: Variety, engine: str = "auto",
+def hyperplane_section_sizes(v: Variety,
                              budget: int | None = None) -> np.ndarray:
-    """|Sigma meet v| for every hyperplane Sigma, in canonical order.
+    """|Sigma meet v| for every hyperplane Sigma, in canonical order, by
+    the character transform, in int32.
 
-    auto is the transform; direct evaluation stays as its reference.
     The hyperplane count theta_r bounds every array the transform
     allocates: the int32 sizes hold theta_r entries, a chart Q^k <
     theta_r, the tables of the levels below r (Q, theta_(r-2)) <
     theta_(r-1), a block of the last level's hyperplanes at most 2^16,
     and the two product tables of GF(Q), built only for r > 1, Q^2 <
-    theta_2 each.
-    The transform's sizes are int32, direct evaluation's int64: it also
-    runs where the range check refuses the transform.  The last result
-    is kept on v and reused only for the same engine, after the budget
-    check.
+    theta_2 each.  A set outside the transform's range is refused.  The
+    result is kept on v and reused after the budget and range checks.
     """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
-    if engine == "auto":
-        engine = "wht"
-    if engine == "wht":
-        # p = 2 carries partial sums up to Q n in int32; odd p needs a
-        # modulus above 2 (Q - 1) n
-        q = ctx.order
-        _check_transform_range(ctx.p, (q if ctx.p == 2 else q - 1) * v.n)
-    if v._hyp_sizes is not None and v._hyp_engine == engine:
-        return v._hyp_sizes
-    if engine == "wht":
-        sizes = _sizes_wht(ctx, space, v.indices)
-    elif engine == "direct":
-        sizes = _sizes_direct(ctx, space, v.indices)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    v._hyp_sizes, v._hyp_engine = sizes, engine
-    return sizes
+    # p = 2 carries partial sums up to Q n in int32; odd p needs a
+    # modulus above 2 (Q - 1) n
+    q = ctx.order
+    _check_transform_range(ctx.p, (q if ctx.p == 2 else q - 1) * v.n)
+    if v._hyp_sizes is None:
+        v._hyp_sizes = _sizes_wht(ctx, space, v.indices)
+    return v._hyp_sizes
 
 
-def hyperplane_spectrum(v: Variety, engine: str = "auto",
-                        budget: int | None = None) -> SpectrumReport:
-    sizes = hyperplane_section_sizes(v, engine, budget)
+def hyperplane_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
+    sizes = hyperplane_section_sizes(v, budget)
     return SpectrumReport(v.meta(), "hyperplane", size_counts(sizes), len(sizes),
-                          v._hyp_engine)
+                          "wht")
 
 
 def size_counts(sizes: np.ndarray) -> dict:

@@ -62,16 +62,23 @@ def test_alpha_without_beta_exit_2(capsys):
 
 
 def test_auto_params_conflict_exit_2(capsys):
-    rc, _, _ = run(capsys, "variety", "build", "--q", "3", "--r", "3",
-                   "--alpha", "3", "--beta", "3", "--auto-params")
-    assert rc == 2
+    # the first valid (alpha, beta) is the default, so the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["variety", "build", "--q", "3", "--r", "3",
+              "--alpha", "3", "--beta", "3", "--auto-params"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --auto-params" in capsys.readouterr().err
 
 
 def test_parallel_is_a_usage_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["variety", "spectrum", "--q", "3", "--r", "3", "--parallel", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+    # every spectrum runs the transform: no option picks direct
+    # evaluation, which the hyperplane budget does not meter
+    for flag in (["--parallel", "2"], ["--engine", "direct"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["variety", "spectrum", "--q", "8", "--r", "3",
+                  "--variety", "hermitian", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_budget_refusal_exit_3(capsys):
@@ -172,12 +179,10 @@ def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
         raise AssertionError("the transform must not start")
     monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
     theta = num_points(4, 64)
-    for engine in ("auto", "wht"):
-        rc, _, err = run(capsys, "variety", "spectrum", "--q", "8", "--r", "4",
-                         "--variety", "hermitian", "--engine", engine,
-                         "--budget", str(theta - 1))
-        assert rc == 3
-        assert f"refusing scanning {theta} hyperplanes" in err
+    rc, _, err = run(capsys, "variety", "spectrum", "--q", "8", "--r", "4",
+                     "--variety", "hermitian", "--budget", str(theta - 1))
+    assert rc == 3
+    assert f"refusing scanning {theta} hyperplanes" in err
 
 
 @pytest.mark.parametrize("command", [("variety", "build"), ("code", "weights")])

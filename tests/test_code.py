@@ -301,9 +301,9 @@ def test_cutting_budget_refuses_candidates_before_any_rank(monkeypatch):
 def test_minimality_summary_keeps_its_engine(monkeypatch):
     v = build_variety("hermitian", 2, 3)
     calls = _spy_on_engines(monkeypatch)
-    out = minimality_summary(v, engine="direct")
+    out = minimality_summary(v)
     assert out["cutting"]["ok"] and out["agree"]
-    assert calls == ["_sizes_direct"]
+    assert calls == ["_sizes_wht"]
 
 
 def test_bruteforce_minimality_finds_the_15_words():

@@ -115,13 +115,14 @@ def test_transform_equals_direct_on_varieties(kind, q, r):
 def test_section_sizes_hold_their_products_exactly(kind, q, r):
     # cutting_blocking_check multiplies the sizes by Q - 1 in their own
     # dtype, and surgery_check subtracts them: a signed dtype that holds
-    # (Q - 1) n, on both engines
+    # (Q - 1) n, from the transform and from its reference
     v = build_variety(kind, q, r)
-    for engine in ("wht", "direct"):
-        sizes = hyperplane_section_sizes(v, engine)
-        assert np.issubdtype(sizes.dtype, np.signedinteger), engine
-        assert np.iinfo(sizes.dtype).max >= (v.ctx.order - 1) * v.n, engine
-    assert hyperplane_section_sizes(v).dtype == np.int32
+    wht = hyperplane_section_sizes(v)
+    direct = _sizes_direct(v.ctx, v.space, v.indices)
+    for sizes in (wht, direct):
+        assert np.issubdtype(sizes.dtype, np.signedinteger)
+        assert np.iinfo(sizes.dtype).max >= (v.ctx.order - 1) * v.n
+    assert wht.dtype == np.int32
 
 
 @pytest.mark.parametrize("indices", [[5, 2], [2, 2, 5]])
@@ -144,8 +145,8 @@ def test_transform_modulus(p, bound):
 
 @pytest.mark.parametrize("q", [16, 31, 61])
 def test_auto_engine_is_the_transform(q, monkeypatch):
-    # Hermitian curves, q + 1 of the q^2 + 1 points of PG(1, q^2): auto
-    # runs the transform, and direct evaluation only when asked for
+    # Hermitian curves, q + 1 of the q^2 + 1 points of PG(1, q^2): a
+    # spectrum runs the transform, never direct evaluation
     calls = []
 
     def spy(*args):
@@ -155,9 +156,8 @@ def test_auto_engine_is_the_transform(q, monkeypatch):
     v = build_variety("hermitian", q, 1)
     auto = hyperplane_spectrum(v)
     assert auto.engine == "wht" and calls == []
-    direct = hyperplane_spectrum(v, engine="direct")
-    assert direct.engine == "direct" and len(calls) == 1
-    assert auto.counts == direct.counts
+    direct = _sizes_direct(v.ctx, v.space, v.indices)
+    assert auto.counts == variety_mod.size_counts(direct)
 
 
 def test_auto_engine_matches_the_prediction_at_hermitian_9_3():
@@ -301,23 +301,21 @@ def _stand_in(Q, r, n):
     """A variety of n points of PG(r, Q) that holds no point."""
     return SimpleNamespace(ctx=field_for_order(Q), r=r, n=n,
                            space=SimpleNamespace(n_points=num_points(r, Q)),
-                           indices=None, _hyp_sizes=None, _hyp_engine=None)
+                           indices=None, _hyp_sizes=None)
 
 
 @pytest.mark.parametrize("Q, r", [(64, 5), (27, 6)])
 def test_transform_range_refuses_before_allocating(Q, r, monkeypatch):
     # a stand-in for 2^26 points, whose character sums outgrow int32
-    # (p = 2) or the int64 products modulo M (odd p); auto refuses too,
-    # as for hermitian(89,2), (Q-1) n about 5.6 10^9, where direct
-    # evaluation is the only engine left
+    # (p = 2) or the int64 products modulo M (odd p); such a set, like
+    # hermitian(89,2) with (Q-1) n about 5.6 10^9, gets no spectrum
     v = _stand_in(Q, r, 2 ** 26)
 
     def spy(*args):
         raise AssertionError("the transform must not start")
     monkeypatch.setattr(variety_mod, "_sizes_wht", spy)
-    for engine in ("wht", "auto"):
-        with pytest.raises(BudgetError, match="character transform with sums"):
-            hyperplane_section_sizes(v, engine, budget=2 ** 40)
+    with pytest.raises(BudgetError, match="character transform with sums"):
+        hyperplane_section_sizes(v, budget=2 ** 40)
 
 
 def test_transform_range_for_p2_bounds_q_times_n(monkeypatch):

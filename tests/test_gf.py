@@ -20,7 +20,7 @@ def test_factor_prime_power():
 def test_field_laws_gf9():
     """Full check of the ring axioms on the 9-element field."""
     ctx = make_field(3, 2)
-    els = list(ctx.elements())
+    els = list(range(ctx.order))
     for a in els:
         assert ctx.add(a, 0) == a
         assert ctx.mul(a, 1) == a
@@ -38,7 +38,7 @@ def test_field_laws_gf9():
 def test_generator_is_primitive():
     for p, m in ((2, 4), (3, 2), (5, 2)):
         ctx = make_field(p, m)
-        g = ctx.generator
+        g = int(ctx.exp[1])
         seen = set()
         x = 1
         for _ in range(ctx.order - 1):
@@ -51,15 +51,15 @@ def test_frobenius_fixed_field():
     """x -> x^q fixes exactly the index-2 subfield."""
     for q in (3, 4, 5):
         ctx = field_for_order(q * q)
-        fixed = [a for a in ctx.elements() if ctx.frobenius_q(a) == a]
+        fixed = [a for a in range(ctx.order) if ctx.frobenius_q(a) == a]
         assert len(fixed) == q
         assert sorted(fixed) == sorted(ctx.embed_table.tolist())
 
 
 def test_frobenius_is_additive_and_multiplicative():
     ctx = make_field(3, 2)
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in range(ctx.order):
+        for b in range(ctx.order):
             assert ctx.frobenius_q(ctx.add(a, b)) == ctx.add(
                 ctx.frobenius_q(a), ctx.frobenius_q(b))
             assert ctx.frobenius_q(ctx.mul(a, b)) == ctx.mul(
@@ -71,7 +71,7 @@ def test_trace_norm_land_in_subfield():
     q = ctx.sub_order
     traces = set()
     norms = set()
-    for a in ctx.elements():
+    for a in range(ctx.order):
         # a + a^q and a a^q lie in GF(q); to_subfield refuses all else
         c = ctx.frobenius_q(a)
         t, n = ctx.to_subfield(ctx.add(a, c)), ctx.to_subfield(ctx.mul(a, c))
@@ -96,7 +96,7 @@ def test_subfield_roundtrip():
 
 def test_square_counts_odd_q():
     ctx = make_field(5, 1)
-    squares = [a for a in ctx.elements() if ctx.is_square(a)]
+    squares = [a for a in range(ctx.order) if ctx.is_square(a)]
     assert len(squares) == 1 + (5 - 1) // 2
     even = make_field(2, 2)
     with pytest.raises(SquareTestInEvenCharError):
@@ -107,7 +107,7 @@ def test_absolute_trace_balance():
     """The absolute trace is a balanced map onto GF(p)."""
     ctx = make_field(2, 4)
     hist = {}
-    for a in ctx.elements():
+    for a in range(ctx.order):
         t = ctx.trace_to_prime(a)
         hist[t] = hist.get(t, 0) + 1
     assert hist == {0: 8, 1: 8}
@@ -174,10 +174,10 @@ def test_vadd_broadcasts_on_every_path(p, m):
 def test_pow_row_and_scalar_row():
     ctx = make_field(2, 4)
     row = ctx.pow_row(3)
-    for a in ctx.elements():
+    for a in range(ctx.order):
         assert row[a] == ctx.pow(a, 3)
     srow = ctx.scalar_mul_row(5)
-    for a in ctx.elements():
+    for a in range(ctx.order):
         assert srow[a] == ctx.mul(5, a)
 
 

@@ -4,7 +4,9 @@ Each file under tests/golden/ is the stdout of one command, captured
 once from a known-good build and never regenerated: a refactor must
 reproduce it exactly.  They were edited once, by hand, when the
 `--parallel` option went: each lost its `"parallel": 1,` config line
-and nothing else.  variety_spectrum_hermitian_61 was captured from the
+and nothing else.  They were edited a second time when the `--engine`
+option went: the seven that echoed it lost their `"engine": "auto",`
+config line and nothing else.  variety_spectrum_hermitian_61 was captured from the
 direct engine and its one `"engine": "direct"` line edited to `"wht"`
 by hand, so it pins that the transform reproduces direct evaluation's
 bytes.  `sss recover` reads the captured deal payload.

@@ -15,7 +15,7 @@ from qhcodes.sss import (AccessStructure, InconsistentSharesError,
                          access_structure, deal, democracy_report, develop,
                          group_closure, label_rows, load_fixture,
                          parse_cycles, perfectness_check, permute_rows,
-                         recover, structures_equal, verify_example)
+                         recover, verify_example)
 from qhcodes.variety import build_variety, hyperplane_section_sizes
 from qhcodes.verify import get_access, get_scheme, get_variety
 
@@ -338,15 +338,6 @@ def test_develop_of_no_starters_is_empty():
     acc = develop([], group_closure(["(1,2)"], 3))
     assert acc.count == 0 and acc.matrix.shape == (0, 3)
     assert acc.participants == () and acc.sets() == []
-
-
-def test_structures_equal():
-    group = group_closure(["(1,2,3,4)"], 4)
-    a = develop([[1, 2]], group)
-    b = develop([[2, 3]], group)
-    assert structures_equal(a, b)
-    c = develop([[1, 3]], group)
-    assert not structures_equal(a, c)
 
 
 def test_fixture_loads():

@@ -57,7 +57,7 @@ def test_tracer_counts_direct_incidences():
     try:
         spans.install(tr, [time.perf_counter()])
         v = variety.build_variety("hermitian", 2, 3)
-        variety.hyperplane_spectrum(v, engine="direct")
+        variety._sizes_direct(v.ctx, v.space, v.indices)
     finally:
         tr.restore()
     assert v.n == 45

@@ -8,7 +8,8 @@ import pytest
 import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
-from qhcodes.code import cutting_blocking_check, higher_weight, minimality_summary
+from qhcodes.code import (cutting_blocking_check, higher_weight, minimality_summary,
+                          weights_from_sections)
 from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points
 from qhcodes.gf import make_field
 from qhcodes.sss import access_structure, democracy_report
@@ -121,15 +122,14 @@ def test_unknown_kind_refused():
 
 
 def test_spectrum_engines_agree():
-    # both characteristics; fresh objects so cached sizes cannot leak
-    # between engines
+    # both characteristics: the transform's spectrum against direct
+    # evaluation, its reference
     for q in (4, 3):
-        v1 = build_variety("twisted", q, 3)
-        direct = hyperplane_spectrum(v1, engine="direct")
-        v2 = build_variety("twisted", q, 3)
-        wht = hyperplane_spectrum(v2, engine="wht")
-        assert direct.counts == wht.counts
-        assert direct.engine == "direct" and wht.engine == "wht"
+        v = build_variety("twisted", q, 3)
+        sizes = variety_mod._sizes_direct(v.ctx, v.space, v.indices)
+        wht = hyperplane_spectrum(v)
+        assert wht.counts == variety_mod.size_counts(sizes)
+        assert wht.engine == "wht"
 
 
 def test_cached_sizes_still_meet_the_budget():
@@ -140,15 +140,18 @@ def test_cached_sizes_still_meet_the_budget():
 
 
 def test_cached_sizes_keep_their_engine(monkeypatch):
+    # every reader of the hyperplane sizes shares one transform
     v = build_variety("hermitian", 2, 3)
-    direct = hyperplane_spectrum(v, engine="direct")
     calls = []
     real = variety_mod._sizes_wht
     monkeypatch.setattr(variety_mod, "_sizes_wht",
                         lambda *a: calls.append(1) or real(*a))
-    wht = hyperplane_spectrum(v, engine="wht")
-    assert calls, "the wht report must come from the wht engine"
-    assert wht.engine == "wht" and wht.counts == direct.counts
+    first, second = hyperplane_spectrum(v), hyperplane_spectrum(v)
+    weights_from_sections(v)
+    cutting_blocking_check(v)
+    assert len(calls) == 1
+    assert first.engine == second.engine == "wht"
+    assert first.counts == second.counts
 
 
 def test_spectrum_33_exact(tw33):
@@ -347,7 +350,7 @@ def test_points_budget_is_the_only_bound(monkeypatch):
 
 
 def test_no_path_reads_the_point_table():
-    """Builders, spectra of both engines, minimality and the access
+    """Builders, spectra, direct evaluation, minimality and the access
     structure derive the rows and keys they need: a space has no full
     table to read."""
     assert not hasattr(ProjectiveSpace, "points")
@@ -357,7 +360,7 @@ def test_no_path_reads_the_point_table():
     for kind, q, r in [("twisted", 3, 3), ("twisted", 4, 3),
                        ("hermitian", 2, 3), ("hermitian", 2, 4)]:
         v = build_variety(kind, q, r)
-        hyperplane_spectrum(v, engine="direct")
+        variety_mod._sizes_direct(v.ctx, v.space, v.indices)
         hyperplane_spectrum(v)
         line_spectrum(v)
         higher_weight(v, 2)
