@@ -14,9 +14,10 @@ hyperplane), and brute-force support containment over all codewords.
 The cutting criterion is read off the hyperplane section sizes: only a
 hyperplane with (q-1) |H meet V| <= q s_max - n can fail, and only
 those candidates are row-reduced.  When the weight ratio condition
-holds there are none.  The brute force still enumerates all q^k
-codewords: the words of the first q^d messages form a tail table, and
-each later block is one field addition of its first word to it.  It
+holds there are none.  Supports and weights are invariant under
+nonzero scalars, so every exhaustive route enumerates one word per
+projective class, the words of the normalized messages (the points of
+PG(k-1, q)), and counts each for its q - 1 multiples.  The brute force
 tests every support class against every other at once, by ANDing, for
 each class, the bitsets of the classes that vanish on its zero
 coordinates; the pair count stays what the budget meters.
@@ -30,13 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import _digit_matrix, dot_rows, span_rank
+from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, span_rank
 from .gf import FiniteField
 from .variety import (Variety, hyperplane_section_sizes, size_counts,
                       subspace_section_sizes)
 
 WORDS_HARD_CAP = 2 ** 24
-WORD_BLOCK = 4096
 
 
 class CodeError(ValueError):
@@ -62,10 +62,6 @@ class LinearCode:
     def k(self) -> int:
         return int(self.cols.shape[1])
 
-    def message_block(self, lo: int, hi: int) -> np.ndarray:
-        """Messages lo .. hi-1 as base-q digit rows, most significant first."""
-        return _digit_matrix(self.ctx.order, self.k, np.arange(lo, hi))
-
     @cached_property
     def row_tables(self) -> tuple:
         """Table i holds a times row i of the generator matrix in row a,
@@ -84,27 +80,20 @@ class LinearCode:
             words = self.ctx.vadd(words, tables[i][msgs[:, i]])
         return words
 
-    def word_blocks(self, budget: int | None = None):
-        """Every codeword in message order, q^d rows at a time: d is the
-        largest exponent up to k (and at least 1) with q^d <= WORD_BLOCK.
-        The budget and the hard cap refuse here, before any block."""
+    def class_blocks(self, budget: int | None = None):
+        """The words of the normalized messages, the points of
+        PG(k-1, q) in canonical order, SUBSPACE_BLOCK // n + 1 rows at a
+        time: one word per class of nonzero scalar multiples.  The budget
+        meters all q^k words; it and the hard cap refuse here, before
+        the generator is returned."""
         n_words = self.ctx.order ** self.k
         check_budget(f"enumerating {n_words} codewords", n_words, budget)
         if n_words > WORDS_HARD_CAP:
             raise CodeError(f"codeword enumeration of {n_words} words exceeds "
                             f"the hard cap {WORDS_HARD_CAP}")
-        return self._word_blocks(n_words)
-
-    def _word_blocks(self, n_words: int):
-        # a block shares the leading k - d digits of its first message
-        step = self.ctx.order
-        while step * self.ctx.order <= min(WORD_BLOCK, n_words):
-            step *= self.ctx.order
-        tail = self.codeword_block(self.message_block(0, step))
-        yield tail
-        for lo in range(step, n_words, step):
-            yield self.ctx.vadd(self.codeword_block(self.message_block(lo, lo + 1)),
-                                tail)
+        space, step = pg_space(self.ctx, self.k - 1), SUBSPACE_BLOCK // self.n + 1
+        return (self.codeword_block(space.rows(np.arange(lo, min(lo + step, space.n_points))))
+                for lo in range(0, space.n_points, step))
 
 
 def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
@@ -175,16 +164,17 @@ def weights_from_sections(v: Variety,
 
 def weights_bruteforce(code: LinearCode,
                        budget: int | None = None) -> WeightDistribution:
-    """Weight distribution by enumerating every codeword."""
+    """Weight distribution by enumerating every codeword: one word per
+    projective class, which stands for its q - 1 multiples."""
+    q = code.ctx.order
     counts = np.zeros(code.n + 1, dtype=np.int64)
     # summed in the narrowest dtype that holds n: faster than int64
     wdt = np.min_scalar_type(code.n)
-    for words in code.word_blocks(budget):
+    for words in code.class_blocks(budget):
         weights = (words != 0).view(np.uint8).sum(axis=1, dtype=wdt)
         counts += np.bincount(weights, minlength=code.n + 1)
-    counts[0] -= 1      # the zero message
-    hist = {w: int(c) for w, c in enumerate(counts) if c}
-    dist = WeightDistribution(code.ctx.order, code.n, code.k, hist, "exhaustive")
+    hist = {w: int(c) * (q - 1) for w, c in enumerate(counts) if c}
+    dist = WeightDistribution(q, code.n, code.k, hist, "exhaustive")
     dist.check_complete()
     return dist
 
@@ -388,8 +378,9 @@ def minimality_bruteforce(code: LinearCode,
                           budget: int | None = None) -> MinimalityReport:
     """Exhaustive minimality check by support containment.
 
-    Enumerates every nonzero codeword and collapses the scalar classes
-    (equal supports), sorted by support size.  A word is non-minimal
+    Enumerates one word per projective class and collapses equal
+    supports, which non-proportional words can share, into support
+    classes sorted by support size.  A word is non-minimal
     exactly when some class has support strictly inside its own;
     first_inside finds, for every class at once, the first such class
     in size order, which is the reported witness.  Every class is still
@@ -397,20 +388,20 @@ def minimality_bruteforce(code: LinearCode,
     """
     q, n = code.ctx.order, code.n
     n_words = q ** code.k
-    blocks = code.word_blocks(budget)
-    # at most one support class per scalar class of nonzero words
+    blocks = code.class_blocks(budget)
+    # at most one support class per projective class
     max_cls = (n_words - 1) // (q - 1)
     pair_ops = max_cls * (max_cls - 1) // 2
     check_budget(f"up to {pair_ops} support containment tests", pair_ops, budget)
-    supports = np.empty((n_words, -(-n // 8)), dtype=np.uint8)
+    supports = np.empty((max_cls, -(-n // 8)), dtype=np.uint8)
     at = 0
     for words in blocks:
         supports[at:at + len(words)] = np.packbits(words != 0, axis=1)
         at += len(words)
     del words
-    classes, inverse = _unique_rows(supports[1:])     # drop the zero message
+    classes, inverse = _unique_rows(supports)
     del supports
-    mult = np.bincount(inverse)
+    mult = np.bincount(inverse) * (q - 1)
     bits = np.unpackbits(classes, axis=1, count=n)
     sizes = bits.sum(axis=1, dtype=np.int64)
     order = np.argsort(sizes, kind="stable")

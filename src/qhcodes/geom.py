@@ -21,7 +21,7 @@ from .gf import FiniteField
 
 # subspaces per block of rref_bases, keys per chunk of subspace_counts,
 # points per chunk of a variety build, entries per block of a transform
-# pass or of the access matrix's codewords; bounds the memory of every caller
+# pass or of a code's class words; bounds the memory of every caller
 SUBSPACE_BLOCK = 1 << 16
 
 
@@ -56,8 +56,8 @@ class ProjectiveSpace:
     Unmetered: the variety builders check the budget before a scan."""
 
     def __init__(self, ctx: FiniteField, r: int):
-        if r < 1:
-            raise ValueError(f"r = {r} must be at least 1")
+        if r < 0:
+            raise ValueError(f"r = {r} must be at least 0")
         self.ctx = ctx
         self.r = r
         self.n_points = num_points(r, ctx.order)

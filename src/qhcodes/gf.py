@@ -154,6 +154,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _add_digits(p: int, m: int, a, b):
+    """Sum of the m-digit base-p encodings a and b, digit by digit mod p:
+    Python ints, or numpy integer arrays, broadcast, in their dtype."""
+    out, shift = 0, 1
+    for _ in range(m):
+        out = out + (a % p + b % p) % p * shift
+        a, b, shift = a // p, b // p, shift * p
+    return out
+
+
 class FiniteField:
     """Arithmetic context for GF(p^m).  Elements are ints in [0, p^m)."""
 
@@ -248,27 +258,13 @@ class FiniteField:
     # -- scalar arithmetic ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        out, shift = 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return _add_digits(self.p, self.m, a, b)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out, shift = 0, 1
-        while a:
-            out += ((p - a % p) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        # p - 1 encodes -1
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -353,16 +349,8 @@ class FiniteField:
                 np.take(flat, idx[at:at + (1 << 14)], out=out[at:at + (1 << 14)])
             del idx  # before the cast allocates
             return out.reshape(np.shape(a)).astype(dtype, copy=False)
-        p = self.p
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=dtype)
-        x, y, shift = a.astype(dtype), b.astype(dtype), 1
-        for _ in range(self.m):
-            out += ((x % p + y % p) % p) * shift
-            x //= p
-            y //= p
-            shift *= p
-        return out
+        return _add_digits(self.p, self.m, np.asarray(a, dtype=dtype),
+                           np.asarray(b, dtype=dtype))
 
     @property
     def add_flat(self):
@@ -370,14 +358,7 @@ class FiniteField:
         None above ADD_TABLE_MAX_ORDER, where vadd adds digit by digit."""
         if self._add_flat is None and self.order <= ADD_TABLE_MAX_ORDER:
             e = np.arange(self.order)
-            p = self.p
-            out = np.zeros((self.order, self.order), dtype=np.int64)
-            x, y, shift = *np.meshgrid(e, e, indexing="ij"), 1
-            for _ in range(self.m):
-                out += ((x % p + y % p) % p) * shift
-                x = x // p
-                y = y // p
-                shift *= p
+            out = _add_digits(self.p, self.m, e[:, None], e[None, :])
             self._add_flat = out.reshape(-1).astype(np.min_scalar_type(self.order - 1))
         return self._add_flat
 

@@ -31,7 +31,7 @@ import numpy as np
 from .budget import check_budget
 from .code import (LinearCode, _unique_rows, code_from_variety,
                    cutting_blocking_check, first_inside)
-from .geom import SUBSPACE_BLOCK, row_reduce
+from .geom import row_reduce
 from .variety import Variety
 
 CLOSURE_CAP = 10 ** 6
@@ -242,9 +242,10 @@ def access_structure(v: Variety, p0: int = 0,
     """Minimal access sets of the dual-code scheme with secret point the
     p0-th point of v: one set per hyperplane avoiding that point,
     collecting the participants off the hyperplane.  The codeword of
-    the message h holds h.P for every point P, so each block of
-    hyperplane codewords gives the rows with column 0 nonzero, in
-    hyperplane order, after the Q^r x (n - 1) matrix is metered.
+    the message h holds h.P for every point P, and the normalized
+    messages are the hyperplanes, so each block of class_blocks gives
+    the rows with column 0 nonzero, in hyperplane order, after the
+    Q^r x (n - 1) matrix is metered.
 
     The hyperplane correspondence needs the code on v, which only a
     spanning v has, to be minimal: other point sets are refused.
@@ -258,10 +259,8 @@ def access_structure(v: Variety, p0: int = 0,
             f"rank-{cut.witness_rank} section)")
     entries = v.ctx.order ** v.r * (code.n - 1)
     check_budget(f"an access matrix of {entries} entries", entries, budget)
-    space, step = v.space, SUBSPACE_BLOCK // code.n + 1
-    words = (code.codeword_block(space.rows(np.arange(lo, min(lo + step, space.n_points))))
-             for lo in range(0, space.n_points, step))
-    matrix = np.concatenate([w[w[:, 0] != 0, 1:] != 0 for w in words])
+    matrix = np.concatenate([w[w[:, 0] != 0, 1:] != 0
+                             for w in code.class_blocks(budget)])
     return AccessStructure(tuple(range(1, code.n)), matrix,
                            {"source": "hyperplanes", "variety": v.meta(), "p0": p0})
 
@@ -315,28 +314,32 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
     secrets they imply.  A qualified subset pins a single secret; an
     unqualified one must see every secret equally often.  The q^k
     messages are the codewords of the code on g0 and the subset's
-    columns, so word_blocks refuses by budget and hard cap before the
-    deal."""
+    columns: the zero message, and the q - 1 multiples of each
+    projective class that class_blocks yields, after it refuses by
+    budget and hard cap before the deal."""
     ids = sorted(set(int(i) for i in subset))
     if any(not 1 <= i <= scheme.m for i in ids):
         raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
-    probe = LinearCode(scheme.code.ctx, scheme.code.cols[[0] + ids])
-    blocks = probe.word_blocks(budget)
+    ctx = scheme.code.ctx
+    probe = LinearCode(ctx, scheme.code.cols[[0] + ids])
+    blocks = probe.class_blocks(budget)
     dealt = deal(scheme, secret, seed).shares
     target = np.array([dealt[i] for i in ids], dtype=np.int64)
-    counts: Counter = Counter()
+    tally = np.zeros(scheme.q, dtype=np.int64)
+    tally[0] = not target.any()     # the zero message
     for block in blocks:
-        ok = (block[:, 1:] == target).all(axis=1)
-        vals, cnts = np.unique(block[ok, 0], return_counts=True)
-        for s_val, c in zip(vals, cnts):
-            counts[int(s_val)] += int(c)
+        for c in range(1, scheme.q):
+            words = ctx.scalar_mul_row(c)[block]
+            ok = (words[:, 1:] == target).all(axis=1)
+            tally += np.bincount(words[ok, 0], minlength=scheme.q)
+    counts = {int(s): int(tally[s]) for s in np.flatnonzero(tally)}
     if len(counts) == 1:
         verdict = "qualified"
     elif len(counts) == scheme.q and len(set(counts.values())) == 1:
         verdict = "uniform"
     else:
         verdict = "biased"
-    return PerfectnessReport(tuple(ids), sum(counts.values()), dict(counts),
+    return PerfectnessReport(tuple(ids), sum(counts.values()), counts,
                              verdict)
 
 

@@ -481,9 +481,11 @@ def _check_transform_range(p: int, bound: int) -> None:
     """Refuse a transform whose values, up to bound in absolute value,
     its integer arithmetic cannot carry exactly."""
     need = bound if p == 2 else _transform_modulus(p, bound)[0]
-    if need > _transform_limit(p):
-        raise BudgetError(f"a character transform with sums up to {bound}",
-                          need, _transform_limit(p))
+    limit = _transform_limit(p)
+    if need > limit:
+        raise BudgetError(f"a character transform with sums up to {bound}", need, limit,
+                          f"that needs {need}, beyond the transform's exact range "
+                          f"of {limit}, whatever the budget")
 
 
 def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,

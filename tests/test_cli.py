@@ -185,6 +185,18 @@ def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):
     assert f"refusing scanning {theta} hyperplanes" in err
 
 
+def test_transform_range_refusal_names_no_budget(capsys):
+    # (Q - 1) n = 7920 * 704970 sums outgrow the odd-p transform's
+    # residues whatever the budget, so the refusal must not offer one
+    rc, out, err = run(capsys, "variety", "spectrum", "--variety", "hermitian",
+                       "--q", "89", "--r", "2", "--budget", "1000000000000")
+    assert rc == 3
+    assert out == ""
+    assert err == ("refused: refusing a character transform with sums up to "
+                   "5583362400: that needs 11166724981, beyond the transform's "
+                   "exact range of 321921409, whatever the budget\n")
+
+
 @pytest.mark.parametrize("command", [("variety", "build"), ("code", "weights")])
 @pytest.mark.parametrize("r", ["0", "-1"])
 def test_dimension_below_one_is_a_parameter_error(command, r, capsys):

@@ -1,22 +1,20 @@
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qhcodes.code as code_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
-from qhcodes.code import (WORD_BLOCK, CodeError, CuttingReport, LinearCode,
-                          MinimalityReport, _unique_rows, ab_condition,
-                          code_from_variety,
+from qhcodes.code import (CodeError, CuttingReport, LinearCode,
+                          MinimalityReport, WeightDistribution, _unique_rows,
+                          ab_condition, code_from_variety,
                           cutting_blocking_check, divisibility_report,
                           higher_weight, minimality_bruteforce,
                           minimality_summary, weights_bruteforce,
                           weights_from_sections)
-from qhcodes.geom import (dot_rows, num_points, pg_space, rref_bases, span_rank,
-                          subspace_points)
+from qhcodes.geom import (SUBSPACE_BLOCK, _digit_matrix, dot_rows, num_points,
+                          pg_space, rref_bases, span_rank, subspace_points)
 from qhcodes.gf import field_for_order, make_field
 from qhcodes.sss import perfectness_check
 from qhcodes.variety import Variety, build_variety, hyperplane_section_sizes
@@ -53,11 +51,26 @@ def test_sections_equal_bruteforce(tw33, herm23):
         assert a.weights == b.weights
 
 
+def _row_sorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _with_multiples(ctx, words):
+    """The zero word and the q - 1 nonzero multiples of every word."""
+    scalars = np.arange(1, ctx.order)[:, None, None]
+    return np.concatenate([np.zeros((1, words.shape[1]), dtype=np.int64),
+                           ctx.vmul(scalars, words[None]).reshape(-1, words.shape[1])])
+
+
 def test_message_blocks_cover_all_words(herm23):
+    """class_blocks yields the words of the 85 normalized messages; with
+    the zero word and their multiples, those of all 256 messages."""
     code = code_from_variety(herm23)
-    msgs = code.message_block(0, 4 ** 4)
-    assert msgs.shape == (256, 4)
-    assert len({tuple(row) for row in msgs}) == 256
+    words = np.concatenate(list(code.class_blocks()))
+    assert words.shape == (85, code.n)
+    every = code.codeword_block(_digit_matrix(4, 4, np.arange(4 ** 4)))
+    assert np.array_equal(_row_sorted(_with_multiples(code.ctx, words)),
+                          _row_sorted(every))
 
 
 def test_divisibility():
@@ -356,9 +369,11 @@ def _codeword_block_by_columns(code, msgs):
 
 
 def _blocks(code, chunk=4096):
+    """All q^k messages as base-q digit rows, most significant first,
+    chunk rows at a time."""
     n_words = code.ctx.order ** code.k
     for lo in range(0, n_words, chunk):
-        yield code.message_block(lo, min(lo + chunk, n_words))
+        yield _digit_matrix(code.ctx.order, code.k, np.arange(lo, min(lo + chunk, n_words)))
 
 
 @pytest.mark.parametrize("kind,q,r", [("twisted", 3, 3), ("twisted", 4, 3),
@@ -388,34 +403,55 @@ def test_codeword_block_matches_the_column_loop_on_random_columns(Q, k, n, data)
                           _codeword_block_by_columns(code, msgs))
 
 
+def _code_over_units(ctx, k, n, seed):
+    """A code whose first k columns are the unit vectors, then n random
+    ones: the first k symbols of a word are its message."""
+    rest = np.random.default_rng(seed).integers(0, ctx.order, size=(n, k))
+    return LinearCode(ctx, np.concatenate([np.eye(k, dtype=np.int64), rest]))
+
+
+def _assert_canonical(q, k, msgs):
+    """msgs are the (q^k - 1) / (q - 1) normalized vectors, each once,
+    in lexicographic order."""
+    assert len(msgs) == (q ** k - 1) // (q - 1)
+    lead = msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)]
+    assert (lead == 1).all()
+    keys = msgs.astype(np.int64) @ q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    assert (np.diff(keys) > 0).all()
+
+
 @pytest.mark.parametrize("Q,k", [(2, 3), (2, 14), (3, 8), (4, 6), (5, 6), (7, 5),
                                  (8, 5), (9, 3), (9, 4), (16, 2), (16, 4),
                                  (25, 2), (25, 3), (3721, 1)])
 def test_word_blocks_equal_one_block_of_every_message(Q, k):
-    """The blocks, each one added row plus a tail table, concatenate to
-    the words of all q^k messages in order, in the row tables' dtype;
-    one block when q^k <= WORD_BLOCK.  Q = 3721 is GF(61^2), which adds
-    digit by digit."""
+    """class_blocks' blocks, of SUBSPACE_BLOCK // n + 1 rows but the
+    last, hold the words of the normalized messages, each once and in
+    canonical order, in the row tables' dtype; with the zero word and the
+    q - 1 multiples of each, they are the words of all q^k messages.
+    Q = 3721 is GF(61^2), which adds digit by digit, on the one point of
+    PG(0, Q)."""
     ctx = make_field(61, 2) if Q == 3721 else field_for_order(Q)
-    code = LinearCode(ctx, np.random.default_rng(Q * k).integers(0, Q, size=(5, k)))
-    blocks = list(code.word_blocks())
-    assert (len(blocks) == 1) == (Q ** k <= WORD_BLOCK)
-    assert len({len(b) for b in blocks}) == 1 and len(blocks[0]) <= WORD_BLOCK
-    ref = code.codeword_block(code.message_block(0, Q ** k))
+    code = _code_over_units(ctx, k, 5, seed=Q * k)
+    blocks = list(code.class_blocks())
+    step = SUBSPACE_BLOCK // code.n + 1
+    assert {len(b) for b in blocks[:-1]} <= {step} and 0 < len(blocks[-1]) <= step
     words = np.concatenate(blocks)
-    assert words.dtype == ref.dtype == code.row_tables[0].dtype
-    assert np.array_equal(words, ref)
+    assert words.dtype == code.row_tables[0].dtype
+    _assert_canonical(Q, k, words[:, :k])
+    every = code.codeword_block(_digit_matrix(Q, k, np.arange(Q ** k)))
+    assert np.array_equal(_row_sorted(_with_multiples(ctx, words)), _row_sorted(every))
 
 
 def test_word_blocks_over_gf_61_squared():
-    """Two-digit messages over GF(61^2): blocks of 3721 rows, each a
-    broadcast digit-by-digit vadd; the first three blocks, compared."""
+    """Two-digit messages over GF(61^2): 3722 classes, each word a
+    digit-by-digit vadd of uint16 rows; the messages are canonical and
+    the words those of the column loop."""
     ctx = make_field(61, 2)
-    code = LinearCode(ctx, np.random.default_rng(61).integers(0, ctx.order, size=(4, 2)))
-    words = np.concatenate(list(itertools.islice(code.word_blocks(), 3)))
-    ref = code.codeword_block(code.message_block(0, 3 * ctx.order))
-    assert words.dtype == ref.dtype == np.uint16
-    assert np.array_equal(words, ref)
+    code = _code_over_units(ctx, 2, 4, seed=61)
+    words = np.concatenate(list(code.class_blocks()))
+    assert words.dtype == code.row_tables[0].dtype == np.uint16
+    _assert_canonical(ctx.order, 2, words[:, :2])
+    assert np.array_equal(words, _codeword_block_by_columns(code, words[:, :2]))
 
 
 def test_codeword_block_above_the_addition_table_cutoff():
@@ -428,6 +464,54 @@ def test_codeword_block_above_the_addition_table_cutoff():
     msgs = rng.integers(0, ctx.order, size=(500, 3))
     assert np.array_equal(code.codeword_block(msgs),
                           _codeword_block_by_columns(code, msgs))
+
+
+def _weights_by_words(code):
+    """The weight distribution from the words of all q^k messages, the
+    zero message included and then taken off weight 0."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    wdt = np.min_scalar_type(code.n)
+    for msgs in _blocks(code):
+        weights = (code.codeword_block(msgs) != 0).view(np.uint8).sum(axis=1, dtype=wdt)
+        counts += np.bincount(weights, minlength=code.n + 1)
+    counts[0] -= 1
+    hist = {w: int(c) for w, c in enumerate(counts) if c}
+    return WeightDistribution(code.ctx.order, code.n, code.k, hist, "exhaustive")
+
+
+@st.composite
+def _random_codes(draw):
+    """(Q, columns): random, repeated, zero or non-spanning columns."""
+    Q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    k = draw(st.integers(1, {2: 7, 3: 5, 4: 4, 5: 4}.get(Q, 3)))
+    entries = st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)
+    cols = draw(st.lists(entries, min_size=1, max_size=12))
+    shape = draw(st.sampled_from(["random", "repeated", "zero", "non-spanning"]))
+    if shape == "repeated":
+        cols = [c for c in cols[:4] for _ in range(draw(st.integers(1, 4)))]
+    elif shape == "zero":
+        cols = cols + [[0] * k] * draw(st.integers(1, 3))
+    elif shape == "non-spanning":
+        cols = [[0] + c[1:] for c in cols]
+    return Q, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(code=_random_codes())
+# pinned, since the drawn examples move with the modules loaded: repeated
+# columns, a zero column, columns in x_0 = 0 (so words of weight 0), and
+# one of each remaining Q
+@example(code=(3, [[1, 0], [1, 0], [0, 1], [1, 2], [1, 2], [1, 2]]))
+@example(code=(4, [[0, 0, 0], [1, 2, 3], [0, 1, 1], [1, 1, 1]]))
+@example(code=(9, [[0, 1, 5], [0, 3, 2], [0, 0, 1], [0, 1, 1]]))
+@example(code=(2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 1]]))
+@example(code=(5, [[1, 2], [3, 4], [0, 0]]))
+@example(code=(7, [[0, 1, 6], [0, 2, 5]]))
+@example(code=(8, [[1, 7, 3], [2, 0, 5], [6, 6, 6], [0, 0, 1]]))
+def test_bruteforce_weights_match_every_word_on_random_codes(code):
+    Q, cols = code
+    code = LinearCode(field_for_order(Q), np.array(cols, dtype=np.int64))
+    assert weights_bruteforce(code) == _weights_by_words(code)
 
 
 def _minimality_by_pairs(code):
