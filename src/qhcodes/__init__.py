@@ -13,11 +13,13 @@ The layers, bottom up:
 
 import os
 
-# No qhcodes path calls BLAS, and OpenBLAS's idle worker threads only
-# compete with the main thread for the CPU.  The pool is sized when
-# numpy first loads, so this must run before any import below; a value
-# already in the environment wins, and a numpy imported earlier keeps
-# its pool.
+# The one BLAS call in qhcodes, the odd-characteristic transform's
+# dgemm, multiplies a block of at most 2^16 entries by a small character
+# matrix: with one thread it runs on the main thread, and OpenBLAS's
+# idle workers would only compete with it for the CPU.  The pool is sized
+# when numpy first loads, so this must run before any import below; a
+# value already in the environment wins, and a numpy imported earlier
+# keeps its pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .budget import BudgetError, DEFAULT_BUDGET, check_budget

@@ -34,6 +34,7 @@ validate_params for the exact clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -446,11 +447,13 @@ def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
     return out
 
 
-# Characters of GF(p)^D: a radix-p pass per digit.  Characteristic 2
-# transforms exactly in integers; odd p transforms modulo a prime M with
-# M = 1 (mod p), so zeta, a p-th root of unity mod M, stands in for
-# exp(2 pi i / p).  Blocks of at most SUBSPACE_BLOCK entries bound every
-# temporary, so no full-size int64 copy is made.
+# Characters of GF(p)^D: a radix-p pass per digit, or radix p^2 per two.
+# Characteristic 2 transforms exactly in integers; odd p transforms
+# modulo a prime M with M = 1 (mod p), so zeta, a p-th root of unity mod
+# M, stands in for exp(2 pi i / p), in float64 matrix products (BLAS
+# dgemm) that stay exact.  Blocks of at most SUBSPACE_BLOCK entries
+# bound every temporary, so no full-size copy, and no float64 array
+# beyond four such blocks, is made.
 
 
 def _transform_modulus(p: int, bound: int) -> tuple:
@@ -472,8 +475,9 @@ def _transform_modulus(p: int, bound: int) -> tuple:
 
 def _transform_limit(p: int) -> int:
     """Largest modulus the transform carries exactly (for p = 2, the
-    largest absolute value): entries are int32, and for odd p a row of
-    the character matrix sums p products of residues in int64."""
+    largest absolute value): entries are int32, and for odd p also
+    p M^2 < 2^63, a range the float64 passes carry in at most two limbs
+    for every p of the field table (_limbs)."""
     return min(2 ** 31 - 1, isqrt((2 ** 63 - 1) // p))
 
 
@@ -488,19 +492,109 @@ def _check_transform_range(p: int, bound: int) -> None:
                           f"of {limit}, whatever the budget")
 
 
+def _limbs(M: int, radix: int) -> tuple:
+    """(limbs, s): the odd-p passes at modulus M multiply residues x,
+    |x| <= M, by a radix x radix character matrix of entries
+    |w| <= M // 2, split into limbs of s bits, high limb first:
+    x = sum_j x_j 2^(s j), 0 <= x_j < 2^s below the top limb and
+    |top| <= 2^s (one limb: x itself, s = 0).  Horner's rule reduces,
+    limb by limb, a residue so far, |r| <= M, times 2^s plus a limb's
+    products, at most
+        2^s M + radix (M // 2) top
+    in absolute value.  The least number of limbs keeps that below
+    2^52.  One limb holds while radix M^2 stays below 2^53, and two up
+    to _transform_limit(p) for every odd p below 2^19 - 1."""
+    limbs, s, top = 1, 0, M
+    while (M << s) + radix * (M // 2) * top >= 2 ** 52:
+        limbs += 1
+        s = -(-M.bit_length() // limbs)
+        top = 1 << s
+    return limbs, s
+
+
+@lru_cache(maxsize=8)
+def _character_matrix(p: int, M: int, zeta: int, radix: int) -> np.ndarray:
+    """The character matrix of one or two base-p digits (radix p or
+    p^2) in float64: entry (a, b) is zeta^(a . b) over their digits,
+    mod M in (-M/2, M/2).  Filled one power of zeta at a time, so that
+    no index array of radix^2 entries is made; digit products stay
+    below 2^15 in int16 for p < 182, every p of the field table.  Kept
+    read-only and cached: every transform of a spectrum asks for the
+    same matrices."""
+    assert p < 182
+    a = np.arange(radix, dtype=np.int16)
+    e = (a % p)[:, None] * (a % p)
+    e += (a // p)[:, None] * (a // p)
+    e %= p
+    w = np.empty(e.shape)
+    for k in range(p):
+        z = pow(zeta, k, M)
+        np.copyto(w, z - M if z > M // 2 else z, where=e == k)
+    w.flags.writeable = False
+    return w
+
+
+def _residue_pass(blk: np.ndarray, w: np.ndarray, M: int, bufs: np.ndarray,
+                  last: bool) -> None:
+    """In place, blk[l, j, t] -> sum_i w[j, i] blk[l, i, t] mod M for a
+    block (lead, radix, trail) of residues |x| <= M and a symmetric
+    float64 w of entries |w| <= M // 2, through the float64 rows of
+    bufs (min(limbs, 3) + 1 rows of at least blk.size entries, _limbs).
+
+    The block is widened into bufs as one (radix, lead * trail) matrix
+    and multiplied by w in one BLAS dgemm.  Products and sums are
+    integers below 2^52 in absolute value (_limbs), so every one is
+    exact, and y (1/M) computed in float64 is off from y / M by less
+    than 1/M: its ceiling c is ceil(y / M) or, when M divides y, one
+    more.  The remainder y - c M, also exact, is thus in [-M, 0], a
+    residue that the next pass may read as it is; the last pass fixes
+    it up, adding M to the negative ones, so that the stored results
+    are in [0, M).
+    """
+    nl, radix, nt = blk.shape
+    limbs, s = _limbs(M, radix)
+    rows = [b[:blk.size] for b in bufs]
+    x, y, t, a = rows + [None] * (4 - len(rows))
+    np.copyto(x.reshape(radix, nl, nt).transpose(1, 0, 2), blk)
+    # Horner's rule over the limbs, high first: y holds the residue so
+    # far, x what is left of the block's residues
+    for j in range(limbs - 1, -1, -1):
+        top = j == limbs - 1
+        limb, prod = (t if j else x), (y if top else a if j else t)
+        if j:
+            # limb j, floor(x / 2^(s j)), into t, and x less that limb
+            np.multiply(x, 2.0 ** -(s * j), out=t)
+            np.floor(t, out=t)
+            np.multiply(t, 2.0 ** (s * j), out=prod)
+            np.subtract(x, prod, out=x)
+        if not top:
+            np.multiply(y, 2.0 ** s, out=y)
+        np.matmul(w, limb.reshape(radix, -1), out=prod.reshape(radix, -1))
+        if not top:
+            np.add(y, prod, out=y)
+        np.multiply(y, 1.0 / M, out=limb)
+        np.ceil(limb, out=limb)
+        np.multiply(limb, M, out=limb)
+        np.subtract(y, limb, out=y)
+    if last:
+        np.add(y, M, out=y, where=y < 0)
+    np.copyto(blk, y.reshape(radix, nl, nt).transpose(1, 0, 2), casting="unsafe")
+
+
 def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                        cols: int = 1) -> None:
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
     vectors z, y of the row indices of f read as (f.size / cols, cols),
-    each column alone; zeta = -1 exactly when p = 2, else mod M.  p = 2
+    each column alone; zeta = -1 exactly when p = 2, else mod M, with f
+    and the result int32 residues in [0, M) (_residue_pass).  p <= 5
     takes two digits per pass, and one in a last pass when their number
     is odd.  The columns run along the contiguous axis of every pass."""
     n = f.size // cols
     # p = 2 on short rows: the high digits over rows of low * cols
     # entries, then the low ones on a transposed copy, so that no pass
     # works on rows of a few entries, whose short inner loops would
-    # dominate a chart; odd p's int64 contraction runs no faster on
-    # long rows
+    # dominate a chart; odd p copies each block into one matrix for its
+    # product anyway
     low = 1 << (n.bit_length() - 1) // 4 * 2 if p == 2 else 1
     if cols < low:
         _radix_p_transform(f, p, M, zeta, cols * low)
@@ -511,13 +605,11 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
         return
     if p > 2:
         assert M <= _transform_limit(p)
-        w = np.array([[pow(zeta, i * j, M) for j in range(p)]
-                      for i in range(p)], dtype=np.int64)
-        # a block's int64 copy and product, in two rows every block reuses
-        bufs = np.empty((2, min(f.size, max(SUBSPACE_BLOCK, p))), dtype=np.int64)
+        rows = min(_limbs(M, p * p if p <= 5 else p)[0], 3) + 1
+        bufs = np.empty((rows, min(f.size, max(SUBSPACE_BLOCK, p * p))), dtype=np.float64)
     lead, trail = 1, n
     while trail > 1:
-        radix = 4 if p == 2 and trail % 4 == 0 else p
+        radix = p * p if p <= 5 and trail % (p * p) == 0 else p
         trail //= radix
         view = f.reshape(lead, radix, trail * cols)
         tstep = min(trail * cols, max(1, SUBSPACE_BLOCK // radix))
@@ -535,18 +627,14 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                     np.subtract(s0, s1, out=c)
                     np.subtract(d0, d1, out=d)
                 elif radix == 2:
-                    # in place: 3-5 times faster than the int64
-                    # contraction with [[1, 1], [1, -1]]
+                    # in place: 3-5 times faster than a contraction
+                    # with [[1, 1], [1, -1]]
                     x = blk[:, 0].copy()
                     np.add(x, blk[:, 1], out=blk[:, 0])
                     np.subtract(x, blk[:, 1], out=blk[:, 1])
                 else:
-                    # (p, p) @ (lead, p, trail): one contraction per block
-                    x, y = (b[:blk.size].reshape(blk.shape) for b in bufs)
-                    np.copyto(x, blk)
-                    np.matmul(w, x, out=y)
-                    np.remainder(y, M, out=y)
-                    blk[...] = y
+                    _residue_pass(blk, _character_matrix(p, M, zeta, radix), M, bufs,
+                                  trail == 1)
         lead *= radix
 
 
@@ -652,8 +740,9 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     and only the chart f^ and the sizes span a whole level.  For p = 2,
     g is int32: every partial sum of the second transform is at most
     q n in absolute value, and the range check bounds q n below 2^31;
-    q = 2^m divides by a shift.  For odd p, g is int64 for the
-    contraction, and every q T <= q n < M is read from its residue.
+    q = 2^m divides by a shift.  For odd p, g holds int32 residues, which
+    the transform widens to float64 a block at a time, and every
+    q T <= q n < M is read from its residue.
     Sizes are int32: the range check bounds (q - 1) n below 2^31 in
     every characteristic, so products such as (q - 1) |H meet V| stay
     exact too.  V comes as strictly increasing indices: A_k is their
@@ -696,9 +785,9 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         for idx, key in blocks:
             u = slice(u0, u0 + idx.shape[1])
             # g[c, u] = f^ at the trace digits of c u; key[c, u] = c u itself
-            g = f[idx] if p == 2 else f[idx].astype(np.int64)
+            g = f[idx]
             _radix_p_transform(g, p, M, zeta, cols=g.shape[1])
-            assert np.all(g.sum(axis=0) == q * (at[k + 1] - at[k]))
+            assert np.all(g.sum(axis=0, dtype=np.int64) == q * (at[k + 1] - at[k]))
             if p == 2:
                 low = np.bitwise_or.reduce(g, axis=None) & (q - 1)
                 assert not low, "character sums must be divisible by the field order"

@@ -7,6 +7,7 @@ for element on any point set, not only on the varieties.
 """
 
 import tracemalloc
+from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
 from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
-from qhcodes.variety import (_check_transform_range, _radix_p_transform,
+from qhcodes.variety import (_check_transform_range, _limbs, _radix_p_transform,
                              _scaled_tables, _sizes_direct, _sizes_wht,
                              _transform_limit, _transform_modulus, build_variety,
                              hyperplane_section_sizes, hyperplane_spectrum,
@@ -27,7 +28,8 @@ from qhcodes.variety import (_check_transform_range, _radix_p_transform,
 
 # (Q, r) with PG(r, Q) small enough for the direct engine
 SPACES = [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
-          (5, 2), (5, 3), (7, 1), (7, 2), (8, 2), (9, 1), (9, 2), (16, 2)]
+          (5, 2), (5, 3), (7, 1), (7, 2), (8, 2), (9, 1), (9, 2), (16, 2),
+          (25, 2), (49, 2)]
 BLOCKS = [5, 7, 36, 1 << 16]
 
 
@@ -186,8 +188,9 @@ def test_hyperplane_count_bounds_every_transform_array(Q, r, monkeypatch):
 
 
 def _radix_p_by_digits(f, p, M, zeta, rows=1):
-    """The transform one digit per pass in every characteristic: the
-    reference for the two-digit passes of p = 2."""
+    """The transform one digit per pass in every characteristic, for
+    odd p as an int64 contraction: the reference for the two-digit
+    passes of p = 2 and the float64 passes of odd p."""
     if p > 2:
         w = np.array([[pow(zeta, i * j, M) for j in range(p)]
                       for i in range(p)], dtype=np.int64)
@@ -226,6 +229,112 @@ def test_transform_passes_equal_the_one_digit_reference(p, digits, cols, block,
     _radix_p_by_digits(ref, p, M, zeta, rows=cols)
     _radix_p_transform(f, p, M, zeta, cols=cols)
     assert np.array_equal(f, ref.T)
+
+
+def _widest_radix(p):
+    return p * p if p <= 5 else p
+
+
+def _moduli(p):
+    """(M, zeta) for odd p: a modulus of one limb, the first prime
+    M = 1 (mod p) that needs two limbs at the widest radix of p's
+    passes, and the largest that _transform_limit(p) admits."""
+    radix, limit = _widest_radix(p), _transform_limit(p)
+    lo, hi = 1, limit
+    while lo < hi:   # the largest modulus of one limb
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _limbs(mid, radix)[0] == 1 else (lo, mid - 1)
+    top = limit - (limit - 1) % p
+    while not _prime(top):
+        top -= p
+    return [_transform_modulus(p, 10 ** 5), _transform_modulus(p, (lo + 1) // 2),
+            _transform_modulus(p, (top - 1) // 2)]
+
+
+MODULI = {p: _moduli(p) for p in (3, 5, 7, 11, 61)}
+
+
+def test_moduli_span_one_and_two_limbs():
+    for p, moduli in MODULI.items():
+        radix, limit = _widest_radix(p), _transform_limit(p)
+        (M1, _), (M2, _), (M3, _) = moduli
+        below = M2 - p   # the prime modulus before M2
+        while not _prime(below):
+            below -= p
+        assert [_limbs(M, radix)[0] for M in (M1, below, M2, M3)] == [1, 1, 2, 2]
+        assert M3 <= limit and not any(_prime(c) for c in range(M3 + p, limit + 1, p))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("p, digits", [(3, 5), (5, 3), (7, 3), (11, 2), (61, 2)])
+def test_odd_passes_equal_the_int64_reference(p, digits, which, cols, block, monkeypatch):
+    # two-digit passes and a last one-digit pass (p = 3, 5), blocks
+    # that split both axes, and moduli of one limb, of two just past
+    # the edge, and at the range's limit, whose residues fill 31 bits
+    monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)
+    M, zeta = MODULI[p][which]
+    rng = np.random.default_rng(which * 100 + p)
+    f = rng.integers(0, M, size=(p ** digits, cols), dtype=np.int32)
+    ref = f.T.copy()
+    _radix_p_by_digits(ref, p, M, zeta, rows=cols)
+    _radix_p_transform(f, p, M, zeta, cols=cols)
+    assert np.array_equal(f, ref.T)
+
+
+@pytest.mark.parametrize("p, which", [(3, 1), (3, 2), (7, 0), (7, 2), (61, 1)])
+def test_odd_passes_fix_a_quotient_one_high(p, which):
+    # where 1.0 / M rounds up, y (1/M) may round up past y / M when M
+    # divides y: a transform that is 0 mod M at half its entries, taken
+    # from the inverse transform (zeta^-1 and a factor p^-2), meets
+    # such y in its last pass
+    M, zeta = MODULI[p][which]
+    assert Fraction(1.0 / M) > Fraction(1, M)
+    rng = np.random.default_rng(p)
+    want = rng.integers(0, M, size=(p ** 2, 3600 // p ** 2 + 1))
+    want[rng.random(want.shape) < 0.5] = 0
+    f = want.T.copy()
+    _radix_p_by_digits(f, p, M, pow(zeta, -1, M), rows=f.shape[0])
+    f = np.ascontiguousarray((f * pow(p, -2, M) % M).T, dtype=np.int32)
+    _radix_p_transform(f, p, M, zeta, cols=f.shape[1])
+    assert np.array_equal(f, want)
+
+
+@pytest.mark.parametrize("p, digits", [(3, 5), (7, 3)])
+def test_odd_passes_take_any_number_of_limbs(p, digits, monkeypatch):
+    # more limbs than a modulus needs stay exact: three run Horner's
+    # middle step, which no modulus in the range reaches
+    M, zeta = MODULI[p][1]
+    rng = np.random.default_rng(p)
+    f = rng.integers(0, M, size=p ** digits, dtype=np.int32)
+    want = f.copy()
+    _radix_p_by_digits(want, p, M, zeta)
+    for limbs in (2, 3, 4):
+        monkeypatch.setattr(variety_mod, "_limbs",
+                            lambda M, radix: (limbs, -(-M.bit_length() // limbs)))
+        g = f.copy()
+        _radix_p_transform(g, p, M, zeta)
+        assert np.array_equal(g, want), limbs
+
+
+@pytest.mark.parametrize("which", [0, 2])
+@pytest.mark.parametrize("block", [1 << 12, 1 << 16])
+def test_odd_transform_widens_a_block_at_a_time(which, block, monkeypatch):
+    # an int32 chart of 7^6 entries: the float64 rows the passes widen
+    # it into hold at most 4 x SUBSPACE_BLOCK entries, never the chart's
+    # 7^6 (0.9 MB in float64)
+    monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)
+    M, zeta = MODULI[7][which]
+    f = np.random.default_rng(which).integers(0, M, size=7 ** 6, dtype=np.int32)
+    _radix_p_transform(f[:49].copy(), 7, M, zeta)
+    tracemalloc.start()
+    try:
+        _radix_p_transform(f, 7, M, zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * block + (1 << 14)
 
 
 def _trace_digits(ctx):
