@@ -97,8 +97,9 @@ def _flatten_config(cfg: dict) -> list:
 
 
 def emit(args, command: str, config: dict, report: dict, verdict,
-         csv_header=None, csv_rows=None) -> None:
-    """Write the payload in the chosen format, stable byte for byte."""
+         csv_header=None, csv_rows=None) -> int:
+    """Write the payload in the chosen format, stable byte for byte, and
+    return the command's exit code: 1 for a FAIL verdict, else 0."""
     if args.format == "json":
         payload = {"schema": 1, "command": command, "config": config,
                    "report": report, "verdict": verdict}
@@ -123,6 +124,7 @@ def emit(args, command: str, config: dict, report: dict, verdict,
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+    return 1 if verdict == FAIL else 0
 
 
 def _status(msg: str) -> None:
@@ -162,11 +164,10 @@ def cmd_variety_build(args) -> int:
         PASS if v.n == predicted_n else FAIL)
     report = {"variety": v.meta(), "measured_n": v.n,
               "affine_points": v.affine_count(), "predicted_n": predicted_n}
-    emit(args, "variety build", run_config(args, v), report, verdict,
-         ["kind", "q", "r", "n", "affine_points", "predicted_n", "verdict"],
-         [[v.kind, args.q, args.r, v.n, v.affine_count(),
-           "" if predicted_n is None else predicted_n, verdict or ""]])
-    return 0 if verdict != FAIL else 1
+    return emit(args, "variety build", run_config(args, v), report, verdict,
+                ["kind", "q", "r", "n", "affine_points", "predicted_n", "verdict"],
+                [[v.kind, args.q, args.r, v.n, v.affine_count(),
+                  "" if predicted_n is None else predicted_n, verdict or ""]])
 
 
 def cmd_variety_spectrum(args) -> int:
@@ -185,10 +186,9 @@ def cmd_variety_spectrum(args) -> int:
     report["predicted"] = pred.as_dict() if pred is not None else None
     report["support_match"] = support_match
     report["counts_match"] = counts_match
-    emit(args, "variety spectrum", run_config(args, v), report, verdict,
-         ["size", "count"],
-         [[s, c] for s, c in sorted(sp.counts.items())])
-    return 0 if verdict != FAIL else 1
+    return emit(args, "variety spectrum", run_config(args, v), report, verdict,
+                ["size", "count"],
+                [[s, c] for s, c in sorted(sp.counts.items())])
 
 
 def cmd_variety_lines(args) -> int:
@@ -203,10 +203,9 @@ def cmd_variety_lines(args) -> int:
     report = sp.as_dict()
     report["allowed_sizes"] = None if allowed is None else list(allowed)
     report["extraneous_sizes"] = extraneous
-    emit(args, "variety lines", run_config(args, v), report, verdict,
-         ["size", "count"],
-         [[s, c] for s, c in sorted(sp.counts.items())])
-    return 0 if verdict != FAIL else 1
+    return emit(args, "variety lines", run_config(args, v), report, verdict,
+                ["size", "count"],
+                [[s, c] for s, c in sorted(sp.counts.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +222,9 @@ def cmd_code_weights(args) -> int:
         verdict = PASS if cross["match"] else FAIL
     report = {"variety": v.meta(), "distribution": dist.as_dict(),
               "d_min": dist.w_min, "cross_check": cross}
-    emit(args, "code weights", run_config(args, v), report, verdict,
-         ["weight", "count"],
-         [[w, c] for w, c in sorted(dist.weights.items())])
-    return 0 if verdict != FAIL else 1
+    return emit(args, "code weights", run_config(args, v), report, verdict,
+                ["weight", "count"],
+                [[w, c] for w, c in sorted(dist.weights.items())])
 
 
 def cmd_code_minimality(args) -> int:
@@ -246,13 +244,13 @@ def cmd_code_minimality(args) -> int:
         if "status" in bf:
             _status(f"brute-force cross-check skipped: {bf['reason']}")
     rows.append(["minimal", cut_ok])
-    emit(args, "code minimality", run_config(args, v), summary, verdict,
-         ["criterion", "result"], rows)
+    rc = emit(args, "code minimality", run_config(args, v), summary, verdict,
+              ["criterion", "result"], rows)
     if not cut_ok:
         wit = summary["cutting"]
         _status(f"not minimal: hyperplane {wit['witness_coords']} section has "
                 f"rank {wit['witness_rank']}")
-    return 0 if verdict == PASS else 1
+    return rc
 
 
 def cmd_code_divisibility(args) -> int:
@@ -262,20 +260,18 @@ def cmd_code_divisibility(args) -> int:
     rep = divisibility_report(dist, divisor)
     report = {"variety": v.meta(), "divisibility": rep.as_dict(),
               "weights": dist.as_dict()["weights"]}
-    emit(args, "code divisibility", run_config(args, v), report, None,
-         ["weight", "count", "divisible"],
-         [[w, c, w % divisor == 0] for w, c in sorted(dist.weights.items())])
-    return 0
+    return emit(args, "code divisibility", run_config(args, v), report, None,
+                ["weight", "count", "divisible"],
+                [[w, c, w % divisor == 0] for w, c in sorted(dist.weights.items())])
 
 
 def cmd_code_dk(args) -> int:
     v = make_variety(args)
     rep = higher_weight(v, args.k, budget=args.budget)
     report = {"variety": v.meta(), "higher_weight": rep.as_dict()}
-    emit(args, "code dk", run_config(args, v), report, None,
-         ["k", "d", "max_section", "subspaces"],
-         [[rep.k, rep.d, rep.max_section, rep.subspaces]])
-    return 0
+    return emit(args, "code dk", run_config(args, v), report, None,
+                ["k", "d", "max_section", "subspaces"],
+                [[rep.k, rep.d, rep.max_section, rep.subspaces]])
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +286,17 @@ def _set_rows(sets):
 def cmd_sss_access(args) -> int:
     v = make_variety(args)
     report = access_structure(v, args.p0, args.budget).as_dict()
-    emit(args, "sss access", run_config(args, v), report, None,
-         ["set_index", "size", "members"], _set_rows(report["sets"]))
-    return 0
+    return emit(args, "sss access", run_config(args, v), report, None,
+                ["set_index", "size", "members"], _set_rows(report["sets"]))
 
 
 def cmd_sss_deal(args) -> int:
     scheme = make_scheme(args)
     rep = deal(scheme, args.secret, args.seed)
     report = {"scheme": scheme.meta(), **rep.as_dict()}
-    emit(args, "sss deal", run_config(args, scheme.variety), report, None,
-         ["participant", "value"],
-         [[i, rep.shares[i]] for i in sorted(rep.shares)])
-    return 0
+    return emit(args, "sss deal", run_config(args, scheme.variety), report, None,
+                ["participant", "value"],
+                [[i, rep.shares[i]] for i in sorted(rep.shares)])
 
 
 def _json_int(x) -> int:
@@ -348,18 +342,16 @@ def cmd_sss_recover(args) -> int:
     config["subset"] = list(subset)
     try:
         secret = recover(scheme, subset, shares)
-        status, detail, rc = "RECOVERED", "", 0
+        status, detail, verdict = "RECOVERED", "", PASS
     except NotQualifiedError as e:
-        secret, status, detail, rc = None, "NOT_QUALIFIED", str(e), 1
+        secret, status, detail, verdict = None, "NOT_QUALIFIED", str(e), FAIL
     except InconsistentSharesError as e:
-        secret, status, detail, rc = None, "INCONSISTENT_SHARES", str(e), 1
+        secret, status, detail, verdict = None, "INCONSISTENT_SHARES", str(e), FAIL
     report = {"scheme": scheme.meta(), "subset": list(subset),
               "status": status, "secret": secret, "detail": detail}
-    verdict = PASS if rc == 0 else FAIL
-    emit(args, "sss recover", config, report, verdict,
-         ["status", "secret", "detail"],
-         [[status, "" if secret is None else secret, detail]])
-    return rc
+    return emit(args, "sss recover", config, report, verdict,
+                ["status", "secret", "detail"],
+                [[status, "" if secret is None else secret, detail]])
 
 
 def cmd_sss_democracy(args) -> int:
@@ -371,9 +363,8 @@ def cmd_sss_democracy(args) -> int:
                          "size_profile": profile_rows(acc.size_profile())},
               "democracy": rep.as_dict()}
     rows = [[p, c] for p, c in sorted(rep.per_participant.items())]
-    emit(args, "sss democracy", run_config(args, v), report, None,
-         ["participant", "memberships"], rows)
-    return 0
+    return emit(args, "sss democracy", run_config(args, v), report, None,
+                ["participant", "memberships"], rows)
 
 
 def cmd_sss_develop(args) -> int:
@@ -382,9 +373,8 @@ def cmd_sss_develop(args) -> int:
     acc = develop(fx.starters, group, args.budget)
     report = {"fixture": args.fixture, "degree": fx.degree,
               "group_order": group.order, **acc.as_dict()}
-    emit(args, "sss develop", run_config(args), report, None,
-         ["set_index", "size", "members"], _set_rows(report["sets"]))
-    return 0
+    return emit(args, "sss develop", run_config(args), report, None,
+                ["set_index", "size", "members"], _set_rows(report["sets"]))
 
 
 def cmd_sss_verify_example(args) -> int:
@@ -394,9 +384,8 @@ def cmd_sss_verify_example(args) -> int:
     facts_out = dict(facts)
     facts_out["size_profile"] = profile_rows(facts["size_profile"])
     report = {"facts": facts_out, "checks": checks}
-    emit(args, "sss verify-example", run_config(args), report, verdict,
-         ["check", "ok"], [[name, ok] for name, ok in sorted(checks.items())])
-    return 0 if verdict == PASS else 1
+    return emit(args, "sss verify-example", run_config(args), report, verdict,
+                ["check", "ok"], [[name, ok] for name, ok in sorted(checks.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +395,10 @@ def cmd_verify_all(args) -> int:
     if args.corrupt_modulus:
         res = verify_mod.negative_control_corrupt_modulus()
         _status(f"{res.cid} {res.status} ({res.elapsed:.1f}s) {res.name}: {res.detail}")
-        verdict = PASS if res.status == "PASS" else FAIL
-        emit(args, "verify-all", run_config(args),
-             {"criteria": [res.as_dict()]}, verdict,
-             ["id", "status", "name", "detail"],
-             [[res.cid, res.status, res.name, res.detail]])
-        return 0 if verdict == PASS else 1
+        return emit(args, "verify-all", run_config(args),
+                    {"criteria": [res.as_dict()]}, res.status,
+                    ["id", "status", "name", "detail"],
+                    [[res.cid, res.status, res.name, res.detail]])
     results = verify_mod.run_all(budget=args.budget)
     for res in results:
         _status(f"{res.cid} {res.status} ({res.elapsed:.1f}s) {res.name}: {res.detail}")
@@ -421,14 +408,10 @@ def cmd_verify_all(args) -> int:
               "n_pass": statuses.count(PASS),
               "n_fail": statuses.count(FAIL),
               "n_skip": statuses.count("SKIP")}
-    emit(args, "verify-all", run_config(args), report, verdict,
-         ["id", "status", "name", "detail"],
-         [[res.cid, res.status, res.name, res.detail] for res in results])
-    if verdict == FAIL:
-        return 1
-    if verdict == "SKIP":
-        return 3
-    return 0
+    rc = emit(args, "verify-all", run_config(args), report, verdict,
+              ["id", "status", "name", "detail"],
+              [[res.cid, res.status, res.name, res.detail] for res in results])
+    return 3 if verdict == "SKIP" else rc
 
 
 # ---------------------------------------------------------------------------

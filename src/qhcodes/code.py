@@ -31,10 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, span_rank
+from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, span_rank, subspace_counts
 from .gf import FiniteField
-from .variety import (Variety, hyperplane_section_sizes, size_counts,
-                      subspace_section_sizes)
+from .variety import Variety, hyperplane_section_sizes, size_counts
 
 WORDS_HARD_CAP = 2 ** 24
 
@@ -224,7 +223,7 @@ def higher_weight(v: Variety, k: int,
     if k == 1:
         sizes = hyperplane_section_sizes(v, budget)
     else:
-        sizes = subspace_section_sizes(v, r + 1 - k, budget)
+        sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
     best = int(sizes.max())
     return HigherWeightReport(k, v.n - best, best, len(sizes))
 

@@ -50,9 +50,10 @@ def _digit_matrix(q: int, width: int, n: np.ndarray) -> np.ndarray:
 class ProjectiveSpace:
     """PG(r, q) in canonical order: the points whose leading 1 has w
     coordinates after it have indices theta_(w-1) .. theta_w - 1, the
-    i-th with key (its base-q value) q^w + i; theta_(-1) = 0.  No table
-    of points or keys is stored: callers derive the rows of the indices
-    they need, a block at a time.
+    i-th with key (its base-q value) q^w + i; theta_(-1) = 0.  starts
+    holds theta_(w-1) for w = 0 .. r + 1, the last being n_points.  No
+    table of points or keys is stored: callers derive the rows of the
+    indices they need, a block at a time.
     Unmetered: the variety builders check the budget before a scan."""
 
     def __init__(self, ctx: FiniteField, r: int):
@@ -62,12 +63,12 @@ class ProjectiveSpace:
         self.r = r
         self.n_points = num_points(r, ctx.order)
         self._powers = ctx.order ** np.arange(r + 1, dtype=np.int64)
-        self._starts = (self._powers - 1) // (ctx.order - 1)
+        self.starts = np.concatenate(([0], np.cumsum(self._powers)))
 
     def keys_of(self, idx) -> np.ndarray:
         """Keys of the points with canonical indices idx."""
-        w = np.searchsorted(self._starts, idx, side="right") - 1
-        return idx - self._starts[w] + self._powers[w]
+        w = np.searchsorted(self.starts, idx, side="right") - 1
+        return idx - self.starts[w] + self._powers[w]
 
     def rows(self, idx) -> np.ndarray:
         """Coordinate rows, int64, of the points with canonical indices idx."""
@@ -83,7 +84,7 @@ class ProjectiveSpace:
         w = np.searchsorted(self._powers, keys, side="right") - 1
         if np.any(keys <= 0) or np.any(keys >= 2 * self._powers[w]):
             raise KeyError("some rows are not normalized points")
-        return keys - self._powers[w] + self._starts[w]
+        return keys - self._powers[w] + self.starts[w]
 
 
 @lru_cache(maxsize=None)

@@ -134,10 +134,10 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
     its negated last entry.
     """
     ctx = scheme.code.ctx
-    q, k = scheme.q, scheme.k
+    q, k, m = scheme.q, scheme.k, scheme.m
     ids = sorted(set(int(i) for i in subset))
-    if any(not 1 <= i <= scheme.m for i in ids):
-        raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
+    if any(not 1 <= i <= m for i in ids):
+        raise SSSError(f"participant ids must lie in 1 .. {m}")
     missing = [i for i in ids if i not in shares]
     if missing:
         raise SSSError(f"missing shares for participants {missing[:5]}")

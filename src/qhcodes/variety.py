@@ -239,7 +239,7 @@ class Variety:
 
     def affine_count(self) -> int:
         # the affine chart X_0 = 1 holds the indices from theta_(r-1) on
-        at = np.searchsorted(self.indices, num_points(self.r - 1, self.ctx.order))
+        at = np.searchsorted(self.indices, self.space.starts[self.r])
         return self.n - int(at)
 
     def meta(self) -> dict:
@@ -275,7 +275,7 @@ def _build(kind, ctx, r, budget, affine, infinity, params=None) -> Variety:
         if part is not None:
             first, middle, last = (t.astype(dtype) for t in part)
             g = ([first] + [middle] * (r - 1) + [last])[r - w:]
-            charts.append((num_points(w - 1, q), g[0][1], g[1:]))
+            charts.append((space.starts[w], g[0][1], g[1:]))
     return Variety(kind, ctx, r, space, _chart_zeros(ctx, charts), params)
 
 
@@ -512,6 +512,12 @@ def _limbs(M: int, radix: int) -> tuple:
     return limbs, s
 
 
+def _widest_radix(p: int) -> int:
+    """The radix of the transform's passes where the digits left allow
+    it: p <= 5 takes two digits a pass, a larger p one."""
+    return p * p if p <= 5 else p
+
+
 @lru_cache(maxsize=8)
 def _character_matrix(p: int, M: int, zeta: int, radix: int) -> np.ndarray:
     """The character matrix of one or two base-p digits (radix p or
@@ -534,12 +540,13 @@ def _character_matrix(p: int, M: int, zeta: int, radix: int) -> np.ndarray:
     return w
 
 
-def _residue_pass(blk: np.ndarray, w: np.ndarray, M: int, bufs: np.ndarray,
-                  last: bool) -> None:
+def _residue_pass(blk: np.ndarray, w: np.ndarray, M: int, split: tuple,
+                  bufs: np.ndarray, last: bool) -> None:
     """In place, blk[l, j, t] -> sum_i w[j, i] blk[l, i, t] mod M for a
     block (lead, radix, trail) of residues |x| <= M and a symmetric
-    float64 w of entries |w| <= M // 2, through the float64 rows of
-    bufs (min(limbs, 3) + 1 rows of at least blk.size entries, _limbs).
+    float64 w of entries |w| <= M // 2, with split the (limbs, s) that
+    _limbs gives at M and radix, through the float64 rows of bufs
+    (min(limbs, 3) + 1 rows of at least blk.size entries).
 
     The block is widened into bufs as one (radix, lead * trail) matrix
     and multiplied by w in one BLAS dgemm.  Products and sums are
@@ -552,7 +559,7 @@ def _residue_pass(blk: np.ndarray, w: np.ndarray, M: int, bufs: np.ndarray,
     are in [0, M).
     """
     nl, radix, nt = blk.shape
-    limbs, s = _limbs(M, radix)
+    limbs, s = split
     rows = [b[:blk.size] for b in bufs]
     x, y, t, a = rows + [None] * (4 - len(rows))
     np.copyto(x.reshape(radix, nl, nt).transpose(1, 0, 2), blk)
@@ -586,9 +593,9 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
     """In place, f(z) -> sum_y f(y) zeta^(z . y) over the base-p digit
     vectors z, y of the row indices of f read as (f.size / cols, cols),
     each column alone; zeta = -1 exactly when p = 2, else mod M, with f
-    and the result int32 residues in [0, M) (_residue_pass).  p <= 5
-    takes two digits per pass, and one in a last pass when their number
-    is odd.  The columns run along the contiguous axis of every pass."""
+    and the result int32 residues in [0, M) (_residue_pass).  A pass
+    takes _widest_radix(p) where the digits left allow it, else one
+    digit.  The columns run along the contiguous axis of every pass."""
     n = f.size // cols
     # p = 2 on short rows: the high digits over rows of low * cols
     # entries, then the low ones on a transposed copy, so that no pass
@@ -603,13 +610,16 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
         _radix_p_transform(t, p, M, zeta, cols * (n // low))
         view[...] = t.transpose(1, 0, 2)
         return
+    wide = _widest_radix(p)
     if p > 2:
         assert M <= _transform_limit(p)
-        rows = min(_limbs(M, p * p if p <= 5 else p)[0], 3) + 1
-        bufs = np.empty((rows, min(f.size, max(SUBSPACE_BLOCK, p * p))), dtype=np.float64)
+        # (limbs, s) at each radix the passes take; the wider needs more
+        split = {radix: _limbs(M, radix) for radix in {p, wide}}
+        rows = min(split[wide][0], 3) + 1
+        bufs = np.empty((rows, min(f.size, max(SUBSPACE_BLOCK, wide))), dtype=np.float64)
     lead, trail = 1, n
     while trail > 1:
-        radix = p * p if p <= 5 and trail % (p * p) == 0 else p
+        radix = wide if trail % wide == 0 else p
         trail //= radix
         view = f.reshape(lead, radix, trail * cols)
         tstep = min(trail * cols, max(1, SUBSPACE_BLOCK // radix))
@@ -633,8 +643,8 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
                     np.add(x, blk[:, 1], out=blk[:, 0])
                     np.subtract(x, blk[:, 1], out=blk[:, 1])
                 else:
-                    _residue_pass(blk, _character_matrix(p, M, zeta, radix), M, bufs,
-                                  trail == 1)
+                    _residue_pass(blk, _character_matrix(p, M, zeta, radix), M,
+                                  split[radix], bufs, trail == 1)
         lead *= radix
 
 
@@ -771,7 +781,7 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     # column of T[u, -1/d] for d = 1 .. q-1
     inv_cols = trd[ctx.exp[-ctx.log[1:] % (q - 1)]]
     # at[k]: how many points of V have index below theta_(k-1), k = 0 .. r+1
-    starts = [num_points(k - 1, q) for k in range(r + 2)]
+    starts = space.starts
     at = np.searchsorted(indices, starts)
     sizes = np.zeros(1, dtype=np.int32)
     for k, blocks in enumerate(_scaled_tables(ctx, trd, r), 1):
@@ -850,18 +860,11 @@ def size_counts(sizes: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # line spectra
 
-def subspace_section_sizes(v: Variety, nrows: int,
-                           budget: int | None = None) -> np.ndarray:
-    """|S meet v| for every subspace S of vector dimension nrows, in the
-    order of geom.rref_bases, from geom.subspace_counts: uint8 for the
-    lines of every q up to 15."""
-    return subspace_counts(v.space, v.indices, nrows, budget)
-
-
 def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
-    """|ell meet v| over all lines, as subspace_section_sizes(v, 2) gives
-    them: np.min_scalar_type(q^2 + 1), so uint8 up to q = 15."""
-    return subspace_section_sizes(v, 2, budget)
+    """|ell meet v| over all lines, in the order of geom.rref_bases, as
+    geom.subspace_counts gives them: np.min_scalar_type(q^2 + 1), so
+    uint8 up to q = 15."""
+    return subspace_counts(v.space, v.indices, 2, budget)
 
 
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:

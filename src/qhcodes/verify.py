@@ -352,19 +352,14 @@ def run_all(budget=None, parallel=1, checks=ALL_CHECKS) -> list:
 
 
 def negative_control_corrupt_modulus() -> CheckResult:
-    """Replace one table entry with a reducible polynomial and require
-    the field construction to reject it."""
-    from .gf import CONWAY_POLYNOMIALS, FieldError, FiniteField
-    good = CONWAY_POLYNOMIALS[(3, 2)]
+    """Give the field construction a reducible polynomial in place of the
+    table's modulus and require it to reject it."""
+    from .gf import FieldError, FiniteField
     # x^2 + 2x + 1 = (x + 1)^2 is reducible over GF(3)
     try:
-        CONWAY_POLYNOMIALS[(3, 2)] = (1, 2, 1)
-        try:
-            FiniteField(3, 2)
-        except FieldError as e:
-            return CheckResult("NC", "corrupted modulus control", "PASS",
-                               f"construction rejected the bad table entry: {e}")
-        return CheckResult("NC", "corrupted modulus control", "FAIL",
-                           "construction accepted a reducible modulus")
-    finally:
-        CONWAY_POLYNOMIALS[(3, 2)] = good
+        FiniteField(3, 2, modulus=(1, 2, 1))
+    except FieldError as e:
+        return CheckResult("NC", "corrupted modulus control", "PASS",
+                           f"construction rejected the bad table entry: {e}")
+    return CheckResult("NC", "corrupted modulus control", "FAIL",
+                       "construction accepted a reducible modulus")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -408,6 +409,14 @@ def test_develop_and_example(capsys):
     rc, doc, _ = run_json(capsys, "sss", "verify-example")
     assert rc == 0
     assert doc["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("verdict, rc", [("FAIL", 1), ("PASS", 0), (None, 0), ("SKIP", 0)])
+def test_emit_returns_the_exit_code(verdict, rc, capsys):
+    # only FAIL exits 1; verify-all maps its SKIP to 3 itself
+    args = SimpleNamespace(format="json", out=None)
+    assert cli_mod.emit(args, "test", {}, {}, verdict) == rc
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
 def test_verify_all_budget_zero_exit_3(capsys):

@@ -22,9 +22,9 @@ from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
 from qhcodes.variety import (_check_transform_range, _limbs, _radix_p_transform,
                              _scaled_tables, _sizes_direct, _sizes_wht,
-                             _transform_limit, _transform_modulus, build_variety,
-                             hyperplane_section_sizes, hyperplane_spectrum,
-                             predicted_spectrum)
+                             _transform_limit, _transform_modulus, _widest_radix,
+                             build_variety, hyperplane_section_sizes,
+                             hyperplane_spectrum, predicted_spectrum)
 
 # (Q, r) with PG(r, Q) small enough for the direct engine
 SPACES = [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
@@ -229,10 +229,6 @@ def test_transform_passes_equal_the_one_digit_reference(p, digits, cols, block,
     _radix_p_by_digits(ref, p, M, zeta, rows=cols)
     _radix_p_transform(f, p, M, zeta, cols=cols)
     assert np.array_equal(f, ref.T)
-
-
-def _widest_radix(p):
-    return p * p if p <= 5 else p
 
 
 def _moduli(p):

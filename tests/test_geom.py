@@ -13,7 +13,7 @@ from qhcodes.geom import (ProjectiveSpace, gaussian_binomial, num_points,
                           pg_space, dot_rows, row_reduce, rref_bases,
                           span_rank, subspace_counts, subspace_points)
 from qhcodes.gf import field_for_order, make_field
-from qhcodes.variety import build_variety, line_section_sizes, subspace_section_sizes
+from qhcodes.variety import build_variety, line_section_sizes
 
 
 def test_point_counts():
@@ -139,6 +139,15 @@ def test_a_space_stores_no_table():
         tracemalloc.stop()
     assert space.n_points == 5884901
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("Q,r", [(2, 0), (9, 0), (4, 3), (25, 2), (3, 5)])
+def test_starts_are_the_chart_offsets(Q, r):
+    # theta_(w-1), where the points with w coordinates after their
+    # leading 1 begin, for w = 0 .. r + 1: the last is n_points
+    space = ProjectiveSpace(field_for_order(Q), r)
+    assert space.starts.tolist() == [num_points(w - 1, Q) for w in range(r + 2)]
+    assert space.starts[-1] == space.n_points
 
 
 def test_dot_rows_matches_scalar():
@@ -269,7 +278,7 @@ def test_subspace_section_sizes_match_reference(kind, q, r, monkeypatch):
     for nrows in range(1, r + 1):
         ref = sorted(int(memb[list(s)].sum())
                      for s in reference_index_sets(q * q, r, nrows))
-        assert sorted(subspace_section_sizes(v, nrows).tolist()) == ref
+        assert sorted(subspace_counts(v.space, v.indices, nrows).tolist()) == ref
 
 
 # both characteristics; every odd case has some low-key group of order
@@ -367,7 +376,7 @@ def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
     chosen = np.flatnonzero(rng.random(space.n_points) < 1 / 3)
     v = SimpleNamespace(ctx=ctx, r=r, space=space, indices=chosen)
     for nrows in range(2, r + 1):
-        sizes = subspace_section_sizes(v, nrows)
+        sizes = subspace_counts(v.space, v.indices, nrows)
         assert sizes.dtype == np.min_scalar_type(num_points(nrows - 1, Q))
         assert np.array_equal(sizes, reference_section_sizes(v, nrows))
     if cap is not None:

@@ -17,17 +17,16 @@ Q + 1 planes through l, so |l meet V| = (sum_{H > l} |H meet V| - n) / Q.
 """
 
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcodes.geom import num_points, pg_space, rref_bases
+from qhcodes.geom import num_points, pg_space, rref_bases, subspace_counts
 from qhcodes.gf import field_for_order
 from qhcodes.variety import (_sizes_direct, build_variety, hyperplane_section_sizes,
-                             line_section_sizes, line_spectrum, subspace_section_sizes)
+                             line_section_sizes, line_spectrum)
 
 
 def _triples(sizes) -> int:
@@ -66,10 +65,9 @@ def test_third_moment_on_random_point_sets(qr, data):
     space = pg_space(ctx, r)
     chosen = np.array(sorted(data.draw(st.sets(st.integers(0, space.n_points - 1)))),
                       dtype=np.int64)
-    v = SimpleNamespace(ctx=ctx, r=r, space=space, indices=chosen)
     lhs, rhs = third_moment_sides(len(chosen), Q, r,
                                   _sizes_direct(ctx, space, chosen),
-                                  subspace_section_sizes(v, 2))
+                                  subspace_counts(space, chosen, 2))
     assert lhs == rhs
 
 
@@ -118,10 +116,9 @@ def test_line_sizes_from_the_planes_on_random_point_sets(Q):
     ctx = field_for_order(Q)
     space = pg_space(ctx, 3)
     chosen = np.flatnonzero(np.random.default_rng(Q).random(space.n_points) < 1 / 3)
-    v = SimpleNamespace(ctx=ctx, r=3, space=space, indices=chosen)
     want = sizes_through_planes(ctx, len(chosen),
                                 _sizes_direct(ctx, space, chosen))
-    assert np.array_equal(subspace_section_sizes(v, 2), want)
+    assert np.array_equal(subspace_counts(space, chosen, 2), want)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
