@@ -12,7 +12,8 @@ a point P lies on a hyperplane H iff sum(P_i * H_i) = 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
 
     Makes the budget check of rref_bases before anything is built.  The
     sizes are np.min_scalar_type(theta), theta = (q^nrows - 1) / (q - 1)
-    the number of points of one S.  V is a boolean mask over all 2 q^r
+    the number of points of one S.  V is a uint8 mask over all 2 q^r
     keys.  The subspaces of one choice of pivot columns, counted from
     lead row t, form a (P, M, Y, Z) counter: the digits of the rows
     before t (on which lead t's points do not depend), of row t left and
@@ -199,24 +200,38 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
     each coefficient pattern reads its (M, Y) run of the mask once, from
     the key of its pivot entries.  Right of that pivot, in the f columns
     that are no pivot, row t's digits y take the field sum with x, the
-    sum of the c_j multiples of the later rows: one table of sums
-    (_low_adder) over keys of f digits, no larger than the number of
-    subspaces the budget meters, maps (x, y) to the run's column.  The Z
-    axis goes in chunks of at most SUBSPACE_BLOCK keys (unless one z has
-    more); each pattern's table rows for a chunk are gathered and added
-    to the chunk's counts before the next pattern's are made.
+    sum of the c_j multiples of the later rows.  That sum splits by its
+    last digit: key(x + y) = hi[x_hi, y_hi] q + add[x_lo, y_lo], with hi
+    the table of sums (_low_adder) over the f - 1 digits before it and
+    add the field's addition table, so no table over f digits is built.
+    Each run is copied q times once, shifted[m, h q + a, l] =
+    run[m, h q + add[a, l]], and a pattern gathers H = Y / q rows of q
+    bytes, hi[x_hi, :H] q + x_lo, instead of Y single bytes.  The copies
+    of one pivot choice and lead row, q^(r + 1 - p_t) bytes, are made
+    only where they are no more than the subspaces the budget meters;
+    elsewhere, which is only at nrows = r where f <= 1, a pattern
+    gathers Y rows of one byte, add[x_lo, :Y].  The Z axis goes in
+    chunks of at most SUBSPACE_BLOCK keys, but of at least
+    sqrt(SUBSPACE_BLOCK) z, so that the sizes take a chunk's counts in
+    runs of that many; each pattern's rows for a chunk are gathered into
+    one uint8 buffer and added to the chunk's counts before the next
+    pattern's are made.
     """
     ctx, r, q = space.ctx, space.r, space.ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
-    mask = np.zeros(2 * q ** r, dtype=bool)
-    mask[space.keys_of(indices)] = True
+    mask = np.zeros(2 * q ** r, dtype=np.uint8)
+    mask[space.keys_of(indices)] = 1
     weight = [q ** (r - c) for c in range(r + 1)]
     # the widest sum is that of row 1 of pivots 0, 1, ..., nrows-1
     width = r + 1 - nrows if nrows > 1 else 0
-    table = _low_adder(ctx, width)
-    # scaled[c, d]: key of c times the digits d, on the table's keys
-    scaled = _scaled_keys(ctx, [q ** i for i in range(width - 1, -1, -1)]).astype(table.dtype)
+    digit = np.arange(q if width else 1, dtype=np.min_scalar_type(q - 1))
+    add = ctx.vadd(digit[:, None], digit[None, :])
+    hi = _low_adder(add, max(width - 1, 0))
+    # scaled[0, c, d] q + scaled[1, c, d]: key of c times the digits d
+    pows = [q ** i for i in range(width - 1, -1, -1)]
+    scaled = np.stack([_scaled_keys(ctx, [w // q for w in pows]).astype(hi.dtype),
+                       _scaled_keys(ctx, [w % q for w in pows]).astype(add.dtype)])
     sizes = np.zeros(total, dtype=np.min_scalar_type(num_points(nrows - 1, q)))
     at = 0
     for pivots, free, _ in _pivot_blocks(q, r, nrows):
@@ -228,35 +243,59 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
             step = weight[pivots[t + 1]] * q if t + 1 < nrows else 1
             P, M, Y = q ** sum(widths[:t]), q ** (widths[t] - len(low)), q ** len(low)
             Z = size // (P * M * Y)
-            offsets = np.arange(M)[:, None] * step + _scaled_keys(
-                ctx, [weight[c] for c in low])[1]
+            offsets = np.arange(M)[:, None] * step + _keys(q, [weight[c] for c in low])
             offsets = offsets.astype(np.min_scalar_type(weight[pivots[t]] - 1))
-            starts = (weight[pivots[t]] + sum(c * weight[p]
-                                              for c, p in zip(cs, pivots[t + 1:]))
-                      for cs in product(range(q), repeat=nrows - 1 - t))
-            runs = [mask[start:][offsets] for start in starts]
+            # copy the runs q-fold only where the copies, q^(r+1-p_t)
+            # bytes, are no more than the subspaces metered
+            S = q if low and q ** (r + 1 - pivots[t]) <= total else 1
+            H = Y // S
+            offsets = (offsets.reshape(M, H, q)[:, :, add] if S > 1 else offsets).reshape(M, Y, S)
+            # rows_of[x_hi]: the rows of the shifted run that start at the
+            # keys (x_hi + y_hi) q; unshifted, where f <= 1, rows_of[x_lo]
+            # are the keys x_lo + y
+            rows_of = (np.multiply(hi[:H, :H], q, dtype=np.intp) if S > 1
+                       else np.ascontiguousarray(add[:, :Y]))
+            starts = weight[pivots[t]] + _keys(q, [weight[p] for p in pivots[t + 1:]])
+            runs = [mask[start:][offsets] for start in starts.tolist()]
             spans = [(q ** sum(widths[j + 1:]), q ** widths[j]) for j in range(t + 1, nrows)]
             out = sizes[at:at + size].reshape(P, M, Y, Z)
-            chunk = max(1, SUBSPACE_BLOCK // (M * Y))
+            chunk = max(isqrt(SUBSPACE_BLOCK), SUBSPACE_BLOCK // (M * Y))
             for lo in range(0, Z, chunk):
                 n = np.arange(lo, min(lo + chunk, Z), dtype=np.intp)
-                subs = [n // shift % w for shift, w in spans]
+                subs = [scaled.take(n // shift % w, 2) for shift, w in spans]
                 cnt = np.zeros((M, len(n), Y), dtype=sizes.dtype)
-                sums = _sums(table, scaled, np.zeros(len(n), dtype=table.dtype), subs)
-                for run, x in zip(runs, sums, strict=True):
-                    cnt += run.take(table[x, :Y], axis=1)
+                buf = np.empty((M, len(n), H, S), dtype=np.uint8)
+                zero = [np.zeros(len(n), dtype=tab.dtype) for tab in (hi, add)]
+                for run, (x_hi, x_lo) in zip(runs, _sums(hi, add, zero, subs), strict=True):
+                    rows = (rows_of.take(x_hi, 0) + x_lo[:, None] if S > 1
+                            else rows_of.take(x_lo, 0))
+                    run.take(rows, 1, buf, "clip")
+                    cnt += buf.reshape(M, len(n), Y)
                 out[..., lo:lo + len(n)] += cnt.transpose(0, 2, 1)
         at += size
     return sizes
 
 
-def _sums(table, scaled, part, subs):
-    """Keys of part + sum c_j subs[j] per pattern, in subspace_points order."""
+def _sums(hi, add, part, subs):
+    """Keys of part + sum c_j subs[j] per pattern, in subspace_points
+    order, as pairs (high digits, last digit) that add in hi and add;
+    subs[j][0, c] q + subs[j][1, c] are the keys of c subs[j]."""
     if not subs:
         yield part
         return
-    for row in scaled:
-        yield from _sums(table, scaled, table[part, row[subs[0]]], subs[1:])
+    (c_hi, c_lo), rest = subs[0], subs[1:]
+    yield from _sums(hi, add, part, rest)
+    for c in range(1, len(c_hi)):
+        yield from _sums(hi, add, (hi[part[0], c_hi[c]], add[part[1], c_lo[c]]), rest)
+
+
+def _keys(q: int, weights: list) -> np.ndarray:
+    """sum_i d_i weights[i] for every digit vector d in base q, counting
+    up with the first digit most significant."""
+    keys = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        keys = (keys[:, None] + np.arange(0, q * w, w)).ravel()
+    return keys
 
 
 def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
@@ -267,19 +306,16 @@ def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
     return np.stack([ctx.scalar_mul_row(c)[digits] @ w for c in range(q)])
 
 
-def _low_adder(ctx: FiniteField, ncols: int) -> np.ndarray:
+def _low_adder(add: np.ndarray, ncols: int) -> np.ndarray:
     """The (q^ncols, q^ncols) table of sums: entry (x, y) is the key of
     the coordinatewise field sum of the vectors with keys x and y over
     ncols coordinates, in the narrowest dtype that holds such a key.
-    Each coordinate broadcasts the field's addition table over the
-    ones before it, so characteristic 2 adds by XOR."""
-    q = ctx.order
+    Each coordinate broadcasts add, the field's (q, q) addition table
+    (XOR in characteristic 2), over the ones before it."""
+    q = len(add)
     dtype = np.min_scalar_type(q ** ncols - 1)
-    if ncols == 0:
-        return np.zeros((1, 1), dtype=dtype)
-    add = ctx.vadd(*np.indices((q, q), dtype=dtype))
-    table = add
-    for _ in range(ncols - 1):
+    table = np.zeros((1, 1), dtype=dtype)
+    for _ in range(ncols):
         size = len(table) * q
         table = (table[:, None, :, None] * dtype.type(q)
                  + add[None, :, None, :]).reshape(size, size)

@@ -666,12 +666,14 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     next is asked for: the last level's blocks share one array.
     """
     q = ctx.order
+    # starts[w] = theta_(w-1)
+    starts = pg_space(ctx, r).starts.tolist()
     dtype = np.int32 if q ** r < 2 ** 31 else np.int64
     # a block also stays below theta_r / 2 entries, so that its
     # temporaries stay a small part of the sizes in small spaces too
-    step = max(1, min(SUBSPACE_BLOCK, num_points(r, q) >> 1) // q)
+    step = max(1, min(SUBSPACE_BLOCK, starts[r + 1] >> 1) // q)
     trd, elems = trd.astype(dtype), np.arange(q, dtype=dtype)
-    tabs = np.empty((2, q, max(1, num_points(r - 2, q))), dtype=dtype)
+    tabs = np.empty((2, q, max(1, starts[r - 1])), dtype=dtype)
     tabs[:, :, 0] = trd, elems
 
     def blocks(hi, held, lo=0):
@@ -708,7 +710,7 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     shift[0] = trd[shift[1]]
     shift += (q - 1) * tabs[:, :, :1]
     for k in range(2, r + 1):
-        lo, mid, hi = (num_points(j, q) for j in (k - 3, k - 2, k - 1))
+        lo, mid, hi = starts[k - 2:k + 1]
         if k > 2:
             shift *= q
         if k == r:

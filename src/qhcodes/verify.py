@@ -17,13 +17,10 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import code as code_mod
 from . import sss as sss_mod
 from . import variety as var_mod
 from .budget import BudgetError
-from .gf import make_field
 
 # Externally pinned reference tables for checks 2 and 4.  Both are
 # impossible: with 262 points, support {19, 26, 28, 35, 37} and the

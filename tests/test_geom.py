@@ -282,8 +282,9 @@ def test_subspace_section_sizes_match_reference(kind, q, r, monkeypatch):
 
 
 # both characteristics; every odd case has some low-key group of order
-# above 8 and one below it
-KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4))
+# above 8 and one below it; PG(3, 7) and PG(3, 8) copy their line runs
+# q-fold at p = 7 and at p = 2 with m = 3
+KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4), (7, 3), (8, 3))
 
 
 @pytest.mark.parametrize("Q,r,nrows",
@@ -309,20 +310,47 @@ def test_subspace_keys_match_the_points(Q, r, nrows, monkeypatch):
         assert np.array_equal(sizes, np.count_nonzero(idx == i, axis=1))
 
 
-def test_line_pass_peaks_below_its_sizes_and_table_of_sums():
-    """Twisted (5,3)'s line pass holds its sizes, the table of sums over
-    two columns and at most 2 MiB more: each pattern's gathered table
-    rows are counted as they are made."""
+def test_line_pass_peaks_below_its_sizes_and_table_of_sums(monkeypatch):
+    """Twisted (5,3)'s line pass holds its sizes, the q-fold copies of
+    the runs of one pivot choice and lead row, at most Q^4 bytes, and at
+    most 1 MiB more: its tables of sums span one column, (25, 25), never
+    the (625, 625) of two, and each pattern's rows are counted as they
+    are gathered."""
     v = build_variety("twisted", 5, 3)
-    table = geom_mod._low_adder(v.ctx, 2)
+    ncols, low_adder = [], geom_mod._low_adder
+
+    def spy(add, width):
+        ncols.append(width)
+        return low_adder(add, width)
+    monkeypatch.setattr(geom_mod, "_low_adder", spy)
     tracemalloc.start()
     try:
         sizes = line_section_sizes(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes.nbytes == gaussian_binomial(4, 2, 25) and table.shape == (625, 625)
-    assert peak < sizes.nbytes + table.nbytes + 2 * 2 ** 20
+    assert sizes.nbytes == gaussian_binomial(4, 2, 25) and ncols == [1]
+    assert peak < sizes.nbytes + 25 ** 4 + 2 ** 20
+
+
+def test_plane_lines_are_read_without_copies():
+    """Lines of PG(2, 256) are too few to pay for q-fold copies of their
+    runs (Q^3 bytes, 256 Q^2): the pass peaks at about 21 Q^2 bytes above
+    its sizes, in the intp key tables of _scaled_keys and one chunk's
+    counts and rows, and stays under 24 Q^2."""
+    Q = 256
+    space = pg_space(field_for_order(Q), 2)
+    chosen = np.flatnonzero(np.random.default_rng(Q).random(space.n_points) < 1 / 3)
+    want = reference_section_sizes(SimpleNamespace(ctx=space.ctx, r=2, space=space,
+                                                   indices=chosen), 2)
+    tracemalloc.start()
+    try:
+        sizes = subspace_counts(space, chosen, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sizes, want)
+    assert peak < sizes.nbytes + 24 * Q ** 2
 
 
 @pytest.mark.parametrize("nrows", [1, 2, 3])
@@ -355,21 +383,29 @@ def reference_section_sizes(v, nrows):
 def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
     """Sizes by key mask equal sizes by point index, on a random third
     of PG(r, Q).  Cap 8 rebuilds the field with its full addition table
-    only up to order 8, so that the table of sums of larger fields comes
-    from vadd's digit-by-digit sums, the route of every field above
-    gf.ADD_TABLE_MAX_ORDER; each table is over more than 8 keys."""
+    only up to order 8, so that the addition table of larger fields
+    comes from vadd's digit-by-digit sums, the route of every field
+    above gf.ADD_TABLE_MAX_ORDER.  Every table of sums is broadcast from
+    the addition table that vadd gave, and at r >= 3 none spans more
+    than r - nrows columns, one fewer than the widest sum."""
     ctx = field_for_order(Q)
-    tables = []
     if cap is not None:
         monkeypatch.setattr(gf_mod, "ADD_TABLE_MAX_ORDER", cap)
         ctx = gf_mod.FiniteField(ctx.p, ctx.m)
         assert (ctx.add_flat is None) == (Q > cap)
-        low_adder = geom_mod._low_adder
+    sums, tables = [], []
+    vadd, low_adder = ctx.vadd, geom_mod._low_adder
 
-        def spy(ctx, ncols):
-            tables.append(low_adder(ctx, ncols))
-            return tables[-1]
-        monkeypatch.setattr(geom_mod, "_low_adder", spy)
+    def vadd_spy(a, b):
+        sums.append(vadd(a, b))
+        return sums[-1]
+
+    def spy(add, ncols):
+        assert sums and add is sums[-1]
+        tables.append((nrows, ncols))
+        return low_adder(add, ncols)
+    monkeypatch.setattr(ctx, "vadd", vadd_spy)
+    monkeypatch.setattr(geom_mod, "_low_adder", spy)
     monkeypatch.setattr(geom_mod, "SUBSPACE_BLOCK", 7)
     space = pg_space(ctx, r)
     rng = np.random.default_rng(Q * 10 + r)
@@ -379,8 +415,9 @@ def test_subspace_section_sizes_match_the_index_route(Q, r, cap, monkeypatch):
         sizes = subspace_counts(v.space, v.indices, nrows)
         assert sizes.dtype == np.min_scalar_type(num_points(nrows - 1, Q))
         assert np.array_equal(sizes, reference_section_sizes(v, nrows))
-    if cap is not None:
-        assert len(tables) == r - 1 and max(len(t) for t in tables) > cap
+    assert {n for n, _ in tables} == set(range(2, r + 1))
+    if r >= 3:
+        assert all(ncols <= r - n for n, ncols in tables)
 
 
 def test_line_count_pg3():
