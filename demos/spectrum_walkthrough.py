@@ -29,8 +29,7 @@ def main():
         mark = "*" if size in pred.sizes else "?"
         print(f"  {mark} size {size:3d} on {count:4d} hyperplanes")
     print(f"predicted sizes: {list(pred.sizes)}")
-    if pred.counts is not None:
-        print(f"predicted counts match: {dict(sp.counts) == dict(pred.counts)}")
+    print(f"predicted counts match: {sp.counts == pred.counts}")
 
     # the two moments every 262-point set must satisfy; they pin the
     # generic count classes

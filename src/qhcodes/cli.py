@@ -174,14 +174,11 @@ def cmd_variety_spectrum(args) -> int:
     v = make_variety(args)
     sp = hyperplane_spectrum(v, budget=args.budget)
     pred = _predicted(v.kind, args.q, args.r)
-    support_match = counts_match = None
+    support_match = counts_match = verdict = None
     if pred is not None:
         support_match = sp.support == pred.sizes
-        if pred.counts is not None:
-            counts_match = dict(sp.counts) == dict(pred.counts)
-    verdict = None
-    if support_match is not None:
-        verdict = PASS if support_match and counts_match in (None, True) else FAIL
+        counts_match = sp.counts == pred.counts
+        verdict = PASS if counts_match else FAIL
     report = sp.as_dict()
     report["predicted"] = pred.as_dict() if pred is not None else None
     report["support_match"] = support_match

@@ -230,8 +230,8 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
     hi = _low_adder(add, max(width - 1, 0))
     # scaled[0, c, d] q + scaled[1, c, d]: key of c times the digits d
     pows = [q ** i for i in range(width - 1, -1, -1)]
-    scaled = np.stack([_scaled_keys(ctx, [w // q for w in pows]).astype(hi.dtype),
-                       _scaled_keys(ctx, [w % q for w in pows]).astype(add.dtype)])
+    scaled = np.stack([_scaled_keys(ctx, [w // q for w in pows], hi.dtype),
+                       _scaled_keys(ctx, [w % q for w in pows], add.dtype)])
     sizes = np.zeros(total, dtype=np.min_scalar_type(num_points(nrows - 1, q)))
     at = 0
     for pivots, free, _ in _pivot_blocks(q, r, nrows):
@@ -298,12 +298,16 @@ def _keys(q: int, weights: list) -> np.ndarray:
     return keys
 
 
-def _scaled_keys(ctx: FiniteField, weights: list) -> np.ndarray:
-    """(q, q^f) table: the key of c times digits d over f free columns."""
+def _scaled_keys(ctx: FiniteField, weights: list, dtype) -> np.ndarray:
+    """(q, q^f) table of dtype: the key of c times digits d over f free
+    columns, sum_i (c d_i) weights[i], as an outer sum of GF(q)'s
+    product table times each weight, all in dtype, which holds the keys."""
     q = ctx.order
-    digits = _digit_matrix(q, len(weights), np.arange(q ** len(weights)))
-    w = np.array(weights, dtype=np.intp)
-    return np.stack([ctx.scalar_mul_row(c)[digits] @ w for c in range(q)])
+    prod = np.array([ctx.scalar_mul_row(c) for c in range(q)], dtype=dtype)
+    table = np.zeros((q, 1), dtype=dtype)
+    for w in weights:
+        table = (table[:, :, None] + prod[:, None, :] * dtype.type(w)).reshape(q, -1)
+    return table
 
 
 def _low_adder(add: np.ndarray, ncols: int) -> np.ndarray:

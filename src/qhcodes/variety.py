@@ -29,6 +29,18 @@ tables over each chart of PG(r, q^2) (_build), expanding no point.
 
 Parameter admissibility depends on the parities of q and r; see
 validate_params for the exact clauses.
+
+The twisted and quasi-Hermitian sets meet X_0 = 0 in the cone with
+vertex P0 = (0, .., 0, 1) over S_inf: sum_{i=1}^{r-1} g(X_i) = 0 in
+PG(r-2, Q), Q = q^2, g = x^2 (twisted, odd q), x (twisted, even q) or
+x^{q+1} (quasi-Hermitian).  With n_inf = |S_inf|, eps = (-1)^(r-1),
+D0 = q^(2r-3) + eps (q-1) q^(r-2) and Dc = q^(2r-3) - eps q^(r-2), a
+hyperplane a . X with a_r != 0 meets one in n_inf + D0 points
+(q^(2r-1) times) or n_inf + Dc ((q-1) q^(2r-1) times): its affine
+points solve sum h(x_i) = lambda, lambda uniform on {t : t^q = -t}.
+With a_r = 0 it meets one in q^(2r-3) + 1 + Q s points (Q c_s times)
+if (a_1 .. a_(r-1)) meets S_inf in s points (c_s hyperplanes of
+PG(r-2, Q) do), and X_0 = 0 in 1 + Q n_inf.  N = q^(2r-1) + 1 + Q n_inf.
 """
 
 from __future__ import annotations
@@ -890,97 +902,83 @@ def cone_size(r: int, q: int) -> int:
     return 1 + q * q * hermitian_size(r - 2, q) if r >= 2 else 1
 
 
+def _hermitian_sections(r: int, q: int) -> tuple:
+    """(N, {size: count}) of H(r, q^2), r >= 1: the N tangent hyperplanes
+    meet it in a cone over H(r - 2, q^2), the others in H(r - 1, q^2)."""
+    n = hermitian_size(r, q)
+    return n, {cone_size(r, q): n, hermitian_size(r - 1, q): num_points(r, q * q) - n}
+
+
+def _quadric_size(k: int, eta: int, Q: int) -> int:
+    """Points of a nondegenerate quadric in k variables over GF(Q):
+    parabolic (eta = 0) for odd k, hyperbolic (1) or elliptic (-1)."""
+    return num_points(k - 2, Q) + eta * Q ** (k // 2) // Q if k else 0
+
+
+def _quadric_sections(k: int, Q: int) -> tuple:
+    """(N, {size: count}) of sum X_i^2 = 0 in k >= 2 variables over
+    GF(Q), where -1 is a square (Q an odd square): hyperbolic for even
+    k, parabolic for odd k.  The N tangent hyperplanes meet it in a cone
+    over the same form in k - 2 variables, the others in a parabolic
+    section for even k, and for k = 2m + 1 in a hyperbolic or elliptic
+    one, Q^m (Q^m +- 1) / 2 times."""
+    eta, m = 1 - k % 2, Q ** (k // 2)
+    n = _quadric_size(k, eta, Q)
+    out = {1 + Q * _quadric_size(k - 2, eta, Q): n}
+    if eta:
+        out[_quadric_size(k - 1, 0, Q)] = num_points(k - 1, Q) - n
+    else:
+        out.update({_quadric_size(k - 1, e, Q): m * (m + e) // 2 for e in (1, -1)})
+    return n, out
+
+
 @dataclass
 class Predicted:
     kind: str
     N: int
     sizes: tuple
-    counts: dict | None = None
+    counts: dict
 
     def as_dict(self):
         return {"kind": self.kind, "N": self.N, "sizes": list(self.sizes),
-                "counts": None if self.counts is None
-                else {int(k): int(v) for k, v in sorted(self.counts.items())}}
+                "counts": {int(k): int(v) for k, v in sorted(self.counts.items())}}
 
 
 def predicted_spectrum(q: int, r: int, kind: str) -> Predicted:
-    """Closed-form size and hyperplane intersection sizes.
-
-    For the twisted hypersurface the five intersection sizes depend on
-    the parities of q and r; full per-size counts are available in the
-    r = 3, odd q case.  Hermitian and quasi-Hermitian varieties have two
-    intersection sizes whose counts follow from double counting.
+    """N and the hyperplane spectrum, sizes and counts, in closed form:
+    Hermitian by _hermitian_sections, the others by the module
+    docstring's decomposition.  D0 and Dc count the values of
+    sum h(x_i), a GF(q)-form in 2(r-1) variables, hyperbolic if eps = 1,
+    elliptic if -1 (Lidl & Niederreiter, ch. 6).  The tests check the
+    assumptions at every valid pair of small q: z -> 2 alpha z +
+    (beta^q - beta) z^q is a bijection (each section completes the
+    square), h is nondegenerate, and elliptic at even r.  At odd r
+    (where h may vanish off 0) r - 1 copies of h are hyperbolic anyway.
     """
     if r < 3:
         raise ParamsError(f"r = {r} must be at least 3")
-    q2 = q * q
-    if kind in ("hermitian", "quasi-hermitian"):
-        N = hermitian_size(r, q)
-        m1 = (q ** r + (-1) ** (r - 1)) * (q ** (r - 1) - (-1) ** (r - 1)) // (q2 - 1)
-        m2 = m1 + (-1) ** (r - 1) * q ** (r - 1)
-        total = num_points(r, q2)
-        through = num_points(r - 1, q2)
-        y, rem = divmod(N * through - m1 * total, m2 - m1)
-        assert rem == 0
-        counts = {m1: total - y, m2: y}
-        return Predicted(kind, N, tuple(sorted((m1, m2))), counts)
-    if kind != "twisted":
+    if kind == "hermitian":
+        n, counts = _hermitian_sections(r, q)
+        return Predicted(kind, n, tuple(sorted(counts)), counts)
+    Q = q * q
+    if kind == "quasi-hermitian":
+        n_inf, at_inf = _hermitian_sections(r - 2, q)
+    elif kind != "twisted":
         raise ParamsError(f"no predictions for kind {kind!r}")
-    if q == 2:
+    elif q == 2:
         raise ParamsError("the twisted construction needs q > 2")
-    base = (q ** (2 * (r - 2)) - 1) // (q2 - 1)
-    basep = (q ** (2 * (r - 2)) - q2) // (q2 - 1)
-    if q % 2 == 1:
-        if r % 2 == 1:
-            N = q ** (2 * r - 1) + q ** (r - 1) + (q ** (2 * (r - 1)) - q2) // (q2 - 1) + 1
-            sizes = (
-                q2 * base + q ** (r - 1) + 1,
-                q ** (2 * r - 3) - q ** (r - 2) + q ** (r - 3) + base,
-                q ** (2 * r - 3) + basep + 1,
-                q ** (2 * r - 3) + q ** (r - 1) - q ** (r - 2) + q ** (r - 3) + base,
-                q ** (2 * r - 3) + q ** (r - 1) + basep + 1,
-            )
-        else:
-            N = q ** (2 * r - 1) + (q ** (2 * (r - 1)) - q2) // (q2 - 1) + 1
-            sizes = (
-                q2 * base + 1,
-                q ** (2 * r - 3) - q ** (r - 1) + q ** (r - 2) + base,
-                q ** (2 * r - 3) + basep - q ** (r - 2) + 1,
-                q ** (2 * r - 3) + basep + 1,
-                q ** (2 * r - 3) + basep + q ** (r - 2) + 1,
-            )
+    elif q % 2:
+        n_inf, at_inf = _quadric_sections(r - 1, Q)
     else:
-        N = q ** (2 * r - 1) + (q ** (2 * (r - 1)) - q2) // (q2 - 1) + 1
-        n1 = (q ** (2 * (r - 1)) - 1) // (q2 - 1)
-        if r % 2 == 1:
-            sizes = (
-                n1,
-                q ** (2 * r - 3) - q ** (r - 2) + base,
-                q ** (2 * r - 3) + base,
-                q ** (2 * r - 3) + q ** (r - 1) - q ** (r - 2) + base,
-                q ** (2 * r - 3) + n1,
-            )
-        else:
-            sizes = (
-                n1,
-                q ** (2 * r - 3) - q ** (r - 1) + q ** (r - 2) + base,
-                q ** (2 * r - 3) + base,
-                q ** (2 * r - 3) + q ** (r - 2) + base,
-                q ** (2 * r - 3) + n1,
-            )
-    counts = None
-    if r == 3 and q % 2 == 1:
-        # Counts are forced by double counting: with the five sizes above
-        # and the unique smallest section, incidence moments pin the two
-        # generic classes at q^6 - q^5 and q^5.
-        counts = {
-            sizes[0]: 1,
-            sizes[1]: q ** 6 - q ** 5,
-            sizes[2]: q ** 4 - q2,
-            sizes[3]: q ** 5,
-            sizes[4]: 2 * q2,
-        }
-    return Predicted(kind, N, tuple(sorted(sizes)), counts)
+        n_inf = num_points(r - 3, Q)
+        at_inf = {n_inf: 1, num_points(r - 4, Q): num_points(r - 2, Q) - 1}
+    eps, top, counts = (-1) ** (r - 1), q ** (2 * r - 3), {}
+    sections = [(n_inf + top + eps * (q - 1) * q ** (r - 2), q ** (2 * r - 1)),
+                (n_inf + top - eps * q ** (r - 2), (q - 1) * q ** (2 * r - 1)),
+                (1 + Q * n_inf, 1)] + [(top + 1 + Q * s, Q * c) for s, c in at_inf.items()]
+    for size, count in sections:
+        counts[size] = counts.get(size, 0) + count
+    return Predicted(kind, q ** (2 * r - 1) + 1 + Q * n_inf, tuple(sorted(counts)), counts)
 
 
 def predicted_line_sizes(q: int) -> tuple:

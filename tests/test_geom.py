@@ -336,8 +336,8 @@ def test_line_pass_peaks_below_its_sizes_and_table_of_sums(monkeypatch):
 def test_plane_lines_are_read_without_copies():
     """Lines of PG(2, 256) are too few to pay for q-fold copies of their
     runs (Q^3 bytes, 256 Q^2): the pass peaks at about 21 Q^2 bytes above
-    its sizes, in the intp key tables of _scaled_keys and one chunk's
-    counts and rows, and stays under 24 Q^2."""
+    its sizes, in one chunk's counts and rows and the intp indices that
+    take makes of the rows, and stays under 24 Q^2."""
     Q = 256
     space = pg_space(field_for_order(Q), 2)
     chosen = np.flatnonzero(np.random.default_rng(Q).random(space.n_points) < 1 / 3)

@@ -11,7 +11,7 @@ from qhcodes.budget import DEFAULT_BUDGET, BudgetError
 from qhcodes.code import (cutting_blocking_check, higher_weight, minimality_summary,
                           weights_from_sections)
 from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points
-from qhcodes.gf import make_field
+from qhcodes.gf import FieldError, factor_prime_power, make_field
 from qhcodes.sss import access_structure, democracy_report
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
                              build_hermitian, build_twisted,
@@ -171,11 +171,80 @@ def test_spectrum_counts_satisfy_incidence_moments(tw33):
         == n * (n - 1) * through_pair
 
 
-def test_predicted_counts_match_measured_at_53():
-    v = get_variety("twisted", 5, 3)
-    sp = hyperplane_spectrum(v)
-    pred = predicted_spectrum(5, 3, "twisted")
-    assert sp.counts == pred.counts
+# each under 0.2 s; (7,4) and (9,4) agree too but take 0.6 s and 5 s
+DERIVED_VS_MEASURED = (
+    [("twisted", q, r) for q, r in ((3, 3), (4, 3), (5, 3), (7, 3), (8, 3), (11, 3),
+                                    (4, 4), (5, 4), (3, 5), (4, 5))]
+    + [("quasi-hermitian", q, r) for q, r in ((3, 3), (4, 3), (5, 3), (4, 4), (5, 4))])
+
+
+@pytest.mark.parametrize("kind, q, r", DERIVED_VS_MEASURED, ids=str)
+def test_predicted_counts_match_measured(kind, q, r):
+    sp = hyperplane_spectrum(get_variety(kind, q, r))
+    assert sp.counts == predicted_spectrum(q, r, kind).counts
+
+
+def _prime_powers(lo, hi):
+    for q in range(lo, hi + 1):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        yield q
+
+
+@pytest.mark.parametrize("q", list(_prime_powers(3, 32)))
+def test_derived_spectra_obey_the_incidence_identities(q):
+    """No transform: every derived spectrum covers PG(r, q^2) once and
+    meets the two incidence moments of its N points; the twisted one has
+    at most 5 sizes, and the quasi-Hermitian one is the Hermitian one."""
+    Q = q * q
+    for r in range(3, 9):
+        tw, qh = predicted_spectrum(q, r, "twisted"), predicted_spectrum(q, r, "quasi-hermitian")
+        for pred in tw, qh:
+            n, counts = pred.N, pred.counts
+            assert sum(counts.values()) == num_points(r, Q)
+            assert sum(s * c for s, c in counts.items()) == n * num_points(r - 1, Q)
+            assert sum(s * (s - 1) * c for s, c in counts.items()) \
+                == n * (n - 1) * num_points(r - 2, Q)
+        assert len(tw.counts) <= 5
+        assert qh.as_dict() == {**predicted_spectrum(q, r, "hermitian").as_dict(),
+                                "kind": "quasi-hermitian"}
+
+
+@pytest.mark.parametrize("q, r", [(3, 3), (4, 3), (5, 3), (4, 4)])
+def test_derivation_assumptions_hold_for_every_valid_pair(q, r):
+    """For every valid (alpha, beta): z -> 2 alpha z + (beta^q - beta) z^q
+    is a bijection of GF(q^2), h(x) = L(alpha x^2) - (beta^q - beta) x^(q+1)
+    is a nondegenerate form over GF(q) (its polar form h(x + y) - h(x) -
+    h(y) has no radical), h is elliptic (vanishes only at 0) at even r,
+    and both kinds' measured spectra are the derived ones.  At odd r h
+    may vanish off 0; the derivation does not need it there."""
+    p, e = factor_prime_power(q)
+    ctx = make_field(p, 2 * e)
+    elems, frob = np.arange(ctx.order), ctx.pow_row(q)
+    add = ctx.vadd(elems[:, None], elems)
+    pred = {kind: predicted_spectrum(q, r, kind).counts for kind in ("twisted", "quasi-hermitian")}
+    valid = 0
+    for alpha in range(1, ctx.order):
+        for beta in range(ctx.order):
+            params = TwistedParams(q, r, alpha, beta)
+            if not validate_params(params).ok:
+                continue
+            valid += 1
+            delta = ctx.sub(ctx.frobenius_q(beta), beta)
+            phi = ctx.vadd(ctx.scalar_mul_row(ctx.add(alpha, alpha)),
+                           ctx.scalar_mul_row(delta)[frob])
+            assert np.unique(phi).size == ctx.order, (alpha, beta)
+            h = variety_mod._twisted_affine(params)[1]
+            polar = ctx.vadd(h[add], ctx.vneg(ctx.vadd(h[:, None], h[None, :])))
+            assert np.all(polar[1:].any(axis=1)), (alpha, beta)
+            if r % 2 == 0:
+                assert np.all(h[1:] != 0), (alpha, beta)
+            for kind, build in (("twisted", build_twisted),
+                                ("quasi-hermitian", variety_mod.build_quasi_hermitian)):
+                assert hyperplane_spectrum(build(params)).counts == pred[kind], (alpha, beta)
+    assert valid
 
 
 def test_hermitian_spectrum_two_sizes():
