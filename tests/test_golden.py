@@ -11,7 +11,9 @@ direct engine and its one `"engine": "direct"` line edited to `"wht"`
 by hand, so it pins that the transform reproduces direct evaluation's
 bytes.  `sss recover` reads the captured deal payload.
 `verify-all --budget 0` holds the first refusal of every check, so it
-pins which guard refuses first; it exits 3.
+pins which guard refuses first; it exits 3.  Each command's
+`--format csv` output, captured the same way, is the `.csv` beside its
+`.json`.
 """
 
 from pathlib import Path
@@ -57,3 +59,11 @@ def test_payload_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_csv_matches_golden(name, capsys):
+    rc = main([*COMMANDS[name], "--format", "csv"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_CODES.get(name, 0)
+    assert out == (GOLDEN / f"{name}.csv").read_text()
