@@ -13,6 +13,13 @@ characteristic, extension degree and modulus, point-order version,
 seed), and is byte-identical across reruns with the same configuration;
 progress and timing lines go to stderr only.
 
+Every handler cmd_<group>_<action> takes the parsed arguments and the
+variety that --q/--r name (None for the commands without them), and
+returns (report, verdict, csv_header, csv_rows).  `main` alone builds
+that variety, echoes the configuration, writes the payload under the
+command name "<group> <action>" and turns the verdict into the exit
+code.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration
 error, 3 budget refusal.
 """
@@ -29,32 +36,28 @@ from .budget import BudgetError
 from .code import (CodeError, code_from_variety, divisibility_report,
                    higher_weight, minimality_summary, weights_bruteforce,
                    weights_from_sections)
-from .gf import FieldError, factor_prime_power, make_field
+from .gf import FieldError
 from .sss import (InconsistentSharesError, NotQualifiedError, Scheme,
                   SSSError, access_structure, deal, democracy_report,
-                  develop, group_closure, load_fixture, profile_rows,
-                  recover, verify_example)
+                  develop, group_closure, load_fixture, recover,
+                  verify_example)
 from .variety import (BUILDERS_PLAIN, BUILDERS_WITH_PARAMS, ParamsError,
                       POINT_ORDER_VERSION, build_variety, cone_size,
-                      hyperplane_spectrum, line_spectrum,
+                      count_rows, hyperplane_spectrum, line_spectrum,
                       predicted_line_sizes, predicted_spectrum)
 from . import verify as verify_mod
 
 KINDS = tuple(sorted(BUILDERS_WITH_PARAMS) + sorted(BUILDERS_PLAIN))
 
-PASS, FAIL = "PASS", "FAIL"
+PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
 # ---------------------------------------------------------------------------
 # payload plumbing
 
-def _field_dict(q: int) -> dict:
-    p, e = factor_prime_power(q)
-    return make_field(p, 2 * e).serialize()
-
-
-def run_config(args, variety=None) -> dict:
-    """Resolved configuration echoed into every report."""
+def run_config(args, v) -> dict:
+    """Resolved configuration echoed into every report; v is the
+    command's variety or None."""
     cfg = {
         "format": args.format,
         "budget": getattr(args, "budget", None),
@@ -64,17 +67,11 @@ def run_config(args, variety=None) -> dict:
     for name in ("q", "r", "p0", "secret", "k", "divisor", "fixture", "subset"):
         if hasattr(args, name):
             cfg[name] = getattr(args, name)
-    if variety is not None:
-        cfg["variety"] = variety.kind
-        cfg["field"] = variety.ctx.serialize()
-        pp = variety.params
-        cfg["alpha"] = pp.alpha if pp is not None else None
-        cfg["beta"] = pp.beta if pp is not None else None
-    else:
-        cfg["variety"] = getattr(args, "variety", None)
-        cfg["field"] = _field_dict(args.q) if getattr(args, "q", None) else None
-        cfg["alpha"] = getattr(args, "alpha", None)
-        cfg["beta"] = getattr(args, "beta", None)
+    pp = getattr(v, "params", None)
+    cfg["variety"] = getattr(v, "kind", None)
+    cfg["field"] = None if v is None else v.ctx.serialize()
+    cfg["alpha"] = getattr(pp, "alpha", None)
+    cfg["beta"] = getattr(pp, "beta", None)
     return cfg
 
 
@@ -105,8 +102,6 @@ def emit(args, command: str, config: dict, report: dict, verdict,
                    "report": report, "verdict": verdict}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        if csv_header is None:
-            raise CodeError(f"no CSV layout for {command!r}")
         buf = io.StringIO()
         buf.write("# schema=1\n")
         buf.write(f"# command={command}\n")
@@ -131,6 +126,12 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _csv_rows(entries) -> list:
+    """CSV rows of a payload table of count_rows entries, one column
+    per key."""
+    return [list(e.values()) for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # shared argument handling
 
@@ -148,15 +149,10 @@ def _predicted(kind: str, q: int, r: int):
         return None
 
 
-def make_scheme(args) -> Scheme:
-    return Scheme.from_variety(make_variety(args), args.p0)
-
-
 # ---------------------------------------------------------------------------
 # variety group
 
-def cmd_variety_build(args) -> int:
-    v = make_variety(args)
+def cmd_variety_build(args, v) -> tuple:
     pred = _predicted(v.kind, args.q, args.r)
     predicted_n = pred.N if pred is not None else (
         cone_size(args.r, args.q) if v.kind == "cone" else None)
@@ -164,14 +160,13 @@ def cmd_variety_build(args) -> int:
         PASS if v.n == predicted_n else FAIL)
     report = {"variety": v.meta(), "measured_n": v.n,
               "affine_points": v.affine_count(), "predicted_n": predicted_n}
-    return emit(args, "variety build", run_config(args, v), report, verdict,
-                ["kind", "q", "r", "n", "affine_points", "predicted_n", "verdict"],
-                [[v.kind, args.q, args.r, v.n, v.affine_count(),
-                  "" if predicted_n is None else predicted_n, verdict or ""]])
+    return (report, verdict,
+            ["kind", "q", "r", "n", "affine_points", "predicted_n", "verdict"],
+            [[v.kind, args.q, args.r, v.n, v.affine_count(),
+              "" if predicted_n is None else predicted_n, verdict or ""]])
 
 
-def cmd_variety_spectrum(args) -> int:
-    v = make_variety(args)
+def cmd_variety_spectrum(args, v) -> tuple:
     sp = hyperplane_spectrum(v, budget=args.budget)
     pred = _predicted(v.kind, args.q, args.r)
     support_match = counts_match = verdict = None
@@ -183,13 +178,10 @@ def cmd_variety_spectrum(args) -> int:
     report["predicted"] = pred.as_dict() if pred is not None else None
     report["support_match"] = support_match
     report["counts_match"] = counts_match
-    return emit(args, "variety spectrum", run_config(args, v), report, verdict,
-                ["size", "count"],
-                [[s, c] for s, c in sorted(sp.counts.items())])
+    return report, verdict, ["size", "count"], _csv_rows(report["spectrum"])
 
 
-def cmd_variety_lines(args) -> int:
-    v = make_variety(args)
+def cmd_variety_lines(args, v) -> tuple:
     sp = line_spectrum(v, budget=args.budget)
     allowed = predicted_line_sizes(args.q) if v.kind == "twisted" else None
     verdict = None
@@ -200,16 +192,13 @@ def cmd_variety_lines(args) -> int:
     report = sp.as_dict()
     report["allowed_sizes"] = None if allowed is None else list(allowed)
     report["extraneous_sizes"] = extraneous
-    return emit(args, "variety lines", run_config(args, v), report, verdict,
-                ["size", "count"],
-                [[s, c] for s, c in sorted(sp.counts.items())])
+    return report, verdict, ["size", "count"], _csv_rows(report["spectrum"])
 
 
 # ---------------------------------------------------------------------------
 # code group
 
-def cmd_code_weights(args) -> int:
-    v = make_variety(args)
+def cmd_code_weights(args, v) -> tuple:
     dist = weights_from_sections(v, budget=args.budget)
     verdict = None
     cross = None
@@ -219,13 +208,11 @@ def cmd_code_weights(args) -> int:
         verdict = PASS if cross["match"] else FAIL
     report = {"variety": v.meta(), "distribution": dist.as_dict(),
               "d_min": dist.w_min, "cross_check": cross}
-    return emit(args, "code weights", run_config(args, v), report, verdict,
-                ["weight", "count"],
-                [[w, c] for w, c in sorted(dist.weights.items())])
+    return (report, verdict, ["weight", "count"],
+            _csv_rows(report["distribution"]["weights"]))
 
 
-def cmd_code_minimality(args) -> int:
-    v = make_variety(args)
+def cmd_code_minimality(args, v) -> tuple:
     summary = minimality_summary(v, budget=args.budget)
     ab_ok = summary["ab"]["passes"]
     cut_ok = summary["cutting"]["ok"]
@@ -241,34 +228,28 @@ def cmd_code_minimality(args) -> int:
         if "status" in bf:
             _status(f"brute-force cross-check skipped: {bf['reason']}")
     rows.append(["minimal", cut_ok])
-    rc = emit(args, "code minimality", run_config(args, v), summary, verdict,
-              ["criterion", "result"], rows)
     if not cut_ok:
         wit = summary["cutting"]
         _status(f"not minimal: hyperplane {wit['witness_coords']} section has "
                 f"rank {wit['witness_rank']}")
-    return rc
+    return summary, verdict, ["criterion", "result"], rows
 
 
-def cmd_code_divisibility(args) -> int:
-    v = make_variety(args)
+def cmd_code_divisibility(args, v) -> tuple:
     dist = weights_from_sections(v, budget=args.budget)
     divisor = args.divisor if args.divisor is not None else args.q
     rep = divisibility_report(dist, divisor)
     report = {"variety": v.meta(), "divisibility": rep.as_dict(),
               "weights": dist.as_dict()["weights"]}
-    return emit(args, "code divisibility", run_config(args, v), report, None,
-                ["weight", "count", "divisible"],
-                [[w, c, w % divisor == 0] for w, c in sorted(dist.weights.items())])
+    return (report, None, ["weight", "count", "divisible"],
+            [[e["w"], e["count"], e["w"] % divisor == 0] for e in report["weights"]])
 
 
-def cmd_code_dk(args) -> int:
-    v = make_variety(args)
+def cmd_code_dk(args, v) -> tuple:
     rep = higher_weight(v, args.k, budget=args.budget)
     report = {"variety": v.meta(), "higher_weight": rep.as_dict()}
-    return emit(args, "code dk", run_config(args, v), report, None,
-                ["k", "d", "max_section", "subspaces"],
-                [[rep.k, rep.d, rep.max_section, rep.subspaces]])
+    return (report, None, ["k", "d", "max_section", "subspaces"],
+            [[rep.k, rep.d, rep.max_section, rep.subspaces]])
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +261,16 @@ def _set_rows(sets):
     return ([i, len(s), " ".join(str(x) for x in s)] for i, s in enumerate(sets))
 
 
-def cmd_sss_access(args) -> int:
-    v = make_variety(args)
+def cmd_sss_access(args, v) -> tuple:
     report = access_structure(v, args.p0, args.budget).as_dict()
-    return emit(args, "sss access", run_config(args, v), report, None,
-                ["set_index", "size", "members"], _set_rows(report["sets"]))
+    return report, None, ["set_index", "size", "members"], _set_rows(report["sets"])
 
 
-def cmd_sss_deal(args) -> int:
-    scheme = make_scheme(args)
+def cmd_sss_deal(args, v) -> tuple:
+    scheme = Scheme.from_variety(v, args.p0)
     rep = deal(scheme, args.secret, args.seed)
     report = {"scheme": scheme.meta(), **rep.as_dict()}
-    return emit(args, "sss deal", run_config(args, scheme.variety), report, None,
-                ["participant", "value"],
-                [[i, rep.shares[i]] for i in sorted(rep.shares)])
+    return report, None, ["participant", "value"], _csv_rows(report["shares"])
 
 
 def _json_int(x) -> int:
@@ -331,84 +308,72 @@ def _load_shares(path: str) -> dict:
     raise SSSError(f"no share table found in {path!r}")
 
 
-def cmd_sss_recover(args) -> int:
-    scheme = make_scheme(args)
+def cmd_sss_recover(args, v) -> tuple:
+    scheme = Scheme.from_variety(v, args.p0)
     shares = _load_shares(args.shares)
-    subset = args.subset if args.subset else sorted(shares)
-    config = run_config(args, scheme.variety)
-    config["subset"] = list(subset)
+    # the resolved subset, which the configuration echoes
+    args.subset = list(args.subset or sorted(shares))
     try:
-        secret = recover(scheme, subset, shares)
+        secret = recover(scheme, args.subset, shares)
         status, detail, verdict = "RECOVERED", "", PASS
     except NotQualifiedError as e:
         secret, status, detail, verdict = None, "NOT_QUALIFIED", str(e), FAIL
     except InconsistentSharesError as e:
         secret, status, detail, verdict = None, "INCONSISTENT_SHARES", str(e), FAIL
-    report = {"scheme": scheme.meta(), "subset": list(subset),
+    report = {"scheme": scheme.meta(), "subset": args.subset,
               "status": status, "secret": secret, "detail": detail}
-    return emit(args, "sss recover", config, report, verdict,
-                ["status", "secret", "detail"],
-                [[status, "" if secret is None else secret, detail]])
+    return (report, verdict, ["status", "secret", "detail"],
+            [[status, "" if secret is None else secret, detail]])
 
 
-def cmd_sss_democracy(args) -> int:
-    v = make_variety(args)
+def cmd_sss_democracy(args, v) -> tuple:
     acc = access_structure(v, args.p0, args.budget)
     rep = democracy_report(acc)
     report = {"access": {"provenance": acc.provenance,
                          "count": acc.count,
-                         "size_profile": profile_rows(acc.size_profile())},
+                         "size_profile": count_rows(acc.size_profile(), "size", "count")},
               "democracy": rep.as_dict()}
-    rows = [[p, c] for p, c in sorted(rep.per_participant.items())]
-    return emit(args, "sss democracy", run_config(args, v), report, None,
-                ["participant", "memberships"], rows)
+    return (report, None, ["participant", "memberships"],
+            _csv_rows(count_rows(rep.per_participant, "participant", "memberships")))
 
 
-def cmd_sss_develop(args) -> int:
+def cmd_sss_develop(args, v) -> tuple:
     fx = load_fixture(args.fixture)
     group = group_closure(fx.generator_cycles, fx.degree, args.budget)
     acc = develop(fx.starters, group, args.budget)
     report = {"fixture": args.fixture, "degree": fx.degree,
               "group_order": group.order, **acc.as_dict()}
-    return emit(args, "sss develop", run_config(args), report, None,
-                ["set_index", "size", "members"], _set_rows(report["sets"]))
+    return report, None, ["set_index", "size", "members"], _set_rows(report["sets"])
 
 
-def cmd_sss_verify_example(args) -> int:
+def cmd_sss_verify_example(args, v) -> tuple:
     facts = verify_example(args.budget)
     checks = verify_mod.example_checks(facts)
     verdict = PASS if all(checks.values()) else FAIL
     facts_out = dict(facts)
-    facts_out["size_profile"] = profile_rows(facts["size_profile"])
+    facts_out["size_profile"] = count_rows(facts["size_profile"], "size", "count")
     report = {"facts": facts_out, "checks": checks}
-    return emit(args, "sss verify-example", run_config(args), report, verdict,
-                ["check", "ok"], [[name, ok] for name, ok in sorted(checks.items())])
+    return report, verdict, ["check", "ok"], sorted(checks.items())
 
 
 # ---------------------------------------------------------------------------
 # acceptance suite
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, v) -> tuple:
     if args.corrupt_modulus:
-        res = verify_mod.negative_control_corrupt_modulus()
-        _status(f"{res.cid} {res.status} ({res.elapsed:.1f}s) {res.name}: {res.detail}")
-        return emit(args, "verify-all", run_config(args),
-                    {"criteria": [res.as_dict()]}, res.status,
-                    ["id", "status", "name", "detail"],
-                    [[res.cid, res.status, res.name, res.detail]])
-    results = verify_mod.run_all(budget=args.budget)
+        results = [verify_mod.negative_control_corrupt_modulus()]
+    else:
+        results = verify_mod.run_all(budget=args.budget)
     for res in results:
         _status(f"{res.cid} {res.status} ({res.elapsed:.1f}s) {res.name}: {res.detail}")
     statuses = [res.status for res in results]
-    verdict = FAIL if FAIL in statuses else ("SKIP" if "SKIP" in statuses else PASS)
-    report = {"criteria": [res.as_dict() for res in results],
-              "n_pass": statuses.count(PASS),
-              "n_fail": statuses.count(FAIL),
-              "n_skip": statuses.count("SKIP")}
-    rc = emit(args, "verify-all", run_config(args), report, verdict,
-              ["id", "status", "name", "detail"],
-              [[res.cid, res.status, res.name, res.detail] for res in results])
-    return 3 if verdict == "SKIP" else rc
+    verdict = FAIL if FAIL in statuses else (SKIP if SKIP in statuses else PASS)
+    report = {"criteria": [res.as_dict() for res in results]}
+    if not args.corrupt_modulus:
+        report.update(n_pass=statuses.count(PASS), n_fail=statuses.count(FAIL),
+                      n_skip=statuses.count(SKIP))
+    return (report, verdict, ["id", "status", "name", "detail"],
+            [[res.cid, res.status, res.name, res.detail] for res in results])
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
     try:
-        return args.func(args)
+        v = make_variety(args) if hasattr(args, "q") else None
+        report, verdict, csv_header, csv_rows = args.func(args, v)
+        rc = emit(args, command, run_config(args, v), report, verdict,
+                  csv_header, csv_rows)
+        return 3 if verdict == SKIP else rc
     except BudgetError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
@@ -533,10 +503,7 @@ def main(argv=None) -> int:
             for cl in e.report.failures():
                 print(f"  clause {cl.name}: {cl.detail}", file=sys.stderr)
         return 2
-    except (FieldError, CodeError, SSSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (FieldError, CodeError, SSSError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ import numpy as np
 from .budget import BudgetError, check_budget
 from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, span_rank, subspace_counts
 from .gf import FiniteField
-from .variety import Variety, hyperplane_section_sizes, size_counts
+from .variety import Variety, count_rows, hyperplane_section_sizes, size_counts
 
 WORDS_HARD_CAP = 2 ** 24
 
@@ -51,7 +51,6 @@ class LinearCode:
     """
     ctx: FiniteField
     cols: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -112,7 +111,7 @@ def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
     if rank != v.r + 1:
         raise CodeError(
             f"point set spans a proper subspace: rank {rank} < {v.r + 1}")
-    return LinearCode(v.ctx, cols, {"variety": v.meta(), "p0": p0})
+    return LinearCode(v.ctx, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +143,7 @@ class WeightDistribution:
     def as_dict(self) -> dict:
         return {
             "q": self.q, "n": self.n, "k": self.k, "source": self.source,
-            "weights": [{"w": int(w), "count": int(c)}
-                        for w, c in sorted(self.weights.items())],
+            "weights": count_rows(self.weights, "w", "count"),
         }
 
 
@@ -189,8 +187,7 @@ class DivisibilityReport:
 
     def as_dict(self):
         return {"divisor": self.divisor, "all_divisible": self.all_divisible,
-                "offenders": [{"w": int(w), "count": int(c)}
-                              for w, c in sorted(self.offenders.items())]}
+                "offenders": count_rows(self.offenders, "w", "count")}
 
 
 def divisibility_report(dist: WeightDistribution, divisor: int) -> DivisibilityReport:
@@ -310,8 +307,7 @@ class MinimalityReport:
         return {
             "ok": self.ok, "words": self.words, "classes": self.classes,
             "non_minimal_words": self.non_minimal_words,
-            "non_minimal_weights": [{"w": int(w), "count": int(c)}
-                                    for w, c in sorted(self.non_minimal_weights.items())],
+            "non_minimal_weights": count_rows(self.non_minimal_weights, "w", "count"),
             "witnesses": self.witnesses[:8],
         }
 

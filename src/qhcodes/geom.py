@@ -145,16 +145,12 @@ def span_rank(ctx: FiniteField, vectors) -> int:
     return row_reduce(ctx, arr)[0]
 
 
-def _pivot_blocks(q: int, r: int, nrows: int):
-    """(pivots, free, blocks) for every choice of nrows pivot columns:
-    the free columns of each row, and the (lo, count) ranges of a
-    counter whose base-q digits, most significant first, fill the free
-    columns row by row."""
+def _pivot_choices(r: int, nrows: int):
+    """(pivots, free) for every choice of nrows pivot columns: the free
+    columns of each row, right of its pivot and at no other pivot."""
     for pivots in combinations(range(r + 1), nrows):
-        free = [[c for c in range(p + 1, r + 1) if c not in pivots] for p in pivots]
-        end = q ** sum(len(cols) for cols in free)
-        yield pivots, free, ((lo, min(SUBSPACE_BLOCK, end - lo))
-                             for lo in range(0, end, SUBSPACE_BLOCK))
+        yield pivots, [[c for c in range(p + 1, r + 1) if c not in pivots]
+                       for p in pivots]
 
 
 def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
@@ -169,9 +165,13 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
     q = ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
-    for pivots, free, blocks in _pivot_blocks(q, r, nrows):
+    for pivots, free in _pivot_choices(r, nrows):
+        # a counter whose base-q digits, most significant first, fill
+        # the free columns row by row, in blocks of SUBSPACE_BLOCK
         width = sum(len(cols) for cols in free)
-        for lo, count in blocks:
+        end = q ** width
+        for lo in range(0, end, SUBSPACE_BLOCK):
+            count = min(SUBSPACE_BLOCK, end - lo)
             digits = _digit_matrix(q, width, np.arange(lo, lo + count))
             rows, at = [], 0
             for p, cols in zip(pivots, free):
@@ -234,7 +234,7 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
                        _scaled_keys(ctx, [w % q for w in pows], add.dtype)])
     sizes = np.zeros(total, dtype=np.min_scalar_type(num_points(nrows - 1, q)))
     at = 0
-    for pivots, free, _ in _pivot_blocks(q, r, nrows):
+    for pivots, free in _pivot_choices(r, nrows):
         widths = [len(cols) for cols in free]
         size = q ** sum(widths)
         for t in range(nrows):

@@ -32,7 +32,7 @@ from .budget import check_budget
 from .code import (LinearCode, _unique_rows, code_from_variety,
                    cutting_blocking_check, first_inside)
 from .geom import row_reduce
-from .variety import Variety
+from .variety import Variety, count_rows
 
 CLOSURE_CAP = 10 ** 6
 
@@ -91,8 +91,7 @@ class DealReport:
 
     def as_dict(self):
         return {"secret": self.secret, "seed": self.seed,
-                "shares": [{"participant": int(i), "value": int(v)}
-                           for i, v in sorted(self.shares.items())]}
+                "shares": count_rows(self.shares, "participant", "value")}
 
 
 def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
@@ -216,14 +215,9 @@ class AccessStructure:
         return {
             "provenance": self.provenance,
             "count": self.count,
-            "size_profile": profile_rows(self.size_profile()),
+            "size_profile": count_rows(self.size_profile(), "size", "count"),
             "sets": [list(s) for s in self.sorted_sets()],
         }
-
-
-def profile_rows(profile: dict) -> list:
-    """A size profile as the payloads print it, by increasing size."""
-    return [{"size": int(s), "count": int(c)} for s, c in sorted(profile.items())]
 
 
 def label_rows(sets, width: int) -> np.ndarray:
@@ -277,8 +271,7 @@ class DemocracyReport:
     def as_dict(self):
         hist = Counter(self.per_participant.values())
         return {"sets": self.sets, "participants": self.participants,
-                "count_histogram": [{"memberships": int(k), "participants": int(v)}
-                                    for k, v in sorted(hist.items())],
+                "count_histogram": count_rows(hist, "memberships", "participants"),
                 "is_democratic": self.is_democratic,
                 "uniform_count": self.uniform_count,
                 "dictators": self.dictators}
@@ -302,8 +295,7 @@ class PerfectnessReport:
 
     def as_dict(self):
         return {"subset": list(self.subset), "consistent": self.consistent,
-                "secret_counts": [{"secret": int(s), "count": int(c)}
-                                  for s, c in sorted(self.secret_counts.items())],
+                "secret_counts": count_rows(self.secret_counts, "secret", "count"),
                 "verdict": self.verdict}
 
 

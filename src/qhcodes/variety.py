@@ -435,8 +435,7 @@ class SpectrumReport:
         return {
             "variety": self.variety,
             "axis": self.axis,
-            "spectrum": [{"size": int(s), "count": int(c)}
-                         for s, c in sorted(self.counts.items())],
+            "spectrum": count_rows(self.counts, "size", "count"),
             "total": int(self.total),
             "engine": self.engine,
         }
@@ -869,6 +868,12 @@ def size_counts(sizes: np.ndarray) -> dict:
     cnts = sum(np.bincount(sizes[at:at + step] - lo, minlength=width)
                for at in range(0, len(sizes), step))
     return {lo + int(s): int(cnts[s]) for s in np.flatnonzero(cnts)}
+
+
+def count_rows(mapping: dict, key: str, value: str) -> list:
+    """A count table as the payloads print it: {key: k, value: v} for
+    each entry, by increasing k."""
+    return [{key: int(k), value: int(v)} for k, v in sorted(mapping.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ weight enumerator violate the incidence double-count identities (see
 each check's detail string for the arithmetic).  Those checks report
 the discrepancy and fail; the self-consistency halves of the same
 computations are verified separately and pass.
+
+Each check_NN returns (failures, pass_detail); run_all alone makes the
+CheckResult rows, named from CHECK_NAMES, and reports a budget refusal
+as SKIP.
 """
 
 from __future__ import annotations
@@ -73,11 +77,7 @@ def get_scheme(kind: str, q: int, r: int, budget=None):
     return sss_mod.Scheme.from_variety(get_variety(kind, q, r, budget))
 
 
-def _fail_list(pairs):
-    return "; ".join(pairs)
-
-
-def check_01_sizes(budget=None) -> CheckResult:
+def check_01_sizes(budget=None) -> tuple:
     """Sizes of the twisted hypersurface and the one-refusal case."""
     bad = []
     for (q, r), expect in EXPECTED_SIZES.items():
@@ -90,13 +90,10 @@ def check_01_sizes(budget=None) -> CheckResult:
     except var_mod.ParamsError as e:
         if "exhaustive scan" not in str(e):
             bad.append(f"(3,4) refusal lacks scan diagnostic: {e}")
-    if bad:
-        return CheckResult("01", "sizes", "FAIL", _fail_list(bad))
-    return CheckResult("01", "sizes", "PASS",
-                       "262 / 1041 / 16657; (3,4) refused after exhaustive scan")
+    return bad, "262 / 1041 / 16657; (3,4) refused after exhaustive scan"
 
 
-def check_02_spectra(budget=None) -> CheckResult:
+def check_02_spectra(budget=None) -> tuple:
     """Hyperplane spectra against the derived ones, and the pinned (3,3) counts."""
     bad = []
     for q, r in SPECTRUM_CASES:
@@ -114,13 +111,10 @@ def check_02_spectra(budget=None) -> CheckResult:
             f"{REFERENCE_SPECTRUM_COUNTS_33}; the pinned table is impossible: "
             f"sum size*count = {moment}, but every 262-point set gives "
             f"262*91 = {262 * 91}")
-    if bad:
-        return CheckResult("02", "hyperplane spectra", "FAIL", _fail_list(bad))
-    return CheckResult("02", "hyperplane spectra", "PASS",
-                       "derived spectra at (3,3),(5,3),(4,3),(4,4); pinned counts match")
+    return bad, "derived spectra at (3,3),(5,3),(4,3),(4,4); pinned counts match"
 
 
-def check_03_lines(budget=None) -> CheckResult:
+def check_03_lines(budget=None) -> tuple:
     v = get_variety("twisted", 3, 3, budget)
     sp = var_mod.line_spectrum(v, budget)
     allowed = set(var_mod.predicted_line_sizes(3))
@@ -130,13 +124,10 @@ def check_03_lines(budget=None) -> CheckResult:
     extra = set(sp.counts) - allowed
     if extra:
         bad.append(f"line sizes outside prediction: {sorted(extra)}")
-    if bad:
-        return CheckResult("03", "line spectrum", "FAIL", _fail_list(bad))
-    return CheckResult("03", "line spectrum", "PASS",
-                       f"7462 lines, sizes {sorted(sp.counts)} all allowed")
+    return bad, f"7462 lines, sizes {sorted(sp.counts)} all allowed"
 
 
-def check_04_weights(budget=None) -> CheckResult:
+def check_04_weights(budget=None) -> tuple:
     """Weight enumerator of the (3,3) code against the pinned table and
     against independent exhaustive enumeration."""
     v = get_variety("twisted", 3, 3, budget)
@@ -153,13 +144,10 @@ def check_04_weights(budget=None) -> CheckResult:
             f"{REFERENCE_WEIGHT_TABLE_33}; the pinned table is impossible: "
             f"sum w*A_w = {moment}, but a full-support length-262 code over "
             f"GF(9) with k=4 forces {expect}")
-    if bad:
-        return CheckResult("04", "weight enumerator", "FAIL", _fail_list(bad))
-    return CheckResult("04", "weight enumerator", "PASS",
-                       "table matches and is confirmed by full enumeration")
+    return bad, "table matches and is confirmed by full enumeration"
 
 
-def check_05_divisibility(budget=None) -> CheckResult:
+def check_05_divisibility(budget=None) -> tuple:
     bad = []
     for q, r in ((4, 3), (4, 4)):
         v = get_variety("twisted", q, r, budget)
@@ -172,17 +160,14 @@ def check_05_divisibility(budget=None) -> CheckResult:
         code_mod.weights_from_sections(v33, budget=budget), 3)
     if rep33.all_divisible:
         bad.append("(3,3) weights unexpectedly all divisible by 3")
-    if bad:
-        return CheckResult("05", "divisibility", "FAIL", _fail_list(bad))
-    return CheckResult("05", "divisibility", "PASS",
-                       "q=4 codes are 4-divisible; the (3,3) code is not 3-divisible")
+    return bad, "q=4 codes are 4-divisible; the (3,3) code is not 3-divisible"
 
 
 MINIMAL_FIXTURES = (("hermitian", 2, 3), ("hermitian", 3, 3),
                     ("quasi-hermitian", 3, 3), ("twisted", 3, 3))
 
 
-def check_06_minimality(budget=None) -> CheckResult:
+def check_06_minimality(budget=None) -> tuple:
     bad = []
     for kind, q, r in MINIMAL_FIXTURES:
         cut = code_mod.cutting_blocking_check(get_variety(kind, q, r, budget), budget)
@@ -198,14 +183,11 @@ def check_06_minimality(budget=None) -> CheckResult:
     if bf43.non_minimal_words != 15 or set(bf43.non_minimal_weights) != {1024}:
         bad.append(f"(4,3) non-minimal words {bf43.non_minimal_words} "
                    f"(weights {bf43.non_minimal_weights}) != 15 of weight 1024")
-    if bad:
-        return CheckResult("06", "minimality", "FAIL", _fail_list(bad))
-    return CheckResult("06", "minimality", "PASS",
-                       "four minimal fixtures; (4,3) fails with witness "
-                       "(1,0,0,0) and exactly 15 non-minimal words of weight 1024")
+    return bad, ("four minimal fixtures; (4,3) fails with witness "
+                 "(1,0,0,0) and exactly 15 non-minimal words of weight 1024")
 
 
-def check_07_democracy(budget=None) -> CheckResult:
+def check_07_democracy(budget=None) -> tuple:
     bad = []
     a33 = get_access("twisted", 3, 3, budget)
     d33 = sss_mod.democracy_report(a33)
@@ -221,14 +203,11 @@ def check_07_democracy(budget=None) -> CheckResult:
         bad.append(f"hermitian q=2 democracy {d2.uniform_count} != 48")
     if a2.size_profile() != {31: 32, 35: 32}:
         bad.append(f"hermitian q=2 profile {a2.size_profile()} != {{31:32, 35:32}}")
-    if bad:
-        return CheckResult("07", "democracy", "FAIL", _fail_list(bad))
-    return CheckResult("07", "democracy", "PASS",
-                       "729 sets / 648 each at (3,3); 64 sets / 48 each, "
-                       "sizes {31x32, 35x32} at hermitian q=2")
+    return bad, ("729 sets / 648 each at (3,3); 64 sets / 48 each, "
+                 "sizes {31x32, 35x32} at hermitian q=2")
 
 
-def check_08_sss_roundtrip(budget=None) -> CheckResult:
+def check_08_sss_roundtrip(budget=None) -> tuple:
     bad = []
     rng = random.Random(20260819)
     cases = (("twisted", 3, 3), ("hermitian", 2, 3))
@@ -264,13 +243,8 @@ def check_08_sss_roundtrip(budget=None) -> CheckResult:
         if rep.verdict != "uniform":
             bad.append(f"non-qualified subset {sub} verdict {rep.verdict}")
             break
-    if bad:
-        return CheckResult("08", "sss roundtrip and perfectness", "FAIL",
-                           _fail_list(bad))
-    return CheckResult(
-        "08", "sss roundtrip and perfectness", "PASS",
-        f"100 deal/recover roundtrips; uniform secret distribution on "
-        f"{len(subsets)} non-qualified subsets by full 256-message enumeration")
+    return bad, (f"100 deal/recover roundtrips; uniform secret distribution on "
+                 f"{len(subsets)} non-qualified subsets by full 256-message enumeration")
 
 
 def example_checks(facts: dict) -> dict:
@@ -283,23 +257,20 @@ def example_checks(facts: dict) -> dict:
     return checks
 
 
-def check_09_example(budget=None) -> CheckResult:
+def check_09_example(budget=None) -> tuple:
     facts = sss_mod.verify_example(budget)
     bad = [f"{key} = {facts[key]} != {EXAMPLE_FACTS[key]}" if key in EXAMPLE_FACTS
            else f"{key} is false"
            for key, ok in example_checks(facts).items() if not ok]
-    if bad:
-        return CheckResult("09", "shipped example", "FAIL", _fail_list(bad))
-    return CheckResult("09", "shipped example", "PASS",
-                       "group order 576; 64 sets sized {31x32, 35x32}; "
-                       "antichain; generators stabilize the structure")
+    return bad, ("group order 576; 64 sets sized {31x32, 35x32}; "
+                 "antichain; generators stabilize the structure")
 
 
 CROSS_FIXTURES = (("twisted", 3, 3), ("twisted", 4, 3), ("hermitian", 2, 3),
                   ("hermitian", 3, 3), ("quasi-hermitian", 3, 3))
 
 
-def check_10_cross(budget=None) -> CheckResult:
+def check_10_cross(budget=None) -> tuple:
     bad = []
     for kind, q, r in CROSS_FIXTURES:
         v = get_variety(kind, q, r, budget)
@@ -319,12 +290,15 @@ def check_10_cross(budget=None) -> CheckResult:
     surgery = var_mod.surgery_check(var_mod.default_params(3, 3), budget)
     if not (surgery["sets_match"] and surgery["per_hyperplane_ok"]):
         bad.append(f"surgery identity fails: {surgery}")
-    if bad:
-        return CheckResult("10", "cross-checks", "FAIL", _fail_list(bad))
-    return CheckResult("10", "cross-checks", "PASS",
-                       "ratio=>exhaustive, cutting<=>exhaustive, section==exhaustive "
-                       "weights on five fixtures; surgery identity exact at (3,3)")
+    return bad, ("ratio=>exhaustive, cutting<=>exhaustive, section==exhaustive "
+                 "weights on five fixtures; surgery identity exact at (3,3)")
 
+
+# the one place each check's name is written
+CHECK_NAMES = {"01": "sizes", "02": "hyperplane spectra", "03": "line spectrum",
+               "04": "weight enumerator", "05": "divisibility", "06": "minimality",
+               "07": "democracy", "08": "sss roundtrip and perfectness",
+               "09": "shipped example", "10": "cross-checks"}
 
 ALL_CHECKS = (check_01_sizes, check_02_spectra, check_03_lines,
               check_04_weights, check_05_divisibility, check_06_minimality,
@@ -334,17 +308,19 @@ ALL_CHECKS = (check_01_sizes, check_02_spectra, check_03_lines,
 
 # parallel is accepted and ignored; perfbench/spans.py still passes it
 def run_all(budget=None, parallel=1, checks=ALL_CHECKS) -> list:
+    """One timed CheckResult per check: FAIL with its failures joined,
+    PASS with its pass detail, or SKIP with the refusal."""
     results = []
     for fn in checks:
+        cid = fn.__name__.split("_")[1]
         t0 = time.perf_counter()
         try:
-            res = fn(budget=budget)
+            bad, detail = fn(budget=budget)
+            status, detail = ("FAIL", "; ".join(bad)) if bad else ("PASS", detail)
         except BudgetError as e:
-            cid = fn.__name__.split("_")[1]
-            name = " ".join(fn.__name__.split("_")[2:])
-            res = CheckResult(cid, name, "SKIP", f"refused: {e}")
-        res.elapsed = time.perf_counter() - t0
-        results.append(res)
+            status, detail = "SKIP", f"refused: {e}"
+        results.append(CheckResult(cid, CHECK_NAMES[cid], status, detail,
+                                   time.perf_counter() - t0))
     return results
 
 

@@ -249,6 +249,17 @@ def test_deal_roundtrip_through_files(capsys, tmp_path):
     assert doc["report"]["secret"] == 2
 
 
+def test_recover_without_subset_echoes_every_participant(capsys):
+    # the subset resolved from the deal file is echoed in the config too
+    deal_file = Path(__file__).resolve().parent / "golden" / "sss_deal.json"
+    rc, doc, _ = run_json(capsys, "sss", "recover", "--q", "2", "--r", "3",
+                          "--variety", "hermitian", "--shares", str(deal_file))
+    assert rc == 0
+    assert doc["config"]["subset"] == doc["report"]["subset"] == list(range(1, 45))
+    assert doc["report"]["status"] == "RECOVERED"
+    assert doc["report"]["secret"] == 1
+
+
 def test_deal_outputs_byte_identical(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
@@ -413,7 +424,7 @@ def test_develop_and_example(capsys):
 
 @pytest.mark.parametrize("verdict, rc", [("FAIL", 1), ("PASS", 0), (None, 0), ("SKIP", 0)])
 def test_emit_returns_the_exit_code(verdict, rc, capsys):
-    # only FAIL exits 1; verify-all maps its SKIP to 3 itself
+    # only FAIL exits 1; main maps a SKIP verdict to 3
     args = SimpleNamespace(format="json", out=None)
     assert cli_mod.emit(args, "test", {}, {}, verdict) == rc
     assert json.loads(capsys.readouterr().out)["verdict"] == verdict

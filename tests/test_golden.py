@@ -6,7 +6,10 @@ reproduce it exactly.  They were edited once, by hand, when the
 `--parallel` option went: each lost its `"parallel": 1,` config line
 and nothing else.  They were edited a second time when the `--engine`
 option went: the seven that echoed it lost their `"engine": "auto",`
-config line and nothing else.  variety_spectrum_hermitian_61 was captured from the
+config line and nothing else.  They were edited a third time when the
+SKIP rows of verify-all took each check's own name: six `"name"` lines
+of verify_all_budget0, in its .json and its .csv, and nothing else.
+variety_spectrum_hermitian_61 was captured from the
 direct engine and its one `"engine": "direct"` line edited to `"wht"`
 by hand, so it pins that the transform reproduces direct evaluation's
 bytes.  `sss recover` reads the captured deal payload.
@@ -16,11 +19,12 @@ pins which guard refuses first; it exits 3.  Each command's
 `.json`.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from qhcodes.cli import main
+from qhcodes.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 HERM23 = ("--q", "2", "--r", "3", "--variety", "hermitian")
@@ -67,3 +71,20 @@ def test_csv_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def _subparsers(parser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_every_subcommand_has_a_golden():
+    commands = {(group, action)
+                for group, sub in _subparsers(build_parser()).items()
+                for action in (_subparsers(sub) or [None])}
+    covered = set()
+    for argv in COMMANDS.values():
+        args = build_parser().parse_args(list(argv))
+        covered.add((args.group, getattr(args, "action", None)))
+    assert len(commands) == 14
+    assert commands == covered
