@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, span_rank, subspace_counts
+from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, product_table, span_rank, subspace_counts
 from .gf import FiniteField
 from .variety import Variety, count_rows, hyperplane_section_sizes, size_counts
 
@@ -64,10 +64,8 @@ class LinearCode:
     def row_tables(self) -> tuple:
         """Table i holds a times row i of the generator matrix in row a,
         in the narrowest unsigned dtype that holds q - 1."""
-        scalars = np.arange(self.ctx.order)[:, None]
-        dtype = np.min_scalar_type(self.ctx.order - 1)
-        return tuple(self.ctx.vmul(scalars, self.cols[None, :, i]).astype(dtype)
-                     for i in range(self.k))
+        prod = product_table(self.ctx, np.min_scalar_type(self.ctx.order - 1))
+        return tuple(prod[:, self.cols[:, i]] for i in range(self.k))
 
     def codeword_block(self, msgs: np.ndarray) -> np.ndarray:
         """Codewords of a block of messages, one row per message: k row
@@ -147,13 +145,22 @@ class WeightDistribution:
         }
 
 
+def _spanning(v: Variety, best: int) -> int:
+    """best, v's largest hyperplane section, unless it is all of v: then
+    v spans a proper subspace and defines no code."""
+    if best == v.n:
+        raise CodeError(f"point set spans a proper subspace: a hyperplane holds all {v.n} points")
+    return best
+
+
 def weights_from_sections(v: Variety,
                           budget: int | None = None) -> WeightDistribution:
     """Weight distribution via hyperplane sections: each hyperplane of
     section size s accounts for q-1 words of weight n - s."""
-    sizes = hyperplane_section_sizes(v, budget)
+    counts = size_counts(hyperplane_section_sizes(v, budget))
+    _spanning(v, max(counts))
     q = v.ctx.order
-    weights = {v.n - s: c * (q - 1) for s, c in size_counts(sizes).items()}
+    weights = {v.n - s: c * (q - 1) for s, c in counts.items()}
     dist = WeightDistribution(q, v.n, v.r + 1, weights, "hyperplane-sections")
     dist.check_complete()
     return dist
@@ -215,13 +222,14 @@ def higher_weight(v: Variety, k: int,
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
-    if k == r:
+    if k == r > 1:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
     if k == 1:
         sizes = hyperplane_section_sizes(v, budget)
+        best = _spanning(v, int(sizes.max()))
     else:
         sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
-    best = int(sizes.max())
+        best = int(sizes.max())
     return HigherWeightReport(k, v.n - best, best, len(sizes))
 
 

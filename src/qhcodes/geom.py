@@ -228,10 +228,14 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
     digit = np.arange(q if width else 1, dtype=np.min_scalar_type(q - 1))
     add = ctx.vadd(digit[:, None], digit[None, :])
     hi = _low_adder(add, max(width - 1, 0))
-    # scaled[0, c, d] q + scaled[1, c, d]: key of c times the digits d
-    pows = [q ** i for i in range(width - 1, -1, -1)]
-    scaled = np.stack([_scaled_keys(ctx, [w // q for w in pows], hi.dtype),
-                       _scaled_keys(ctx, [w % q for w in pows], add.dtype)])
+    # scaled[0, c, d] q + scaled[1, c, d]: key of c times the digits d,
+    # a sum of GF(q)'s product table times each digit's weight
+    scaled = np.zeros((2, q, 1), dtype=np.promote_types(hi.dtype, add.dtype))
+    if width:
+        prod = product_table(ctx, scaled.dtype)[:, None, :]
+        for w in [q ** i for i in range(width - 1, -1, -1)]:
+            scale = np.array([w // q, w % q], dtype=scaled.dtype)[:, None, None, None]
+            scaled = (scaled[:, :, :, None] + prod * scale).reshape(2, q, -1)
     sizes = np.zeros(total, dtype=np.min_scalar_type(num_points(nrows - 1, q)))
     at = 0
     for pivots, free in _pivot_choices(r, nrows):
@@ -298,16 +302,15 @@ def _keys(q: int, weights: list) -> np.ndarray:
     return keys
 
 
-def _scaled_keys(ctx: FiniteField, weights: list, dtype) -> np.ndarray:
-    """(q, q^f) table of dtype: the key of c times digits d over f free
-    columns, sum_i (c d_i) weights[i], as an outer sum of GF(q)'s
-    product table times each weight, all in dtype, which holds the keys."""
-    q = ctx.order
-    prod = np.array([ctx.scalar_mul_row(c) for c in range(q)], dtype=dtype)
-    table = np.zeros((q, 1), dtype=dtype)
-    for w in weights:
-        table = (table[:, :, None] + prod[:, None, :] * dtype.type(w)).reshape(q, -1)
-    return table
+def product_table(ctx: FiniteField, dtype) -> np.ndarray:
+    """GF(q)'s (q, q) product table, entry (c, x) = c x, in dtype, which
+    holds q - 1: one ctx.vmul per block of rows of about 2^10 products,
+    so that its int64 temporaries stay small and no row is cached."""
+    q, rows = ctx.order, max(1, (1 << 10) // ctx.order)
+    elems, out = np.arange(q, dtype=dtype), np.empty((q, q), dtype=dtype)
+    for c in range(0, q, rows):
+        out[c:c + rows] = ctx.vmul(elems[c:c + rows, None], elems)
+    return out
 
 
 def _low_adder(add: np.ndarray, ncols: int) -> np.ndarray:

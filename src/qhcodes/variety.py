@@ -47,13 +47,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 import numpy as np
 
 from .budget import BudgetError, check_budget
 from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, num_points, pg_space,
-                   subspace_counts)
+                   product_table, subspace_counts)
 from .gf import FiniteField, _is_prime, factor_prime_power, make_field
 
 POINT_ORDER_VERSION = "lex-v1"
@@ -125,15 +126,17 @@ def validate_params(params: TwistedParams) -> ValidationReport:
 
     p, _ = factor_prime_power(q)
     alpha, beta = params.alpha, params.beta
-    a_ok = 0 < alpha < ctx.order
+    # an encoding outside 0 .. Q-1 names no element at all
+    a_in, b_in = (0 <= x < ctx.order for x in (alpha, beta))
+    foreign = f"encodes no element of GF({ctx.order}), whose encodings are 0 .. {ctx.order - 1}"
+    a_ok, b_ok = a_in and alpha != 0, b_in and ctx.frobenius_q(beta) != beta
     clauses.append(Clause(
-        "alpha-nonzero", a_ok,
-        "alpha is a nonzero element" if a_ok else f"alpha = {alpha} must be nonzero"))
-    b_ok = 0 <= beta < ctx.order and ctx.frobenius_q(beta) != beta
+        "alpha-nonzero", a_ok, "alpha is a nonzero element" if a_ok
+        else f"alpha = {alpha} " + ("must be nonzero" if a_in else foreign)))
     clauses.append(Clause(
-        "beta-outside-subfield", b_ok,
-        "beta lies outside GF(q)" if b_ok
-        else f"beta = {beta} is fixed by x -> x^q, so it lies in GF(q)"))
+        "beta-outside-subfield", b_ok, "beta lies outside GF(q)" if b_ok
+        else f"beta = {beta} " + ("is fixed by x -> x^q, so it lies in GF(q)" if b_in
+                                  else foreign)))
 
     if all(c.ok for c in clauses):
         sub = ctx.subfield
@@ -665,16 +668,17 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     entries, or of one hyperplane: for c in GF(Q) and the hyperplanes u of PG(k-1), in the
     order of their first theta_(k-1) rows,
         key[c, u] = sum_i (c u_i) Q^(k-1-i),
-        idx[c, u] = sum_i trd[c u_i] Q^(k-1-i).
-    PG(k-1)'s rows are (0, PG(k-2)), level k-1's own rows, then
-    (1, x, w') for x in GF(Q), and
-        key[c, (1, x, w')] = key[c, (1, w')] + Q^(k-2) (x c + (Q - 1) c),
-    idx alike with trd[x c] and trd[c].  Levels below r fill one
-    (Q, theta_(r-2)) array in turn; the last level adds its (1, x, w')
-    columns a block at a time, so none of its theta_(r-1) columns is
-    held.  A block's rows run along u, so a transform over the digits
-    of c works on long contiguous rows.  Each block is read before the
-    next is asked for: the last level's blocks share one array.
+        idx[c, u] = sum_i trd[c u_i] Q^(k-1-i),
+    the same at every level for the same row.  Chart w holds the rows
+    (1, d, x), for (1, d) those of chart w-1 and x in GF(Q), and
+        key[c, (1, d, x)] = Q key[c, (1, d)] + c x,
+    idx alike with trd[c x]: each chart is Q times the chart below plus
+    one (2, Q, Q) table of (trd[c x], c x), from GF(Q)'s product table.
+    Levels below r write their chart into one held (2, Q, theta_(r-2))
+    array; the last level yields the held columns, then its own chart a
+    block at a time, into one array that every block reuses, so none of
+    its Q^(r-1) columns is held.  A block's rows run along u, so a
+    transform over the digits of c works on long contiguous rows.
     """
     q = ctx.order
     # starts[w] = theta_(w-1)
@@ -683,54 +687,43 @@ def _scaled_tables(ctx: FiniteField, trd: np.ndarray, r: int):
     # a block also stays below theta_r / 2 entries, so that its
     # temporaries stay a small part of the sizes in small spaces too
     step = max(1, min(SUBSPACE_BLOCK, starts[r + 1] >> 1) // q)
-    trd, elems = trd.astype(dtype), np.arange(q, dtype=dtype)
     tabs = np.empty((2, q, max(1, starts[r - 1])), dtype=dtype)
-    tabs[:, :, 0] = trd, elems
+    tabs[:, :, 0] = trd, np.arange(q)  # chart 0, the row (1)
 
-    def blocks(hi, held, lo=0):
-        # the columns below held are in tabs; column held + x (held - lo)
-        # + j is column lo + j plus shift[:, :, x], added a run of one x
-        # at a time into an array that every block reuses
-        count = -(-hi // step)
-        buf = None
-        for b in range(count):
-            u0, u1 = hi * b // count, hi * (b + 1) // count
-            if u1 <= held:
-                yield tabs[:, :, u0:u1]
-                continue
-            if buf is None:
-                buf = np.empty(2 * q * -(-hi // count), dtype=dtype)
-            out = buf[:2 * q * (u1 - u0)].reshape(2, q, u1 - u0)
-            at = max(u0, held)
-            out[:, :, :at - u0] = tabs[:, :, u0:at]
-            while at < u1:
-                x, j = divmod(at - held, held - lo)
-                end = min(u1, at + held - lo - j)
-                np.add(tabs[:, :, lo + j:lo + j + end - at], shift[:, :, x, None],
-                       out=out[:, :, at - u0:end - u0])
-                at = end
-            yield out
-    yield blocks(1, 1)
+    def cut(n, count):
+        # range(n) in count runs, or n if fewer, as even as may be
+        count = min(n, count)
+        return [(n * b // count, n * (b + 1) // count) for b in range(count)]
+
+    def held(hi):
+        return (tabs[:, :, u0:u1] for u0, u1 in cut(hi, -(-hi // step)))
+
+    def chart(lo, mid, hi):
+        # blocks of whole runs of x, as many as the level's hi columns
+        # take at step each (wider blocks transform slower), or of parts
+        # of one run
+        buf = np.empty(2 * q * step, dtype=dtype)
+        for d0, d1 in cut(mid - lo, max(-(-hi // step), -(-(mid - lo) // max(1, step // q)))):
+            for x0, x1 in cut(q, -(-q // step)):
+                out = buf[:2 * q * (d1 - d0) * (x1 - x0)].reshape(2, q, d1 - d0, x1 - x0)
+                np.multiply(tabs[:, :, lo + d0:lo + d1, None], q, out=out)
+                out += cx[:, :, None, x0:x1]
+                yield out.reshape(2, q, -1)
+    yield held(1)
     if r == 1:
         return
-    # shift[:, c, x] = (trd[x c], x c) + (Q - 1) (trd[c], c), times
-    # Q^(k-2) at level k; the products a block of columns at a time
-    shift = np.empty((2, q, q), dtype=dtype)
-    for x0 in range(0, q, step):
-        shift[1, :, x0:x0 + step] = ctx.vmul(elems[:, None], elems[x0:x0 + step])
-    shift[0] = trd[shift[1]]
-    shift += (q - 1) * tabs[:, :, :1]
+    cx = np.empty((2, q, q), dtype=dtype)
+    cx[1] = product_table(ctx, dtype)
+    np.take(trd, cx[1], out=cx[0])
     for k in range(2, r + 1):
         lo, mid, hi = starts[k - 2:k + 1]
-        if k > 2:
-            shift *= q
         if k == r:
-            yield blocks(hi, mid, lo)
+            yield chain(held(mid), chart(lo, mid, hi))
         else:
-            for tab, sh in zip(tabs, shift):
-                np.add(tab[:, None, lo:mid], sh[:, :, None],
-                       out=tab[:, mid:hi].reshape(q, q, mid - lo))
-            yield blocks(hi, hi)
+            new = tabs[:, :, mid:hi].reshape(2, q, mid - lo, q)
+            np.multiply(tabs[:, :, lo:mid, None], q, out=new)
+            new += cx[:, :, None]
+            yield held(hi)
 
 
 def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
@@ -751,8 +744,8 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     zeta^Tr(cs).  A second transform over the digits of c gives
     q T[u, s] at the digit vector of -(x -> Tr(sx)), so T[u, -1/d]
     sits at c = trd[1/d] (p = 2 would hide the sign).  The tables of
-    c u over the hyperplanes u of PG(k-1) grow level by level, one
-    addition per hyperplane from the level below (_scaled_tables).
+    c u over the hyperplanes u of PG(k-1) grow chart by chart, each Q
+    times the chart below plus one table of c x (_scaled_tables).
     Each chart has q^k entries, not the q^(r+1) of the cone over all of
     V; p = 2 transforms two digits per pass.
 
@@ -780,17 +773,13 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
         M, zeta = _transform_modulus(p, (q - 1) * nv)
         assert M % p == 1 and M > 2 * (q - 1) * nv
     # trd[e] packs Tr(e x^b), b < m, as base-p digits: the coefficient
-    # basis 1, x, ..., x^(m-1) is the digit basis of the encoding
-    frob = ctx.pow_row(p)
-    trd = np.zeros(q, dtype=np.int64)
-    for b in range(m):
-        y = ctx.scalar_mul_row(p ** b)
-        tr = np.zeros(q, dtype=np.int64)
-        for _ in range(m):
-            tr = ctx.vadd(tr, y)
-            y = frob[y]
-        assert not np.any(tr >= p)
-        trd += tr * p ** b
+    # basis 1, x, ..., x^(m-1) is the digit basis of the encoding; the
+    # absolute traces Tr(e) = e + e^p + ... + e^(p^(m-1)) form one row
+    tr, y = np.zeros(q, dtype=np.int64), np.arange(q)
+    for _ in range(m):
+        tr, y = ctx.vadd(tr, y), ctx.pow_row(p)[y]
+    assert not np.any(tr >= p)
+    trd = sum(tr[ctx.scalar_mul_row(p ** b)] * p ** b for b in range(m))
     # column of T[u, -1/d] for d = 1 .. q-1
     inv_cols = trd[ctx.exp[-ctx.log[1:] % (q - 1)]]
     # at[k]: how many points of V have index below theta_(k-1), k = 0 .. r+1
@@ -836,7 +825,7 @@ def hyperplane_section_sizes(v: Variety,
     allocates: the int32 sizes hold theta_r entries, a chart Q^k <
     theta_r, the tables of the levels below r (Q, theta_(r-2)) <
     theta_(r-1), a block of the last level's hyperplanes at most 2^16,
-    and the two product tables of GF(Q), built only for r > 1, Q^2 <
+    and GF(Q)'s product table and the table of c x, for r > 1, Q^2 <
     theta_2 each.  A set outside the transform's range is refused.  The
     result is kept on v and reused after the budget and range checks.
     """

@@ -225,6 +225,18 @@ def test_divisor_below_one_is_an_error_exit_2(divisor, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["cone", "twisted-infinity"])
+@pytest.mark.parametrize("command", [("code", "weights"), ("code", "dk", "--k", "1")])
+def test_no_code_report_for_a_point_set_inside_a_hyperplane(kind, command, capsys):
+    # both lie in X_0 = 0, so no code is defined on them, as --cross-check,
+    # code minimality and sss access say too
+    rc, out, err = run(capsys, *command, "--q", "2", "--r", "3", "--variety", kind)
+    assert rc == 2
+    assert out == ""
+    assert "error: point set spans a proper subspace" in err
+    assert "Traceback" not in err
+
+
 def test_code_dk(capsys):
     rc, doc, _ = run_json(capsys, "code", "dk", "--q", "3", "--r", "3",
                           "--k", "2")
@@ -485,3 +497,5 @@ def test_verify_all_negative_control(capsys):
     assert rc == 0
     assert doc["verdict"] == "PASS"
     assert "rejected" in doc["report"]["criteria"][0]["detail"]
+    # the same report shape as the suite's: the control is one PASS
+    assert [doc["report"][k] for k in ("n_pass", "n_fail", "n_skip")] == [1, 0, 0]

@@ -82,6 +82,19 @@ def test_divisibility():
     assert {o["w"] for o in rep.as_dict()["offenders"]} == {227, 236}
 
 
+@pytest.mark.parametrize("kind", ["cone", "twisted-infinity"])
+def test_no_weights_for_a_point_set_inside_a_hyperplane(kind):
+    # both lie in X_0 = 0, whose section holds all n points: a weight 0
+    # and d_1 = 0 would describe no code; d_k for k >= 2 is still given
+    v = build_variety(kind, 3, 3)
+    assert int(hyperplane_section_sizes(v).max()) == v.n
+    with pytest.raises(CodeError, match="spans a proper subspace"):
+        weights_from_sections(v)
+    with pytest.raises(CodeError, match="spans a proper subspace"):
+        higher_weight(v, 1)
+    assert higher_weight(v, 2).max_section <= v.n
+
+
 def test_higher_weights_33(tw33):
     assert higher_weight(tw33, 1).d == 225
     assert higher_weight(tw33, 2).d == 252
@@ -186,7 +199,12 @@ def test_pencils_agree_with_ranks_on_varieties(kind, q, r):
 
 
 def _ab_passes(v):
-    return ab_condition(weights_from_sections(v)).passes
+    """The weight ratio condition's verdict, or None where no code is
+    defined: no point, or every point in one hyperplane."""
+    try:
+        return ab_condition(weights_from_sections(v)).passes
+    except CodeError:
+        return None
 
 
 # unions of three hyperplanes, by index, whose codes are minimal although
@@ -214,7 +232,7 @@ def test_pencils_agree_with_ranks_on_random_point_sets(Q, r):
         rep = cutting_blocking_check(v)
         assert rep == _cutting_by_ranks(v)
         assert rep == _cutting_by_pencils(v)
-        return _ab_passes(v) if v.n else None, rep.ok
+        return _ab_passes(v), rep.ok
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(shape=st.sampled_from(["sparse", "dense", "hyperplanes"]),

@@ -343,29 +343,36 @@ def _trace_digits(ctx):
 def test_scaled_tables_equal_their_definition(Q):
     ctx = field_for_order(Q)
     trd = _trace_digits(ctx)
-    pts = pg_space(ctx, 2).rows(np.arange(num_points(2, Q)))
     elems = np.arange(Q)
-    # one hyperplane per block, blocks that straddle the held and the
-    # added hyperplanes of the last level, and one block per level
-    for block in (1, 100, 1 << 16):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
-            # a block is read before the next is asked for
-            levels = [np.concatenate([b.copy() for b in blocks], axis=2)
-                      for blocks in _scaled_tables(ctx, trd, 3)]
-        for k, (idx, key) in enumerate(levels, 1):
-            idx, key = idx.T, key.T
-            # the hyperplanes of PG(k-1): its first theta_(k-1) rows
-            hyp = pts[:num_points(k - 1, Q), 3 - k:]
-            want_key = np.zeros((len(hyp), Q), dtype=np.int64)
-            want_idx = np.zeros((len(hyp), Q), dtype=np.int64)
-            for i in range(k):
-                cu = ctx.vmul(hyp[:, i, None], elems)
-                want_key += cu * Q ** (k - 1 - i)
-                want_idx += trd[cu] * Q ** (k - 1 - i)
-            assert np.array_equal(key, want_key) and np.array_equal(idx, want_idx)
-            # c u over c != 0 and the hyperplanes: each nonzero vector once
-            assert np.array_equal(np.sort(key[:, 1:], axis=None), np.arange(1, Q ** k))
+    # r = 1 is the one level, r = 2 builds its last chart from level 1's,
+    # r = 4 holds two levels; the last level has theta_(r-1) columns, so
+    # r = 4 stops at Q = 16
+    for r in [r for r in (1, 2, 3, 4) if Q ** (r - 1) <= 64 ** 2]:
+        pts = pg_space(ctx, r - 1).rows(np.arange(num_points(r - 1, Q)))
+        # one hyperplane per block, blocks of part of a run of x or of a
+        # few runs, and one block per level
+        for block in (1, 100, 1 << 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(variety_mod, "SUBSPACE_BLOCK", block)
+                # a block is read before the next is asked for
+                levels = [[b.copy() for b in blocks] for blocks in _scaled_tables(ctx, trd, r)]
+            # of at most `block` entries, or of one hyperplane
+            assert all(1 <= b.shape[2] <= max(1, block // Q) for bs in levels for b in bs)
+            levels = [np.concatenate(bs, axis=2) for bs in levels]
+            assert len(levels) == r
+            for k, (idx, key) in enumerate(levels, 1):
+                idx, key = idx.T, key.T
+                # the hyperplanes of PG(k-1): its first theta_(k-1) rows
+                hyp = pts[:num_points(k - 1, Q), r - k:]
+                want_key = np.zeros((len(hyp), Q), dtype=np.int64)
+                want_idx = np.zeros((len(hyp), Q), dtype=np.int64)
+                for i in range(k):
+                    cu = ctx.vmul(hyp[:, i, None], elems)
+                    want_key += cu * Q ** (k - 1 - i)
+                    want_idx += trd[cu] * Q ** (k - 1 - i)
+                assert np.array_equal(key, want_key) and np.array_equal(idx, want_idx)
+                # c u over c != 0 and the hyperplanes: each nonzero vector once
+                assert np.array_equal(np.sort(key[:, 1:], axis=None), np.arange(1, Q ** k))
 
 
 @pytest.mark.parametrize("Q, r", SPACES + [(64, 2), (3721, 1), (64, 3), (16, 4)])

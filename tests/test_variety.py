@@ -36,6 +36,19 @@ def test_validation_clauses_fail_individually():
     assert "dimension" in [c.name for c in rep.failures()]
 
 
+def test_out_of_range_encodings_are_refused_as_such():
+    # 99 and -1 encode no element of GF(9): neither is zero, nor fixed by
+    # x -> x^q, and the clauses say that they are no element at all
+    for alpha, beta in ((99, 99), (-1, -3), (9, 9)):
+        rep = validate_params(TwistedParams(3, 3, alpha, beta))
+        assert [c.name for c in rep.failures()] == ["alpha-nonzero", "beta-outside-subfield"]
+        for c, x in zip(rep.failures(), (alpha, beta)):
+            assert f"= {x} encodes no element of GF(9), whose encodings are 0 .. 8" in c.detail
+            assert "must be nonzero" not in c.detail and "GF(q)" not in c.detail
+    rep = validate_params(TwistedParams(3, 3, 1, 99))
+    assert [c.name for c in rep.failures()] == ["beta-outside-subfield"]
+
+
 def test_discriminant_branch_odd_r():
     rep = validate_params(default_params(3, 3))
     assert rep.ok
