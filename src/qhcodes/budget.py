@@ -12,7 +12,8 @@ exhaustive routes meter all q^k words and build one row of n symbols
 per projective class) and sss.CLOSURE_CAP (10^6 group elements, each a
 tuple held in memory).  A third limit is no work size at all: a
 character transform whose sums its integer arithmetic cannot carry
-exactly is refused with a BudgetError that says so, whatever the budget.
+exactly is refused with a BudgetError that says so, whatever the
+budget; variety._transform_range owns that range.
 """
 
 from __future__ import annotations

@@ -218,16 +218,17 @@ class HigherWeightReport:
 
 def higher_weight(v: Variety, k: int,
                   budget: int | None = None) -> HigherWeightReport:
-    """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|."""
+    """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|.
+    Only a spanning V defines a code: its hyperplane sections are read
+    first, whatever k, and they give d_1."""
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
+    sizes = hyperplane_section_sizes(v, budget)
+    best = _spanning(v, int(sizes.max()))
     if k == r > 1:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
-    if k == 1:
-        sizes = hyperplane_section_sizes(v, budget)
-        best = _spanning(v, int(sizes.max()))
-    else:
+    if k > 1:
         sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
         best = int(sizes.max())
     return HigherWeightReport(k, v.n - best, best, len(sizes))

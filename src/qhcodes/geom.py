@@ -305,7 +305,7 @@ def _keys(q: int, weights: list) -> np.ndarray:
 def product_table(ctx: FiniteField, dtype) -> np.ndarray:
     """GF(q)'s (q, q) product table, entry (c, x) = c x, in dtype, which
     holds q - 1: one ctx.vmul per block of rows of about 2^10 products,
-    so that its int64 temporaries stay small and no row is cached."""
+    so that its int64 temporaries stay small."""
     q, rows = ctx.order, max(1, (1 << 10) // ctx.order)
     elems, out = np.arange(q, dtype=dtype), np.empty((q, q), dtype=dtype)
     for c in range(0, q, rows):

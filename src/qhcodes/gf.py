@@ -182,8 +182,6 @@ class FiniteField:
         self.order = p ** m
         self.modulus = modulus
         self._build_tables()
-        self._pow_rows: dict = {}
-        self._scalar_rows: dict = {}
         self._add_flat = None
         self.subfield = None
         self.embed_table = None
@@ -370,27 +368,12 @@ class FiniteField:
 
     def scalar_mul_row(self, c: int):
         """Lookup row e -> c*e over all encodings."""
-        row = self._scalar_rows.get(c)
-        if row is None:
-            if c == 0:
-                row = np.zeros(self.order, dtype=np.int64)
-            elif c == 1:
-                row = np.arange(self.order, dtype=np.int64)
-            else:
-                e = np.arange(self.order)
-                row = np.where(e == 0, 0,
-                               self.exp[(self.log[e] + int(self.log[c])) % (self.order - 1)])
-            self._scalar_rows[c] = row
-        return row
+        return self.vmul(c, np.arange(self.order))
 
     def pow_row(self, k: int):
         """Lookup row e -> e^k over all encodings (k >= 1)."""
-        row = self._pow_rows.get(k)
-        if row is None:
-            e = np.arange(self.order)
-            row = np.where(e == 0, 0, self.exp[(self.log[e] * k) % (self.order - 1)])
-            self._pow_rows[k] = row
-        return row
+        e = np.arange(self.order)
+        return np.where(e == 0, 0, self.exp[(self.log[e] * k) % (self.order - 1)])
 
     def vneg(self, a):
         if self.p == 2:
@@ -411,6 +394,12 @@ def field_for_order(q: int) -> FiniteField:
     """Field whose order is the prime power q."""
     p, m = factor_prime_power(q)
     return make_field(p, m)
+
+
+def quadratic_field(q: int) -> FiniteField:
+    """GF(q^2) for the prime power q, which carries GF(q) as its subfield."""
+    p, m = factor_prime_power(q)
+    return make_field(p, 2 * m)
 
 
 def factor_prime_power(q: int):

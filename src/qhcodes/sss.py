@@ -109,14 +109,20 @@ def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
     for i in range(k):
         if i != piv:
             u[i] = rng.randrange(q)
-    acc = 0
-    for i in range(k):
-        if i != piv and u[i]:
-            acc = ctx.add(acc, ctx.mul(int(u[i]), int(g0[i])))
-    u[piv] = ctx.div(ctx.sub(secret, acc), int(g0[piv]))
+    # with u[piv] = 0, symbol 0 of u's word is the rest of u . g0
     word = scheme.code.codeword_block(u[None])[0]
+    u_piv = ctx.div(ctx.sub(secret, int(word[0])), int(g0[piv]))
+    word = ctx.vadd(word, scheme.code.row_tables[piv][u_piv])
     shares = {i: int(word[i]) for i in range(1, scheme.code.n)}
     return DealReport(secret, seed, shares)
+
+
+def _participant_ids(scheme: Scheme, subset) -> list:
+    """The distinct participant ids of subset, sorted, each in 1 .. m."""
+    ids = sorted(set(int(i) for i in subset))
+    if any(not 1 <= i <= scheme.m for i in ids):
+        raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
+    return ids
 
 
 def recover(scheme: Scheme, subset, shares: dict) -> int:
@@ -133,10 +139,8 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
     its negated last entry.
     """
     ctx = scheme.code.ctx
-    q, k, m = scheme.q, scheme.k, scheme.m
-    ids = sorted(set(int(i) for i in subset))
-    if any(not 1 <= i <= m for i in ids):
-        raise SSSError(f"participant ids must lie in 1 .. {m}")
+    q, k = scheme.q, scheme.k
+    ids = _participant_ids(scheme, subset)
     missing = [i for i in ids if i not in shares]
     if missing:
         raise SSSError(f"missing shares for participants {missing[:5]}")
@@ -309,9 +313,7 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
     columns: the zero message, and the q - 1 multiples of each
     projective class that class_blocks yields, after it refuses by
     budget and hard cap before the deal."""
-    ids = sorted(set(int(i) for i in subset))
-    if any(not 1 <= i <= scheme.m for i in ids):
-        raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
+    ids = _participant_ids(scheme, subset)
     ctx = scheme.code.ctx
     probe = LinearCode(ctx, scheme.code.cols[[0] + ids])
     blocks = probe.class_blocks(budget)

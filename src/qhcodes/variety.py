@@ -55,7 +55,7 @@ import numpy as np
 from .budget import BudgetError, check_budget
 from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, num_points, pg_space,
                    product_table, subspace_counts)
-from .gf import FiniteField, _is_prime, factor_prime_power, make_field
+from .gf import FiniteField, _is_prime, quadratic_field
 
 POINT_ORDER_VERSION = "lex-v1"
 
@@ -76,8 +76,7 @@ class TwistedParams:
     ctx: FiniteField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, e = factor_prime_power(self.q)
-        self.ctx = make_field(p, 2 * e)
+        self.ctx = quadratic_field(self.q)
 
     def as_dict(self):
         return {"q": self.q, "r": self.r, "alpha": self.alpha, "beta": self.beta}
@@ -94,7 +93,6 @@ class Clause:
 class ValidationReport:
     ok: bool
     clauses: list
-    trace_kind: str | None = None
 
     def failures(self):
         return [c for c in self.clauses if not c.ok]
@@ -122,9 +120,7 @@ def validate_params(params: TwistedParams) -> ValidationReport:
     q, r = params.q, params.r
     ctx = params.ctx
     clauses = _qr_clauses(q, r)
-    trace_kind = None
-
-    p, _ = factor_prime_power(q)
+    p = ctx.p
     alpha, beta = params.alpha, params.beta
     # an encoding outside 0 .. Q-1 names no element at all
     a_in, b_in = (0 <= x < ctx.order for x in (alpha, beta))
@@ -163,7 +159,6 @@ def validate_params(params: TwistedParams) -> ValidationReport:
                 clauses.append(Clause(
                     "even-q-odd-r", True, "no additional constraint"))
             else:
-                trace_kind = "absolute trace GF(q) -> GF(2)"
                 t = ctx.add(ctx.frobenius_q(beta), beta)
                 ratio = ctx.div(norm_a, ctx.mul(t, t))
                 d = ctx.to_subfield(ratio)
@@ -174,7 +169,7 @@ def validate_params(params: TwistedParams) -> ValidationReport:
                     f"absolute trace of N(alpha)/T(beta)^2 = {tr}"
                     + ("" if ok else ", must vanish")))
 
-    return ValidationReport(all(c.ok for c in clauses), clauses, trace_kind)
+    return ValidationReport(all(c.ok for c in clauses), clauses)
 
 
 def require_valid(params: TwistedParams) -> None:
@@ -194,14 +189,13 @@ def default_params(q: int, r: int) -> TwistedParams:
     happens for q = 3 with even r, where the discriminant only reaches
     squares), the refusal says so.
     """
-    p, e = factor_prime_power(q)
+    order = quadratic_field(q).order
     clauses = _qr_clauses(q, r)
     if not all(c.ok for c in clauses):
         rep = ValidationReport(False, clauses)
         msgs = "; ".join(c.detail for c in rep.failures())
         raise ParamsError(f"no (alpha, beta) is valid for q={q}, r={r}: {msgs}",
                           report=rep)
-    order = p ** (2 * e)
     last = None
     for alpha in range(1, order):
         for beta in range(order):
@@ -413,9 +407,7 @@ def build_variety(kind: str, q: int, r: int, alpha: int | None = None,
             params = TwistedParams(q, r, alpha, beta)
         return BUILDERS_WITH_PARAMS[kind](params, budget)
     if kind in BUILDERS_PLAIN:
-        p, e = factor_prime_power(q)
-        ctx = make_field(p, 2 * e)
-        return BUILDERS_PLAIN[kind](ctx, r, budget)
+        return BUILDERS_PLAIN[kind](quadratic_field(q), r, budget)
     raise ParamsError(f"unknown variety kind {kind!r}")
 
 
@@ -495,15 +487,19 @@ def _transform_limit(p: int) -> int:
     return min(2 ** 31 - 1, isqrt((2 ** 63 - 1) // p))
 
 
-def _check_transform_range(p: int, bound: int) -> None:
-    """Refuse a transform whose values, up to bound in absolute value,
-    its integer arithmetic cannot carry exactly."""
-    need = bound if p == 2 else _transform_modulus(p, bound)[0]
-    limit = _transform_limit(p)
+def _transform_range(p: int, q: int, n: int) -> tuple:
+    """(M, zeta) for the transform of n points over GF(q), (0, 0) for
+    p = 2, or a BudgetError if its integer arithmetic cannot carry the
+    sums exactly: p = 2 carries partial sums up to q n in int32, and odd
+    p needs a modulus M above 2 (q - 1) n (_transform_modulus)."""
+    bound = q * n if p == 2 else (q - 1) * n
+    M, zeta = (0, 0) if p == 2 else _transform_modulus(p, bound)
+    need, limit = bound if p == 2 else M, _transform_limit(p)
     if need > limit:
         raise BudgetError(f"a character transform with sums up to {bound}", need, limit,
                           f"that needs {need}, beyond the transform's exact range "
                           f"of {limit}, whatever the budget")
+    return M, zeta
 
 
 def _limbs(M: int, radix: int) -> tuple:
@@ -755,7 +751,7 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     dividing every entry), divided by q and scattered into the sizes,
     and only the chart f^ and the sizes span a whole level.  For p = 2,
     g is int32: every partial sum of the second transform is at most
-    q n in absolute value, and the range check bounds q n below 2^31;
+    q n in absolute value, and _transform_range bounds q n below 2^31;
     q = 2^m divides by a shift.  For odd p, g holds int32 residues, which
     the transform widens to float64 a block at a time, and every
     q T <= q n < M is read from its residue.
@@ -768,16 +764,14 @@ def _sizes_wht(ctx: FiniteField, space: ProjectiveSpace,
     p, m, q, r = ctx.p, ctx.m, ctx.order, space.r
     nv = len(indices)
     assert np.all(indices[1:] > indices[:-1]), "indices must be strictly increasing"
-    M = zeta = 0
-    if p > 2:
-        M, zeta = _transform_modulus(p, (q - 1) * nv)
-        assert M % p == 1 and M > 2 * (q - 1) * nv
+    M, zeta = _transform_range(p, q, nv)
+    assert p == 2 or M % p == 1 and M > 2 * (q - 1) * nv
     # trd[e] packs Tr(e x^b), b < m, as base-p digits: the coefficient
     # basis 1, x, ..., x^(m-1) is the digit basis of the encoding; the
     # absolute traces Tr(e) = e + e^p + ... + e^(p^(m-1)) form one row
-    tr, y = np.zeros(q, dtype=np.int64), np.arange(q)
+    tr, y, frob = np.zeros(q, dtype=np.int64), np.arange(q), ctx.pow_row(p)
     for _ in range(m):
-        tr, y = ctx.vadd(tr, y), ctx.pow_row(p)[y]
+        tr, y = ctx.vadd(tr, y), frob[y]
     assert not np.any(tr >= p)
     trd = sum(tr[ctx.scalar_mul_row(p ** b)] * p ** b for b in range(m))
     # column of T[u, -1/d] for d = 1 .. q-1
@@ -831,10 +825,7 @@ def hyperplane_section_sizes(v: Variety,
     """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
-    # p = 2 carries partial sums up to Q n in int32; odd p needs a
-    # modulus above 2 (Q - 1) n
-    q = ctx.order
-    _check_transform_range(ctx.p, (q if ctx.p == 2 else q - 1) * v.n)
+    _transform_range(ctx.p, ctx.order, v.n)
     if v._hyp_sizes is None:
         v._hyp_sizes = _sizes_wht(ctx, space, v.indices)
     return v._hyp_sizes

@@ -226,7 +226,8 @@ def test_divisor_below_one_is_an_error_exit_2(divisor, capsys):
 
 
 @pytest.mark.parametrize("kind", ["cone", "twisted-infinity"])
-@pytest.mark.parametrize("command", [("code", "weights"), ("code", "dk", "--k", "1")])
+@pytest.mark.parametrize("command", [("code", "weights"), ("code", "dk", "--k", "1"),
+                                     ("code", "dk", "--k", "2"), ("code", "dk", "--k", "3")])
 def test_no_code_report_for_a_point_set_inside_a_hyperplane(kind, command, capsys):
     # both lie in X_0 = 0, so no code is defined on them, as --cross-check,
     # code minimality and sss access say too

@@ -20,9 +20,9 @@ import qhcodes.variety as variety_mod
 from qhcodes.budget import BudgetError
 from qhcodes.geom import num_points, pg_space
 from qhcodes.gf import field_for_order
-from qhcodes.variety import (_check_transform_range, _limbs, _radix_p_transform,
-                             _scaled_tables, _sizes_direct, _sizes_wht,
-                             _transform_limit, _transform_modulus, _widest_radix,
+from qhcodes.variety import (_limbs, _radix_p_transform, _scaled_tables,
+                             _sizes_direct, _sizes_wht, _transform_limit,
+                             _transform_modulus, _transform_range, _widest_radix,
                              build_variety, hyperplane_section_sizes,
                              hyperplane_spectrum, predicted_spectrum)
 
@@ -386,7 +386,7 @@ def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
     ctx = field_for_order(Q)
     space = pg_space(ctx, r)
     every = np.arange(space.n_points)
-    _sizes_wht(ctx, space, every)   # the field's cached rows
+    _sizes_wht(ctx, space, every)   # the cached character matrices
     tracemalloc.start()
     try:
         _sizes_wht(ctx, space, every)
@@ -397,16 +397,21 @@ def test_transform_peak_memory_is_a_multiple_of_the_hyperplane_count(Q, r):
 
 
 def test_transform_range():
+    # p = 2 bounds q n itself, and returns no modulus; q = 1 reaches the
+    # odd edge 2^31 - 1, which no power of two times n equals
     assert _transform_limit(2) == 2 ** 31 - 1
-    _check_transform_range(2, 2 ** 31 - 1)
-    with pytest.raises(BudgetError):
-        _check_transform_range(2, 2 ** 31)
+    assert _transform_range(2, 1, 2 ** 31 - 1) == (0, 0)
+    for q, n in ((1, 2 ** 31), (2, 2 ** 30), (64, 2 ** 25)):
+        with pytest.raises(BudgetError, match=f"sums up to {2 ** 31}"):
+            _transform_range(2, q, n)
+    # odd p bounds (q - 1) n, which q = 2 makes n, and returns the
+    # transform's own modulus
     for p in (3, 5, 61):
         L = _transform_limit(p)
         assert L < 2 ** 31 and p * L * L < 2 ** 63
-        _check_transform_range(p, 10 ** 6)
-        with pytest.raises(BudgetError):
-            _check_transform_range(p, L // 2 + 1)
+        assert _transform_range(p, 2, 10 ** 6) == _transform_modulus(p, 10 ** 6)
+        with pytest.raises(BudgetError, match=f"beyond the transform's exact range of {L}"):
+            _transform_range(p, 2, L // 2 + 1)
 
 
 def _stand_in(Q, r, n):

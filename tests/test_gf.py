@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ def test_pow_row_and_scalar_row():
     srow = ctx.scalar_mul_row(5)
     for a in range(ctx.order):
         assert srow[a] == ctx.mul(5, a)
+
+
+def test_rows_are_not_kept():
+    # make_field keeps a field for the life of the process, so any row it
+    # kept would stay: one of Q int64 per scalar is 106 MiB at GF(61^2)
+    ctx = FiniteField(61, 2)
+    tracemalloc.start()
+    try:
+        for c in range(ctx.order):
+            ctx.scalar_mul_row(c)
+        for k in (2, 61, 62):
+            ctx.pow_row(k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
 
 
 def test_missing_table_entry_is_refused():
