@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import SUBSPACE_BLOCK, dot_rows, pg_space, product_table, span_rank, subspace_counts
+from .geom import (SUBSPACE_BLOCK, dot_rows, pg_space, product_table, row_reduce, span_rank,
+                   subspace_counts)
 from .gf import FiniteField
 from .variety import Variety, count_rows, hyperplane_section_sizes, size_counts
 
@@ -104,12 +105,20 @@ def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
         if not 0 <= p0 < len(idx):
             raise CodeError(f"p0 = {p0} out of range 0 .. {len(idx) - 1}")
         idx = np.concatenate(([idx[p0]], np.delete(idx, p0)))
-    cols = v.space.rows(idx)
-    rank = span_rank(v.ctx, cols)
-    if rank != v.r + 1:
-        raise CodeError(
-            f"point set spans a proper subspace: rank {rank} < {v.r + 1}")
-    return LinearCode(v.ctx, cols)
+    _require_span(v)
+    return LinearCode(v.ctx, v.space.rows(idx))
+
+
+def _require_span(v: Variety) -> None:
+    """Refuse v unless its points span PG(r, Q): they are row-reduced a
+    block at a time onto the basis so far, up to rank r + 1."""
+    rank, basis = 0, np.zeros((0, v.r + 1), dtype=np.int64)
+    for lo in range(0, v.n, SUBSPACE_BLOCK):
+        block = v.space.rows(v.indices[lo:lo + SUBSPACE_BLOCK])
+        rank, basis = row_reduce(v.ctx, np.concatenate((basis, block)))
+        if rank == v.r + 1:
+            return
+    raise CodeError(f"point set spans a proper subspace: rank {rank} < {v.r + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +228,20 @@ class HigherWeightReport:
 def higher_weight(v: Variety, k: int,
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|.
-    Only a spanning V defines a code: its hyperplane sections are read
-    first, whatever k, and they give d_1."""
+    Only a spanning V defines a code: d_1 reads that off its hyperplane
+    sections, and every other k from the rank of its points."""
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
-    sizes = hyperplane_section_sizes(v, budget)
-    best = _spanning(v, int(sizes.max()))
-    if k == r > 1:
+    if k == 1:
+        sizes = hyperplane_section_sizes(v, budget)
+        best = _spanning(v, int(sizes.max()))
+        return HigherWeightReport(k, v.n - best, best, len(sizes))
+    _require_span(v)
+    if k == r:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
-    if k > 1:
-        sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
-        best = int(sizes.max())
+    sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
+    best = int(sizes.max())
     return HigherWeightReport(k, v.n - best, best, len(sizes))
 
 

@@ -55,7 +55,7 @@ import numpy as np
 from .budget import BudgetError, check_budget
 from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, num_points, pg_space,
                    product_table, subspace_counts)
-from .gf import FiniteField, _is_prime, quadratic_field
+from .gf import FiniteField, _is_prime, factor_prime_power, quadratic_field
 
 POINT_ORDER_VERSION = "lex-v1"
 
@@ -189,7 +189,7 @@ def default_params(q: int, r: int) -> TwistedParams:
     happens for q = 3 with even r, where the discriminant only reaches
     squares), the refusal says so.
     """
-    order = quadratic_field(q).order
+    factor_prime_power(q)  # a q that is no prime power is the first refusal
     clauses = _qr_clauses(q, r)
     if not all(c.ok for c in clauses):
         rep = ValidationReport(False, clauses)
@@ -197,8 +197,8 @@ def default_params(q: int, r: int) -> TwistedParams:
         raise ParamsError(f"no (alpha, beta) is valid for q={q}, r={r}: {msgs}",
                           report=rep)
     last = None
-    for alpha in range(1, order):
-        for beta in range(order):
+    for alpha in range(1, q * q):
+        for beta in range(q * q):
             params = TwistedParams(q, r, alpha, beta)
             rep = validate_params(params)
             if rep.ok:
@@ -820,13 +820,14 @@ def hyperplane_section_sizes(v: Variety,
     theta_r, the tables of the levels below r (Q, theta_(r-2)) <
     theta_(r-1), a block of the last level's hyperplanes at most 2^16,
     and GF(Q)'s product table and the table of c x, for r > 1, Q^2 <
-    theta_2 each.  A set outside the transform's range is refused.  The
-    result is kept on v and reused after the budget and range checks.
+    theta_2 each.  A set outside the transform's range is refused
+    before the transform starts.  The result is kept on v and reused
+    after the budget check.
     """
     ctx, space = v.ctx, v.space
     check_budget(f"scanning {space.n_points} hyperplanes", space.n_points, budget)
-    _transform_range(ctx.p, ctx.order, v.n)
     if v._hyp_sizes is None:
+        _transform_range(ctx.p, ctx.order, v.n)
         v._hyp_sizes = _sizes_wht(ctx, space, v.indices)
     return v._hyp_sizes
 

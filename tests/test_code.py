@@ -101,6 +101,17 @@ def test_higher_weights_33(tw33):
     assert higher_weight(tw33, 3).d == 261
 
 
+def test_higher_weights_beyond_the_transform_range(tw33, monkeypatch):
+    # for k >= 2 spanning is read from the points' rank, not from the
+    # hyperplane transform, so its exact range refuses only d_1
+    v = Variety(tw33.kind, tw33.ctx, 3, tw33.space, tw33.indices)
+    monkeypatch.setattr(variety_mod, "_transform_limit", lambda p: 0)
+    assert higher_weight(v, 3).d == 261
+    assert higher_weight(v, 2).d == 252
+    with pytest.raises(BudgetError, match="exact range"):
+        higher_weight(v, 1)
+
+
 def test_dk_bounds(tw33):
     with pytest.raises(CodeError):
         higher_weight(tw33, 0)
