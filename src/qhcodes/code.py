@@ -34,7 +34,8 @@ from .budget import BudgetError, check_budget
 from .geom import (SUBSPACE_BLOCK, dot_rows, pg_space, product_table, row_reduce, span_rank,
                    subspace_counts)
 from .gf import FiniteField
-from .variety import Variety, count_rows, hyperplane_section_sizes, size_counts
+from .variety import (PENCIL_KINDS, Variety, count_rows, hyperplane_section_sizes,
+                      pencil_line_counts, size_counts)
 
 WORDS_HARD_CAP = 2 ** 24
 
@@ -229,7 +230,9 @@ def higher_weight(v: Variety, k: int,
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|.
     Only a spanning V defines a code: d_1 reads that off its hyperplane
-    sections, and every other k from the rank of its points."""
+    sections, and every other k from the rank of its points.  At
+    k = r - 1 the subspaces are lines, counted for the twisted and
+    quasi-Hermitian kinds from the pencil through one point."""
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
@@ -240,9 +243,13 @@ def higher_weight(v: Variety, k: int,
     _require_span(v)
     if k == r:
         return HigherWeightReport(k, v.n - 1, 1, v.space.n_points)
-    sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
-    best = int(sizes.max())
-    return HigherWeightReport(k, v.n - best, best, len(sizes))
+    if k == r - 1 and v.kind in PENCIL_KINDS:
+        counts = pencil_line_counts(v, budget)
+        best, total = max(counts), sum(counts.values())
+    else:
+        sizes = subspace_counts(v.space, v.indices, r + 1 - k, budget)
+        best, total = int(sizes.max()), len(sizes)
+    return HigherWeightReport(k, v.n - best, best, total)
 
 
 # ---------------------------------------------------------------------------

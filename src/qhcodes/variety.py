@@ -45,6 +45,7 @@ PG(r-2, Q) do), and X_0 = 0 in 1 + Q n_inf.  N = q^(2r-1) + 1 + Q n_inf.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -53,8 +54,8 @@ from math import isqrt
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, num_points, pg_space,
-                   product_table, subspace_counts)
+from .geom import (SUBSPACE_BLOCK, ProjectiveSpace, dot_rows, gaussian_binomial, num_points,
+                   pg_space, product_table, subspace_counts)
 from .gf import FiniteField, _is_prime, factor_prime_power, quadratic_field
 
 POINT_ORDER_VERSION = "lex-v1"
@@ -867,9 +868,73 @@ def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
     return subspace_counts(v.space, v.indices, 2, budget)
 
 
+# the kinds whose lines pencil_line_counts counts from one point's pencil
+PENCIL_KINDS = ("twisted", "quasi-hermitian")
+
+
+def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
+    """{size: lines} of a twisted or quasi-Hermitian v, from the lines
+    through the affine origin O = (1, 0, .., 0).
+
+    The collineations (X_0, X_i, X_r) -> (X_0, X_i + y_i X_0,
+    X_r + sum_i mu_i X_i + c X_0), mu_i = -(2 alpha y_i + B y_i^q) with
+    B = beta^q - beta and L(c) = -sum_i h(y_i), form a group G of order
+    q^(2r-1) that preserves v and X_0 = 0 and acts regularly on the
+    q^(2r-1) affine points of v.  For a direction d of PG(r-1, Q), let
+    a(d) count v's affine points on O + <d>, O included, and
+    b(d) = [(0, d) in v].  Then:
+    - affine lines with a >= 1 affine points of v and b at infinity
+      number q^(2r-1) #{d : a(d) = a, b(d) = b} / a, by double counting
+      the pairs (P, l) over G's orbit of O;
+    - the other affine lines, of size b, are the Q^(r-1) affine lines
+      through each infinity point of class b, less those above;
+    - the lines at infinity are the lines of PG(r-1, Q), whose indices
+      are those of PG(r) below theta_(r-1), by geom.subspace_counts.
+    One budget check meters the affine points read plus the lines at
+    infinity, before any row is read or any line counted.
+    """
+    if v.kind not in PENCIL_KINDS:
+        raise ValueError(f"no pencil count for kind {v.kind!r}")
+    ctx, r, Q = v.ctx, v.r, v.ctx.order
+    inf = pg_space(ctx, r - 1)
+    at = int(np.searchsorted(v.indices, inf.n_points))
+    n_aff, inf_lines = v.n - at, gaussian_binomial(r, 2, Q)
+    check_budget(f"counting lines from {n_aff} affine points and {inf_lines} lines "
+                 f"at infinity", n_aff + inf_lines, budget)
+    # G's orbit of O is the whole affine part
+    assert n_aff == v.base_order ** (2 * r - 1) and v.indices[at] == inf.n_points
+    a = np.ones(inf.n_points, dtype=np.int64)
+    for lo in range(at + 1, v.n, SUBSPACE_BLOCK):
+        x = v.space.rows(v.indices[lo:lo + SUBSPACE_BLOCK])[:, 1:]
+        lead = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
+        inv = ctx.exp[-ctx.log[lead] % (Q - 1)]
+        a += np.bincount(inf.index_array(ctx.vmul(x, inv[:, None])), minlength=inf.n_points)
+    b = np.zeros(inf.n_points, dtype=np.int64)
+    b[v.indices[:at]] = 1
+    pencil = np.bincount(2 * a + b, minlength=2 * (Q + 1)).reshape(Q + 1, 2)
+    counts = Counter(size_counts(subspace_counts(inf, v.indices[:at], 2, budget)))
+    for cls, points in ((0, inf.n_points - at), (1, at)):
+        missing = points * Q ** (r - 1)
+        for size in range(1, Q + 1):
+            lines, rest = divmod(n_aff * int(pencil[size, cls]), size)
+            assert not rest, "each line's affine points must share its orbit count"
+            counts[size + cls] += lines
+            missing -= lines
+        assert missing >= 0
+        counts[cls] += missing
+    assert counts.total() == gaussian_binomial(r + 1, 2, Q)
+    return {s: c for s, c in sorted(counts.items()) if c}
+
+
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
-    sizes = line_section_sizes(v, budget)
-    return SpectrumReport(v.meta(), "line", size_counts(sizes), len(sizes), "batched")
+    """The line spectrum: from the pencil through O (pencil_line_counts)
+    for the twisted and quasi-Hermitian kinds, from the full pass over
+    every line (line_section_sizes) for the others."""
+    if v.kind in PENCIL_KINDS:
+        counts, engine = pencil_line_counts(v, budget), "pencil"
+    else:
+        counts, engine = size_counts(line_section_sizes(v, budget)), "batched"
+    return SpectrumReport(v.meta(), "line", counts, sum(counts.values()), engine)
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,15 @@ def check_02_spectra(budget=None) -> tuple:
 
 
 def check_03_lines(budget=None) -> tuple:
+    """The (3,3) line spectrum from the pencil through O, against the
+    full pass over every line and the predicted sizes."""
     v = get_variety("twisted", 3, 3, budget)
     sp = var_mod.line_spectrum(v, budget)
+    full = var_mod.size_counts(var_mod.line_section_sizes(v, budget))
     allowed = set(var_mod.predicted_line_sizes(3))
     bad = []
+    if sp.counts != full:
+        bad.append(f"{sp.engine} line spectrum {sp.counts} != full pass {full}")
     if sp.total != 7462:
         bad.append(f"line count {sp.total} != 7462")
     extra = set(sp.counts) - allowed

@@ -12,7 +12,10 @@ of verify_all_budget0, in its .json and its .csv, and nothing else.
 variety_spectrum_hermitian_61 was captured from the
 direct engine and its one `"engine": "direct"` line edited to `"wht"`
 by hand, so it pins that the transform reproduces direct evaluation's
-bytes.  `sss recover` reads the captured deal payload.
+bytes.  variety_lines and variety_lines_44 were captured from the full
+pass over every line and their one `"engine": "batched"` line each
+edited to `"pencil"` by hand, so they pin that the count from the lines
+through one affine point reproduces the full pass's bytes.  `sss recover` reads the captured deal payload.
 `verify-all --budget 0` holds the first refusal of every check, so it
 pins which guard refuses first; it exits 3.  Each command's
 `--format csv` output, captured the same way, is the `.csv` beside its

@@ -39,10 +39,12 @@ def test_tracer_wraps_every_layer():
 
 
 def test_tracer_times_the_line_pass():
+    """A Hermitian variety: its line spectrum runs the full pass, which
+    the tracer wraps; the twisted kind counts from one point's pencil."""
     tr = spans.Tracer()
     try:
         spans.install(tr, [time.perf_counter()])
-        v = variety.build_variety("twisted", 3, 3)
+        v = variety.build_variety("hermitian", 3, 3)
         sp = variety.line_spectrum(v)
     finally:
         tr.restore()
