@@ -926,14 +926,28 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
     return {s: c for s, c in sorted(counts.items()) if c}
 
 
+def section_counts(v: Variety, nrows: int, budget: int | None = None) -> tuple:
+    """({size: count}, engine) of |S meet v| over the subspaces S of
+    vector dimension nrows, 1 <= nrows <= r: the points in closed form,
+    the lines of PENCIL_KINDS from the pencil through O
+    (pencil_line_counts), and every other case by the full pass,
+    geom.subspace_counts, which takes the lines through
+    line_section_sizes so that perfbench's tracer times the line pass.
+    Each route makes its own budget check before any work."""
+    if nrows == 1:
+        return {s: c for s, c in ((0, v.space.n_points - v.n), (1, v.n)) if c}, "closed-form"
+    if nrows == 2 and v.kind in PENCIL_KINDS:
+        return pencil_line_counts(v, budget), "pencil"
+    sizes = (line_section_sizes(v, budget) if nrows == 2
+             else subspace_counts(v.space, v.indices, nrows, budget))
+    return size_counts(sizes), "batched"
+
+
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
-    """The line spectrum: from the pencil through O (pencil_line_counts)
-    for the twisted and quasi-Hermitian kinds, from the full pass over
-    every line (line_section_sizes) for the others."""
-    if v.kind in PENCIL_KINDS:
-        counts, engine = pencil_line_counts(v, budget), "pencil"
-    else:
-        counts, engine = size_counts(line_section_sizes(v, budget)), "batched"
+    """The line spectrum, counted by section_counts: from the pencil
+    through O for the twisted and quasi-Hermitian kinds, by the full
+    pass for the others."""
+    counts, engine = section_counts(v, 2, budget)
     return SpectrumReport(v.meta(), "line", counts, sum(counts.values()), engine)
 
 

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qhcodes.code as code_mod
+import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
+from qhcodes import budget as budget_mod
 from qhcodes.budget import BudgetError
 from qhcodes.code import (CodeError, CuttingReport, LinearCode,
                           MinimalityReport, WeightDistribution, _unique_rows,
@@ -13,8 +17,9 @@ from qhcodes.code import (CodeError, CuttingReport, LinearCode,
                           higher_weight, minimality_bruteforce,
                           minimality_summary, weights_bruteforce,
                           weights_from_sections)
-from qhcodes.geom import (SUBSPACE_BLOCK, _digit_matrix, dot_rows, num_points,
-                          pg_space, rref_bases, span_rank, subspace_points)
+from qhcodes.geom import (SUBSPACE_BLOCK, _digit_matrix, dot_rows, gaussian_binomial,
+                          num_points, pg_space, rref_bases, span_rank, subspace_counts,
+                          subspace_points)
 from qhcodes.gf import field_for_order, make_field
 from qhcodes.sss import perfectness_check
 from qhcodes.variety import Variety, build_variety, hyperplane_section_sizes
@@ -110,6 +115,42 @@ def test_higher_weights_beyond_the_transform_range(tw33, monkeypatch):
     assert higher_weight(v, 2).d == 252
     with pytest.raises(BudgetError, match="exact range"):
         higher_weight(v, 1)
+
+
+@pytest.mark.parametrize("kind, q, r", [("twisted", 3, 3), ("quasi-hermitian", 3, 3),
+                                        ("hermitian", 2, 4)], ids=str)
+def test_higher_weights_match_the_full_pass(kind, q, r):
+    v = get_variety(kind, q, r)
+    for k in range(2, r + 1):
+        best = int(subspace_counts(v.space, v.indices, r + 1 - k).max())
+        rep = higher_weight(v, k)
+        assert (rep.d, rep.max_section) == (v.n - best, best)
+        assert rep.subspaces == gaussian_binomial(r + 1, r + 1 - k, v.ctx.order)
+
+
+def test_hermitian_24_higher_weights():
+    v = get_variety("hermitian", 2, 4)
+    reps = [higher_weight(v, k) for k in (2, 3, 4)]
+    assert [(rep.d, rep.subspaces) for rep in reps] == [(152, 5797), (160, 5797), (164, 341)]
+
+
+@pytest.mark.parametrize("kind, q, r, k, refusal", [
+    ("twisted", 3, 3, 2, "counting lines from 243 affine points and 91 lines at infinity"),
+    ("hermitian", 2, 4, 2, "enumerating 5797 subspaces of PG(4,4)"),
+    ("hermitian", 2, 4, 3, "enumerating 5797 subspaces of PG(4,4)")], ids=str)
+def test_dk_budget_refuses_with_one_check(kind, q, r, k, refusal, monkeypatch):
+    checks = []
+    for mod in (code_mod, variety_mod, geom_mod):
+        monkeypatch.setattr(mod, "check_budget",
+                            lambda *a: checks.append(a) or budget_mod.check_budget(*a))
+    with pytest.raises(BudgetError, match=re.escape(refusal)):
+        higher_weight(get_variety(kind, q, r), k, budget=0)
+    assert len(checks) == 1
+
+
+def test_dk_at_k_r_needs_no_budget(tw33):
+    # the points are counted in closed form
+    assert higher_weight(tw33, 3, budget=0).d == 261
 
 
 def test_dk_bounds(tw33):

@@ -45,6 +45,8 @@ COMMANDS = {
     "code_minimality": ("code", "minimality", "--q", "4", "--r", "3"),
     "code_divisibility": ("code", "divisibility", "--q", "4", "--r", "3"),
     "code_dk": ("code", "dk", "--q", "3", "--r", "3", "--k", "2"),
+    # k = r: the subspaces are points, counted in closed form
+    "code_dk_points": ("code", "dk", "--q", "3", "--r", "3", "--k", "3"),
     "sss_access": ("sss", "access", *HERM23),
     "sss_deal": ("sss", "deal", *HERM23, "--secret", "1", "--seed", "7"),
     "sss_recover": ("sss", "recover", *HERM23, "--subset", "1,2,5",

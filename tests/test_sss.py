@@ -58,6 +58,16 @@ def test_recover_rejects_non_qualified(scheme_h2, access_h2):
         recover(scheme_h2, (1,), rep.shares)
 
 
+@pytest.mark.xfail(strict=True, reason="deal and recover run Massey's scheme on C, while "
+                   "the access sets are those of the scheme on C^perp (ROADMAP item 1)")
+def test_minimal_access_sets_less_one_member_do_not_qualify(scheme_h2, access_h2):
+    rep = deal(scheme_h2, secret=1, seed=7)
+    for aset in access_h2.sorted_sets():
+        for drop in aset:
+            with pytest.raises(NotQualifiedError):
+                recover(scheme_h2, [i for i in aset if i != drop], rep.shares)
+
+
 def test_recover_flags_inconsistent_shares(scheme_h2, access_h2):
     rep = deal(scheme_h2, 1, 5)
     subset = access_h2.sorted_sets()[0]

@@ -10,7 +10,7 @@ import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
 from qhcodes.code import (cutting_blocking_check, higher_weight, minimality_summary,
                           weights_from_sections)
-from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points
+from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points, subspace_counts
 from qhcodes.gf import FieldError, factor_prime_power, make_field
 from qhcodes.sss import access_structure, democracy_report
 from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
@@ -19,8 +19,8 @@ from qhcodes.variety import (ParamsError, TwistedParams, build_cone,
                              cone_size, default_params, hermitian_size,
                              hyperplane_section_sizes, hyperplane_spectrum,
                              line_spectrum, predicted_line_sizes,
-                             predicted_spectrum, surgery_check,
-                             validate_params)
+                             predicted_spectrum, section_counts, size_counts,
+                             surgery_check, validate_params)
 from qhcodes.verify import get_variety
 
 
@@ -276,6 +276,22 @@ def test_line_spectrum_33(tw33):
     lines_through_point = 91
     assert sum(s * c for s, c in sp.counts.items()) \
         == tw33.n * lines_through_point
+
+
+SECTION_CASES = [("twisted", 3, 3), ("twisted", 4, 3), ("quasi-hermitian", 3, 3),
+                 ("hermitian", 2, 3), ("hermitian", 2, 4), ("cone", 3, 3)]
+
+
+@pytest.mark.parametrize("kind, q, r", SECTION_CASES, ids=str)
+def test_section_counts_match_the_full_pass(kind, q, r):
+    """Every route section_counts picks, for points, lines and every
+    subspace up to the hyperplanes, against the full pass; only the lines
+    of the twisted and quasi-Hermitian kinds come from the pencil."""
+    v = get_variety(kind, q, r)
+    for nrows in range(1, r + 1):
+        counts, engine = section_counts(v, nrows)
+        assert counts == size_counts(subspace_counts(v.space, v.indices, nrows))
+        assert (engine == "pencil") == (nrows == 2 and kind in ("twisted", "quasi-hermitian"))
 
 
 def test_surgery_identity_exact():
