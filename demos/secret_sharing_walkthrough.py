@@ -1,9 +1,12 @@
 """Secret sharing on the dual of the Hermitian-surface code at q = 2:
-deal shares, recover from a minimal access set, watch a non-qualified
-subset learn nothing, and rebuild the same access structure two ways.
+deal shares, recover from a minimal access set, watch the same set
+less one member be refused and a non-qualified subset learn nothing,
+and rebuild the same access structure two ways.
 
 Run:  python3 demos/secret_sharing_walkthrough.py
 """
+
+import math
 
 from qhcodes import (NotQualifiedError, Scheme, access_structure,
                      build_variety, deal, democracy_report, develop,
@@ -29,15 +32,20 @@ def main():
     print(f"smallest access set ({len(subset)} members) recovers: "
           f"{recover(scheme, subset, dealt.shares)}")
 
-    lone = (subset[0],)
+    short = subset[:-1]
     try:
-        recover(scheme, lone, dealt.shares)
+        recover(scheme, short, dealt.shares)
     except NotQualifiedError as e:
-        print(f"participant {subset[0]} alone: {e}")
+        print(f"the same set without participant {subset[-1]}: {e}")
 
+    # the tally counts the share vectors, words of the dual code with
+    # the dealt share of that one participant, by the secret they carry
+    lone = (subset[0],)
     probe = perfectness_check(scheme, lone)
-    print(f"message enumeration over that singleton: verdict {probe.verdict}, "
-          f"secret tallies {probe.secret_counts}")
+    power = round(math.log(probe.secret_counts[secret], scheme.q))
+    print(f"participant {subset[0]} alone: verdict {probe.verdict}; "
+          f"{scheme.q}^{power} share vectors agree with that one share "
+          f"for each of the {len(probe.secret_counts)} secrets")
 
     # the same structure by orbit development from two starter sets
     fx = load_fixture()

@@ -1,12 +1,10 @@
-"""Linear secret sharing from projective codes.
+"""Secret sharing on the dual of a projective code.
 
-A scheme wraps a code whose column 0 is the secret position g0; the
-dealer draws a uniformly random message u with u.g0 = secret and hands
-participant i the codeword symbol u.g_i.  A subset recovers the secret
-exactly when g0 lies in the span of its columns, and the secret is then
-the same combination of the shares.  recover finds both with one row
-reduction of the subset's table of rows (g_i | share_i): a combination
-of those rows that equals (g0 | x) gives the secret x.
+The points P_0, .., P_m of a spanning set V are the columns of the code
+C: P_0 is the secret point, P_1 .. P_m are the participants.  The share
+vectors are the words s of C^perp, sum_j s_j P_j = 0, with s_0 the
+secret.  A set A recovers it iff some functional h vanishes off {0} and
+A with h(P_0) != 0; then h(P_0) s_0 = -sum over A of h(P_j) s_j.
 
 For a spanning point set V whose code is minimal, the minimal access
 sets of the dual-code scheme are in bijection with the hyperplanes
@@ -20,10 +18,12 @@ held as one boolean matrix of sets by participant labels.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -68,9 +68,17 @@ class Scheme:
         """Number of participants."""
         return self.code.n - 1
 
-    @property
-    def g0(self) -> np.ndarray:
-        return self.code.cols[0]
+    @cached_property
+    def solver(self) -> tuple:
+        """(B, R): R is the k x n table of the points reduced with P_0's
+        column last, then put back in order, so its pivots B are
+        participants: s is in C^perp iff s[B] = -R t, t being s with t[B] = 0."""
+        ctx, k, m = self.code.ctx, self.k, self.m
+        rank, red = row_reduce(ctx, self.code.cols[np.r_[1:m + 1, 0]].T)
+        ids = np.argmax(red != 0, axis=1) + 1
+        if rank < k or ids[-1] > m:
+            raise SSSError(f"the participants' points do not span PG({k - 1}, {self.q})")
+        return ids, red[:, np.r_[m, :m]]
 
     @classmethod
     def from_variety(cls, v: Variety, p0: int = 0) -> "Scheme":
@@ -81,6 +89,25 @@ class Scheme:
         if self.variety is not None:
             out["variety"] = self.variety.meta()
         return out
+
+
+def consistent_secrets(ctx, words: np.ndarray, ids: list, values) -> np.ndarray:
+    """Mask of the secrets x with w_0 x + sum_j w_j values_j = 0 for
+    every word w, the sum over the participants ids."""
+    rhs = combine(ctx, values, words[:, ids].T)
+    xs = np.arange(ctx.order)[:, None]
+    return ~ctx.vadd(ctx.vmul(words[:, 0], xs), rhs).any(axis=1)
+
+
+def combine(ctx, coeffs, rows: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] rows[j] over the field, halving the terms with
+    one vadd per round; sum() then adds at most one row to zero."""
+    terms = ctx.vmul(np.asarray(coeffs, dtype=np.int64)[:, None], rows)
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = np.concatenate((ctx.vadd(terms[:half], terms[half:2 * half]),
+                                terms[2 * half:]))
+    return terms.sum(axis=0)
 
 
 @dataclass
@@ -95,32 +122,25 @@ class DealReport:
 
 
 def deal(scheme: Scheme, secret: int, seed: int) -> DealReport:
-    """Seeded dealing: draw the free message coordinates uniformly and
-    solve the remaining one against g0, so u is uniform among the
-    q^(k-1) messages consistent with the secret."""
-    ctx = scheme.code.ctx
-    q, k = scheme.q, scheme.k
+    """Seeded dealing, uniform on the words of C^perp with s_0 = secret:
+    every participant outside the solver's pivots B draws a uniform
+    share and B's shares follow, a bijection, at O(n k) operations."""
+    ctx, q = scheme.code.ctx, scheme.q
     if not 0 <= secret < q:
         raise SSSError(f"secret must be a field encoding in 0 .. {q - 1}")
-    g0 = scheme.g0
-    piv = int(np.nonzero(g0)[0][0])
+    ids, red = scheme.solver
     rng = random.Random(seed)
-    u = np.zeros(k, dtype=np.int64)
-    for i in range(k):
-        if i != piv:
-            u[i] = rng.randrange(q)
-    # with u[piv] = 0, symbol 0 of u's word is the rest of u . g0
-    word = scheme.code.codeword_block(u[None])[0]
-    u_piv = ctx.div(ctx.sub(secret, int(word[0])), int(g0[piv]))
-    word = ctx.vadd(word, scheme.code.row_tables[piv][u_piv])
-    shares = {i: int(word[i]) for i in range(1, scheme.code.n)}
-    return DealReport(secret, seed, shares)
+    s = np.array([secret] + [rng.randrange(q) for _ in range(scheme.m)],
+                 dtype=np.int64)
+    s[ids] = 0
+    s[ids] = ctx.vneg(combine(ctx, s, red.T))
+    return DealReport(secret, seed, {i: int(s[i]) for i in range(1, scheme.code.n)})
 
 
 def _participant_ids(scheme: Scheme, subset) -> list:
     """The distinct participant ids of subset, sorted, each in 1 .. m."""
     ids = sorted(set(int(i) for i in subset))
-    if any(not 1 <= i <= scheme.m for i in ids):
+    if ids and not 1 <= ids[0] <= ids[-1] <= scheme.m:
         raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
     return ids
 
@@ -128,17 +148,14 @@ def _participant_ids(scheme: Scheme, subset) -> list:
 def recover(scheme: Scheme, subset, shares: dict) -> int:
     """Recover the secret from the shares of `subset`.
 
-    One row reduction of the table with rows (g_i | share_i) decides
-    everything.  Reducing (g0 | 0) against its reduced rows leaves a
-    residual: if its first k entries are not all zero, g0 is outside the
-    span of the columns and the subset does not qualify
-    (NotQualifiedError, checked first).  Otherwise a pivot in the share
-    column means no codeword restricts to the shares
-    (InconsistentSharesError).  Otherwise the residual is
-    (0 | -sum x_i share_i) for some g0 = sum x_i g_i, so the secret is
-    its negated last entry.
+    One row reduction of the points outside {0} and the subset gives
+    the space N of functionals h vanishing there, and codeword_block
+    their values h(P_j).  The subset qualifies iff some h(P_0) != 0
+    (NotQualifiedError, checked first); the shares are consistent iff
+    consistent_secrets finds a secret (InconsistentSharesError), and
+    then it finds exactly one.
     """
-    ctx = scheme.code.ctx
+    ctx, code = scheme.code.ctx, scheme.code
     q, k = scheme.q, scheme.k
     ids = _participant_ids(scheme, subset)
     missing = [i for i in ids if i not in shares]
@@ -147,25 +164,19 @@ def recover(scheme: Scheme, subset, shares: dict) -> int:
     values = [int(shares[i]) for i in ids]
     if any(not 0 <= v < q for v in values):
         raise SSSError(f"share values must be field encodings in 0 .. {q - 1}")
-    if not ids:
-        raise NotQualifiedError("the empty subset holds no information")
-    table = np.zeros((len(ids), k + 1), dtype=np.int64)
-    table[:, :k] = scheme.code.cols[ids]
-    table[:, k] = values
-    _, red = row_reduce(ctx, table)
-    res = np.zeros(k + 1, dtype=np.int64)
-    res[:k] = scheme.g0
-    for row in red:
-        c = int(np.nonzero(row)[0][0])
-        if res[c]:
-            res = ctx.vadd(res, ctx.vneg(ctx.scalar_mul_row(int(res[c]))[row]))
-    if res[:k].any():
+    # E [R^T | I] = [E R^T | E]: the rows of E that E R^T zeroes span N
+    pts = np.delete(code.cols, [0] + ids, axis=0)
+    _, red = row_reduce(ctx, np.hstack((pts.T, np.eye(k, dtype=np.int64))))
+    words = code.codeword_block(red[~red[:, :len(pts)].any(axis=1), len(pts):])
+    if not words[:, 0].any():
         raise NotQualifiedError(
-            "subset does not qualify: g0 is outside the span of its columns")
-    if not red[-1, :k].any():
+            "subset does not qualify: every functional vanishing off it "
+            "vanishes at P0")
+    ok = consistent_secrets(ctx, words, ids, values)
+    if not ok.any():
         raise InconsistentSharesError(
-            "shares are not the restriction of any codeword")
-    return int(ctx.neg(int(res[k])))
+            "shares are not the restriction of any dual codeword")
+    return int(np.flatnonzero(ok)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,34 +316,25 @@ class PerfectnessReport:
 
 def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
                       budget: int | None = None) -> PerfectnessReport:
-    """Deal, restrict the shares to `subset`, then enumerate every
-    message consistent with those restricted shares and tally the
-    secrets they imply.  A qualified subset pins a single secret; an
-    unqualified one must see every secret equally often.  The q^k
-    messages are the codewords of the code on g0 and the subset's
-    columns: the zero message, and the q - 1 multiples of each
-    projective class that class_blocks yields, after it refuses by
-    budget and hard cap before the deal."""
+    """Deal, restrict the shares to `subset`, and count the share
+    vectors that agree there by the secret they carry, the exhaustive
+    route to recover's verdict: a qualified subset pins one secret, an
+    unqualified one sees each equally often.  class_blocks refuses by
+    budget and hard cap before the deal, then enumerates C's q^k words;
+    the q^d - 1 nonzero ones supported on {0} and the subset give the
+    equations of consistent_secrets, and each consistent secret stands
+    for q^(n - k - (|subset| + 1 - d)) share vectors."""
     ids = _participant_ids(scheme, subset)
-    ctx = scheme.code.ctx
-    probe = LinearCode(ctx, scheme.code.cols[[0] + ids])
-    blocks = probe.class_blocks(budget)
+    q, code = scheme.q, scheme.code
+    blocks = code.class_blocks(budget)
     dealt = deal(scheme, secret, seed).shares
-    target = np.array([dealt[i] for i in ids], dtype=np.int64)
-    tally = np.zeros(scheme.q, dtype=np.int64)
-    tally[0] = not target.any()     # the zero message
-    for block in blocks:
-        for c in range(1, scheme.q):
-            words = ctx.scalar_mul_row(c)[block]
-            ok = (words[:, 1:] == target).all(axis=1)
-            tally += np.bincount(words[ok, 0], minlength=scheme.q)
-    counts = {int(s): int(tally[s]) for s in np.flatnonzero(tally)}
-    if len(counts) == 1:
-        verdict = "qualified"
-    elif len(counts) == scheme.q and len(set(counts.values())) == 1:
-        verdict = "uniform"
-    else:
-        verdict = "biased"
+    kept = np.concatenate([w[~np.delete(w, [0] + ids, axis=1).any(axis=1)]
+                           for w in blocks])
+    ok = consistent_secrets(code.ctx, kept, ids, [dealt[i] for i in ids])
+    d = round(math.log(len(kept) * (q - 1) + 1, q))
+    per = q ** (code.n - code.k - (len(ids) + 1 - d))
+    counts = {int(x): per for x in np.flatnonzero(ok)}
+    verdict = {1: "qualified", q: "uniform"}.get(len(counts), "biased")
     return PerfectnessReport(tuple(ids), sum(counts.values()), counts,
                              verdict)
 

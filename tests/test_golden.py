@@ -16,6 +16,10 @@ bytes.  variety_lines and variety_lines_44 were captured from the full
 pass over every line and their one `"engine": "batched"` line each
 edited to `"pencil"` by hand, so they pin that the count from the lines
 through one affine point reproduces the full pass's bytes.  `sss recover` reads the captured deal payload.
+sss_deal and sss_recover were captured again when dealing and recovery
+moved from the code C to its dual, the scheme whose access sets `sss
+access` lists, and `sss recover` took the smallest listed set in place
+of 1,2,5, which holds no access set of the dual.
 `verify-all --budget 0` holds the first refusal of every check, so it
 pins which guard refuses first; it exits 3.  Each command's
 `--format csv` output, captured the same way, is the `.csv` beside its
@@ -49,7 +53,10 @@ COMMANDS = {
     "code_dk_points": ("code", "dk", "--q", "3", "--r", "3", "--k", "3"),
     "sss_access": ("sss", "access", *HERM23),
     "sss_deal": ("sss", "deal", *HERM23, "--secret", "1", "--seed", "7"),
-    "sss_recover": ("sss", "recover", *HERM23, "--subset", "1,2,5",
+    # the smallest of the 64 access sets that `sss access` lists
+    "sss_recover": ("sss", "recover", *HERM23, "--subset",
+                    "1,2,3,4,5,6,7,12,13,14,15,16,17,18,19,20,21,25,29,30,31,32,"
+                    "33,34,35,36,37,38,42,43,44",
                     "--shares", str(GOLDEN / "sss_deal.json")),
     "sss_democracy": ("sss", "democracy", "--q", "3", "--r", "3"),
     "sss_develop": ("sss", "develop"),

@@ -58,8 +58,6 @@ def test_recover_rejects_non_qualified(scheme_h2, access_h2):
         recover(scheme_h2, (1,), rep.shares)
 
 
-@pytest.mark.xfail(strict=True, reason="deal and recover run Massey's scheme on C, while "
-                   "the access sets are those of the scheme on C^perp (ROADMAP item 1)")
 def test_minimal_access_sets_less_one_member_do_not_qualify(scheme_h2, access_h2):
     rep = deal(scheme_h2, secret=1, seed=7)
     for aset in access_h2.sorted_sets():
@@ -68,9 +66,52 @@ def test_minimal_access_sets_less_one_member_do_not_qualify(scheme_h2, access_h2
                 recover(scheme_h2, [i for i in aset if i != drop], rep.shares)
 
 
-def test_recover_flags_inconsistent_shares(scheme_h2, access_h2):
+def test_twisted_33_access_sets_less_one_member_do_not_qualify(scheme33, access33):
+    rng = random.Random(33)
+    rep = deal(scheme33, secret=4, seed=rng.randrange(2 ** 30))
+    for aset in rng.sample(access33.sets(), 8):
+        assert recover(scheme33, aset, rep.shares) == 4
+        for drop in aset:
+            with pytest.raises(NotQualifiedError):
+                recover(scheme33, [i for i in aset if i != drop], rep.shares)
+
+
+@pytest.mark.parametrize("kind,q,r", [("twisted", 3, 3), ("hermitian", 2, 3),
+                                      ("hermitian", 3, 3)])
+def test_dealt_vectors_are_dual_codewords(kind, q, r):
+    """sum_j s_j P_j = 0 coordinate by coordinate in scalar field
+    arithmetic, with s_0 the secret."""
+    scheme = get_scheme(kind, q, r)
+    ctx, cols = scheme.code.ctx, scheme.code.cols.tolist()
+    rng = random.Random(kind)
+    for _ in range(5):
+        secret = rng.randrange(scheme.q)
+        shares = deal(scheme, secret, rng.randrange(2 ** 30)).shares
+        assert sorted(shares) == list(range(1, scheme.m + 1))
+        s = [secret] + [shares[i] for i in range(1, scheme.m + 1)]
+        for c in range(scheme.k):
+            total = 0
+            for j, point in enumerate(cols):
+                total = ctx.add(total, ctx.mul(s[j], point[c]))
+            assert total == 0
+
+
+def test_deal_refuses_participants_that_do_not_span(scheme_h2):
+    # the participants' points all in the plane X_3 = 0, with P_0 in it
+    # (rank 3) or off it (P_0 takes the last pivot)
+    participants = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]]
+    for p0 in ([1, 0, 0, 0], [0, 0, 0, 1]):
+        cols = np.array([p0] + participants)
+        scheme = Scheme(LinearCode(scheme_h2.code.ctx, cols))
+        with pytest.raises(SSSError, match=r"do not span PG\(3, 4\)"):
+            deal(scheme, 1, 0)
+
+
+def test_recover_flags_inconsistent_shares(scheme_h2):
+    # every participant: each functional gives one equation on the shares
     rep = deal(scheme_h2, 1, 5)
-    subset = access_h2.sorted_sets()[0]
+    subset = list(range(1, scheme_h2.m + 1))
+    assert recover(scheme_h2, subset, rep.shares) == 1
     shares = dict(rep.shares)
     shares[subset[0]] ^= 1
     with pytest.raises(InconsistentSharesError):
@@ -89,59 +130,39 @@ def test_recover_validates_input(scheme_h2):
         assert type(info.value) is SSSError
 
 
-def _recover_by_two_eliminations(scheme, subset, shares):
-    """Reference recovery: solve g0 = sum x_j g_{i_j} by reducing the
-    s x (k+s) matrix (rows | identity), then test the shares against
-    the row space of the k x s transpose by a second reduction."""
+def _recover_by_class_blocks(scheme, subset, shares):
+    """Reference recovery on C^perp: enumerate every word of C and keep
+    those vanishing off {0} and the subset.  The subset qualifies iff a
+    kept word has c_0 != 0, and each kept word c gives the equation
+    c_0 x + sum over the subset of c_j s_j = 0 for the secret x, summed
+    here in scalar field arithmetic."""
     ctx = scheme.code.ctx
-    k = scheme.k
     ids = sorted(set(int(i) for i in subset))
     if any(not 1 <= i <= scheme.m for i in ids):
         raise SSSError(f"participant ids must lie in 1 .. {scheme.m}")
     missing = [i for i in ids if i not in shares]
     if missing:
         raise SSSError(f"missing shares for participants {missing[:5]}")
-    if not ids:
-        raise NotQualifiedError("the empty subset holds no information")
-    rows = scheme.code.cols[ids]
-    s = len(ids)
-    aug = np.zeros((s, k + s), dtype=np.int64)
-    aug[:, :k] = rows
-    aug[np.arange(s), k + np.arange(s)] = 1
-    rank, red = row_reduce(ctx, aug)
-    res = scheme.g0.astype(np.int64).copy()
-    coeffs = np.zeros(s, dtype=np.int64)
-    for row in red:
-        piv_cols = np.nonzero(row[:k])[0]
-        if piv_cols.size == 0:
-            continue
-        c = int(piv_cols[0])
-        f = int(res[c])
-        if f:
-            res = ctx.vadd(res, ctx.vneg(ctx.scalar_mul_row(f)[row[:k]]))
-            coeffs = ctx.vadd(coeffs, ctx.scalar_mul_row(f)[row[k:]])
-    if res.any():
+    words = np.concatenate(list(scheme.code.class_blocks()))
+    outside = np.ones(scheme.code.n, dtype=bool)
+    outside[[0] + ids] = False
+    kept = words[~words[:, outside].any(axis=1)].tolist()
+    if not any(c[0] for c in kept):
         raise NotQualifiedError(
-            "subset does not qualify: g0 is outside the span of its columns")
-    tvec = np.array([int(shares[i]) for i in ids], dtype=np.int64)
-    _, sred = row_reduce(ctx, rows.T)
-    rem = tvec.copy()
-    for row in sred:
-        piv_cols = np.nonzero(row)[0]
-        if piv_cols.size == 0:
-            continue
-        c = int(piv_cols[0])
-        f = int(rem[c])
-        if f:
-            rem = ctx.vadd(rem, ctx.vneg(ctx.scalar_mul_row(f)[row]))
-    if rem.any():
+            "subset does not qualify: every functional vanishing off it "
+            "vanishes at P0")
+    sums = []
+    for c in kept:
+        total = 0
+        for i in ids:
+            total = ctx.add(total, ctx.mul(c[i], int(shares[i])))
+        sums.append(total)
+    lead = next(t for t, c in enumerate(kept) if c[0])
+    secret = ctx.neg(ctx.div(sums[lead], kept[lead][0]))
+    if any(ctx.add(ctx.mul(c[0], secret), t) for c, t in zip(kept, sums)):
         raise InconsistentSharesError(
-            "shares are not the restriction of any codeword")
-    secret = 0
-    for j, i in enumerate(ids):
-        if coeffs[j]:
-            secret = ctx.add(secret, ctx.mul(int(coeffs[j]), int(shares[i])))
-    return int(secret)
+            "shares are not the restriction of any dual codeword")
+    return secret
 
 
 def _outcome(fn, scheme, subset, shares):
@@ -159,8 +180,9 @@ def _altered(scheme, shares, subset, rng):
 def _recover_cases(scheme, access, rng):
     """Seeded (subset, shares) pairs: access sets, access sets minus one
     member, random small and large subsets, shares altered in one
-    coordinate, and hyperplane sections off P0 (the complements of
-    access sets) with an altered share, unqualified and inconsistent."""
+    coordinate, hyperplane sections off P0 (the complements of access
+    sets) with an altered share, unqualified, and every participant
+    with an altered share, inconsistent."""
     sets = access.sets()
     everyone = range(1, scheme.m + 1)
     for _ in range(4):
@@ -176,11 +198,12 @@ def _recover_cases(scheme, access, rng):
         yield aset, _altered(scheme, shares, aset, rng)
         yield large, _altered(scheme, shares, large, rng)
         yield section, _altered(scheme, shares, section, rng)
+        yield list(everyone), _altered(scheme, shares, list(everyone), rng)
 
 
 @pytest.mark.parametrize("kind,q,r", [("twisted", 3, 3), ("hermitian", 2, 3),
                                       ("hermitian", 3, 3)])
-def test_recover_matches_two_eliminations(kind, q, r, monkeypatch):
+def test_recover_matches_class_blocks(kind, q, r, monkeypatch):
     scheme, access = get_scheme(kind, q, r), get_access(kind, q, r)
     shapes = []
     monkeypatch.setattr(sss_mod, "row_reduce",
@@ -188,23 +211,26 @@ def test_recover_matches_two_eliminations(kind, q, r, monkeypatch):
     kinds = set()
     for subset, shares in _recover_cases(scheme, access,
                                          random.Random(f"{kind}{q}{r}")):
-        want = _outcome(_recover_by_two_eliminations, scheme, subset, shares)
+        want = _outcome(_recover_by_class_blocks, scheme, subset, shares)
         shapes.clear()
         assert _outcome(recover, scheme, subset, shares) == want, subset
-        assert shapes == [(len(set(subset)), scheme.k + 1)]
+        # one reduction, of the points outside {0} and the subset beside I
+        assert shapes == [(scheme.k, scheme.m - len(set(subset)) + scheme.k)]
+        assert access.is_qualified(subset) is (want[0] != "NotQualifiedError")
         kinds.add(want[0])
     assert kinds == {"secret", "NotQualifiedError", "InconsistentSharesError"}
 
 
 def test_recover_unqualified_and_inconsistent_is_not_qualified(scheme_h2, access_h2):
-    """The participants on a hyperplane off P0 span that hyperplane, so
-    they do not qualify, and there are more of them than k, so one
-    altered share is inconsistent: qualification is reported first."""
+    """The participants on a hyperplane off P0 do not qualify: the
+    points off it span, so only the zero functional vanishes there.
+    With the participants off it too they qualify, and one altered share
+    is inconsistent: qualification is reported first."""
     aset = access_h2.sorted_sets()[0]
     section = sorted(set(range(1, scheme_h2.m + 1)) - set(aset))
     shares = dict(deal(scheme_h2, 2, 3).shares)
     shares[section[0]] ^= 1
-    for fn in (recover, _recover_by_two_eliminations):
+    for fn in (recover, _recover_by_class_blocks):
         with pytest.raises(NotQualifiedError):
             fn(scheme_h2, section, shares)
     with pytest.raises(InconsistentSharesError):
@@ -256,9 +282,18 @@ def test_qualified_subsets(access_h2):
 def test_perfectness_uniform_on_singleton(scheme_h2):
     rep = perfectness_check(scheme_h2, (1,))
     assert rep.verdict == "uniform"
-    # 64 consistent messages, split evenly over the four secrets
-    assert rep.consistent == 64
-    assert all(e["count"] == 16 for e in rep.as_dict()["secret_counts"])
+    # no nonzero word of C vanishes on the other 43 points, which span,
+    # so d = 0: each secret stands for q^(n - k - 2) = 4^39 share vectors
+    assert rep.consistent == 4 * 4 ** 39
+    assert all(e["count"] == 4 ** 39 for e in rep.as_dict()["secret_counts"])
+
+
+def test_perfectness_counts_all_but_one_participant(scheme_h2):
+    # the words of C vanishing at P_1 are the q^(k-1) functionals through
+    # it, so d = 3 and q^(45 - 4 - (44 - 3)) = 1 share vector is consistent
+    rep = perfectness_check(scheme_h2, range(2, scheme_h2.m + 1))
+    assert rep.verdict == "qualified"
+    assert rep.consistent == 1 and rep.secret_counts == {0: 1}
 
 
 def test_perfectness_qualified_on_access_set(scheme_h2, access_h2):
@@ -267,7 +302,7 @@ def test_perfectness_qualified_on_access_set(scheme_h2, access_h2):
 
 
 def test_perfectness_budget_refuses_before_dealing(scheme_h2, access_h2, monkeypatch):
-    # q^k = 4^4 = 256 codewords of the code on g0 and the subset
+    # q^k = 4^4 = 256 codewords of C
     calls = []
     real = LinearCode.codeword_block
     monkeypatch.setattr(LinearCode, "codeword_block",
