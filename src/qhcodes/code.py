@@ -110,14 +110,17 @@ def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
 
 
 def _require_span(v: Variety) -> None:
-    """Refuse v unless its points span PG(r, Q): they are row-reduced a
-    block at a time onto the basis so far, up to rank r + 1."""
-    rank, basis = 0, np.zeros((0, v.r + 1), dtype=np.int64)
-    for lo in range(0, v.n, SUBSPACE_BLOCK):
-        block = v.space.rows(v.indices[lo:lo + SUBSPACE_BLOCK])
+    """Refuse v unless its points span PG(r, Q), the one test of whether
+    v defines a code.  They are row-reduced onto the basis so far in
+    blocks of 256 rows, four times larger each time up to SUBSPACE_BLOCK,
+    until rank r + 1: a set that does not span reads every point."""
+    rank, basis, lo, step = 0, np.zeros((0, v.r + 1), dtype=np.int64), 0, 256
+    while lo < v.n:
+        block = v.space.rows(v.indices[lo:lo + step])
         rank, basis = row_reduce(v.ctx, np.concatenate((basis, block)))
         if rank == v.r + 1:
             return
+        lo, step = lo + step, min(4 * step, SUBSPACE_BLOCK)
     raise CodeError(f"point set spans a proper subspace: rank {rank} < {v.r + 1}")
 
 
@@ -154,20 +157,12 @@ class WeightDistribution:
         }
 
 
-def _spanning(v: Variety, best: int) -> int:
-    """best, v's largest hyperplane section, unless it is all of v: then
-    v spans a proper subspace and defines no code."""
-    if best == v.n:
-        raise CodeError(f"point set spans a proper subspace: a hyperplane holds all {v.n} points")
-    return best
-
-
 def weights_from_sections(v: Variety,
                           budget: int | None = None) -> WeightDistribution:
     """Weight distribution via hyperplane sections: each hyperplane of
     section size s accounts for q-1 words of weight n - s."""
+    _require_span(v)
     counts = size_counts(hyperplane_section_sizes(v, budget))
-    _spanning(v, max(counts))
     q = v.ctx.order
     weights = {v.n - s: c * (q - 1) for s, c in counts.items()}
     dist = WeightDistribution(q, v.n, v.r + 1, weights, "hyperplane-sections")
@@ -228,19 +223,17 @@ class HigherWeightReport:
 def higher_weight(v: Variety, k: int,
                   budget: int | None = None) -> HigherWeightReport:
     """Generalized Hamming weight d_k = n - max |V meet codim-k subspace|.
-    Only a spanning V defines a code: d_1 reads that off its hyperplane
-    sections, and every other k from the rank of its points, before
-    variety.section_counts counts the subspaces of vector dimension
-    r + 1 - k by the route it picks for them."""
+    Only a spanning V defines a code, which _require_span reads from the
+    rank of its points before any count.  d_1 then counts the
+    hyperplanes by the character transform, and every other k by the
+    route variety.section_counts picks for the subspaces of vector
+    dimension r + 1 - k."""
     r = v.r
     if not 1 <= k <= r:
         raise CodeError(f"k = {k} out of range 1 .. {r}")
-    if k == 1:
-        sizes = hyperplane_section_sizes(v, budget)
-        best = _spanning(v, int(sizes.max()))
-        return HigherWeightReport(k, v.n - best, best, len(sizes))
     _require_span(v)
-    counts, _ = section_counts(v, r + 1 - k, budget)
+    counts = (size_counts(hyperplane_section_sizes(v, budget)) if k == 1
+              else section_counts(v, r + 1 - k, budget)[0])
     best = max(counts)
     return HigherWeightReport(k, v.n - best, best, sum(counts.values()))
 

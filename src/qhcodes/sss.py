@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetError, check_budget
 from .code import (LinearCode, _unique_rows, code_from_variety,
                    cutting_blocking_check, first_inside)
 from .geom import row_reduce
@@ -356,7 +356,9 @@ class PermGroup:
 
 
 def _closure(gens, degree, budget=None) -> tuple:
-    cap = min(budget, CLOSURE_CAP) if budget is not None else CLOSURE_CAP
+    cap = CLOSURE_CAP if budget is None else min(budget, CLOSURE_CAP)
+    why = None if cap == budget else (f"needs {cap + 1} elements, beyond the closure's "
+                                      f"ceiling of {cap}, whatever the budget")
     # every element is metered as it joins, the identity first, so a
     # budget equal to the group's order suffices
     check_budget("group closure", 1, cap)
@@ -370,7 +372,7 @@ def _closure(gens, degree, budget=None) -> tuple:
                 img = tuple(g[x] for x in p)
                 if img not in seen:
                     if len(seen) == cap:
-                        check_budget("group closure", cap + 1, cap)
+                        raise BudgetError("group closure", cap + 1, cap, why)
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt

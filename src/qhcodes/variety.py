@@ -420,8 +420,11 @@ class SpectrumReport:
     variety: dict
     axis: str                  # "hyperplane" or "line"
     counts: dict               # intersection size -> number of subspaces
-    total: int
     engine: str
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def support(self) -> tuple:
@@ -835,8 +838,7 @@ def hyperplane_section_sizes(v: Variety,
 
 def hyperplane_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
     sizes = hyperplane_section_sizes(v, budget)
-    return SpectrumReport(v.meta(), "hyperplane", size_counts(sizes), len(sizes),
-                          "wht")
+    return SpectrumReport(v.meta(), "hyperplane", size_counts(sizes), "wht")
 
 
 def size_counts(sizes: np.ndarray) -> dict:
@@ -928,12 +930,12 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
 
 def section_counts(v: Variety, nrows: int, budget: int | None = None) -> tuple:
     """({size: count}, engine) of |S meet v| over the subspaces S of
-    vector dimension nrows, 1 <= nrows <= r: the points in closed form,
-    the lines of PENCIL_KINDS from the pencil through O
-    (pencil_line_counts), and every other case by the full pass,
-    geom.subspace_counts, which takes the lines through
-    line_section_sizes so that perfbench's tracer times the line pass.
-    Each route makes its own budget check before any work."""
+    vector dimension nrows, 1 <= nrows <= r + 1 (`variety lines` at r = 1
+    asks for nrows = 2): the points in closed form, the lines of
+    PENCIL_KINDS from the pencil through O (pencil_line_counts), and
+    every other case by the full pass, geom.subspace_counts, which takes
+    the lines through line_section_sizes so that perfbench's tracer
+    times the line pass.  Each route makes its own budget check first."""
     if nrows == 1:
         return {s: c for s, c in ((0, v.space.n_points - v.n), (1, v.n)) if c}, "closed-form"
     if nrows == 2 and v.kind in PENCIL_KINDS:
@@ -947,8 +949,7 @@ def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
     """The line spectrum, counted by section_counts: from the pencil
     through O for the twisted and quasi-Hermitian kinds, by the full
     pass for the others."""
-    counts, engine = section_counts(v, 2, budget)
-    return SpectrumReport(v.meta(), "line", counts, sum(counts.values()), engine)
+    return SpectrumReport(v.meta(), "line", *section_counts(v, 2, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1001,8 +1002,11 @@ def _quadric_sections(k: int, Q: int) -> tuple:
 class Predicted:
     kind: str
     N: int
-    sizes: tuple
     counts: dict
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(sorted(self.counts))
 
     def as_dict(self):
         return {"kind": self.kind, "N": self.N, "sizes": list(self.sizes),
@@ -1024,7 +1028,7 @@ def predicted_spectrum(q: int, r: int, kind: str) -> Predicted:
         raise ParamsError(f"r = {r} must be at least 3")
     if kind == "hermitian":
         n, counts = _hermitian_sections(r, q)
-        return Predicted(kind, n, tuple(sorted(counts)), counts)
+        return Predicted(kind, n, counts)
     Q = q * q
     if kind == "quasi-hermitian":
         n_inf, at_inf = _hermitian_sections(r - 2, q)
@@ -1043,7 +1047,7 @@ def predicted_spectrum(q: int, r: int, kind: str) -> Predicted:
                 (1 + Q * n_inf, 1)] + [(top + 1 + Q * s, Q * c) for s, c in at_inf.items()]
     for size, count in sections:
         counts[size] = counts.get(size, 0) + count
-    return Predicted(kind, q ** (2 * r - 1) + 1 + Q * n_inf, tuple(sorted(counts)), counts)
+    return Predicted(kind, q ** (2 * r - 1) + 1 + Q * n_inf, counts)
 
 
 def predicted_line_sizes(q: int) -> tuple:

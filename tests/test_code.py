@@ -88,16 +88,44 @@ def test_divisibility():
 
 
 @pytest.mark.parametrize("kind", ["cone", "twisted-infinity"])
-def test_no_weights_for_a_point_set_inside_a_hyperplane(kind):
+def test_no_weights_for_a_point_set_inside_a_hyperplane(kind, monkeypatch):
     # both lie in X_0 = 0, whose section holds all n points: a weight 0
-    # or any d_k would describe no code
+    # or any d_k would describe no code.  The rank of the points says so
+    # before the transform runs, for the weights and for every k
     v = build_variety(kind, 3, 3)
-    assert int(hyperplane_section_sizes(v).max()) == v.n
-    with pytest.raises(CodeError, match="spans a proper subspace"):
+    calls, wht = [], variety_mod._sizes_wht
+    monkeypatch.setattr(variety_mod, "_sizes_wht", lambda *a: calls.append(a) or wht(*a))
+    with pytest.raises(CodeError, match="spans a proper subspace: rank 3 < 4"):
         weights_from_sections(v)
     for k in (1, 2, 3):
-        with pytest.raises(CodeError, match="spans a proper subspace"):
+        with pytest.raises(CodeError, match="spans a proper subspace: rank 3 < 4"):
             higher_weight(v, k)
+    assert calls == []
+    assert int(hyperplane_section_sizes(v).max()) == v.n
+    assert len(calls) == 1
+
+
+def test_span_is_read_block_by_block(monkeypatch):
+    # blocks of 256, 1024 and 4096 rows: the cone lies in X_0 = 0, so all
+    # 3151 points are read before the refusal; the last point of the
+    # space, appended, lies off X_0 = 0 and spans in the last block
+    cone = build_variety("cone", 5, 4)
+    assert cone.n == 3151
+    reduced, real = [], code_mod.row_reduce
+
+    def spy(ctx, mat):
+        rank, basis = real(ctx, mat)
+        reduced.append((len(mat), rank))
+        return rank, basis
+    monkeypatch.setattr(code_mod, "row_reduce", spy)
+    with pytest.raises(CodeError, match="spans a proper subspace: rank 4 < 5"):
+        code_mod._require_span(cone)
+    ranks = [0] + [rank for _, rank in reduced]
+    assert [rows - ranks[i] for i, (rows, _) in enumerate(reduced)] == [256, 1024, 1871]
+    reduced.clear()
+    idx = np.append(cone.indices, cone.space.n_points - 1)
+    code_mod._require_span(Variety("subset", cone.ctx, 4, cone.space, idx))
+    assert [rank for _, rank in reduced] == [4, 4, 5]
 
 
 def test_higher_weights_33(tw33):

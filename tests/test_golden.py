@@ -20,6 +20,9 @@ sss_deal and sss_recover were captured again when dealing and recovery
 moved from the code C to its dual, the scheme whose access sets `sss
 access` lists, and `sss recover` took the smallest listed set in place
 of 1,2,5, which holds no access set of the dual.
+code_dk_hyperplanes, d_1 by the character transform, was captured from
+the build before every code report read spanning from the rank of the
+points ahead of any count, and passes unedited after that move.
 `verify-all --budget 0` holds the first refusal of every check, so it
 pins which guard refuses first; it exits 3.  Each command's
 `--format csv` output, captured the same way, is the `.csv` beside its
@@ -49,6 +52,8 @@ COMMANDS = {
     "code_minimality": ("code", "minimality", "--q", "4", "--r", "3"),
     "code_divisibility": ("code", "divisibility", "--q", "4", "--r", "3"),
     "code_dk": ("code", "dk", "--q", "3", "--r", "3", "--k", "2"),
+    # k = 1: the hyperplanes, counted by the character transform
+    "code_dk_hyperplanes": ("code", "dk", "--q", "3", "--r", "3", "--k", "1"),
     # k = r: the subspaces are points, counted in closed form
     "code_dk_points": ("code", "dk", "--q", "3", "--r", "3", "--k", "3"),
     "sss_access": ("sss", "access", *HERM23),
