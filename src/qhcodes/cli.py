@@ -33,9 +33,8 @@ import json
 import sys
 
 from .budget import BudgetError
-from .code import (CodeError, code_from_variety, divisibility_report,
-                   higher_weight, minimality_summary, weights_bruteforce,
-                   weights_from_sections)
+from .code import (CodeError, LinearCode, divisibility_report, higher_weight,
+                   minimality_summary, weights_bruteforce, weights_from_sections)
 from .gf import FieldError
 from .sss import (InconsistentSharesError, NotQualifiedError, Scheme,
                   SSSError, access_structure, deal, democracy_report,
@@ -203,7 +202,8 @@ def cmd_code_weights(args, v) -> tuple:
     verdict = None
     cross = None
     if args.cross_check:
-        bf = weights_bruteforce(code_from_variety(v), args.budget)
+        # weights_from_sections has read spanning already
+        bf = weights_bruteforce(LinearCode(v.ctx, v.space.rows(v.indices)), args.budget)
         cross = {"source": bf.source, "match": bf.weights == dist.weights}
         verdict = PASS if cross["match"] else FAIL
     report = {"variety": v.meta(), "distribution": dist.as_dict(),

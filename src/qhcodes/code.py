@@ -113,8 +113,12 @@ def _require_span(v: Variety) -> None:
     """Refuse v unless its points span PG(r, Q), the one test of whether
     v defines a code.  They are row-reduced onto the basis so far in
     blocks of 256 rows, four times larger each time up to SUBSPACE_BLOCK,
-    until rank r + 1: a set that does not span reads every point."""
-    rank, basis, lo, step = 0, np.zeros((0, v.r + 1), dtype=np.int64), 0, 256
+    until rank r + 1: a set that does not span reads every point.  The
+    first block also holds the last point: canonical order puts every
+    point of X_0 = 0 first, and the last point is affine whenever any
+    is, as for the twisted and quasi-Hermitian kinds, so one block
+    settles those however many points they have at infinity."""
+    rank, basis, lo, step = 0, v.space.rows(v.indices[-1:]), 0, 256
     while lo < v.n:
         block = v.space.rows(v.indices[lo:lo + step])
         rank, basis = row_reduce(v.ctx, np.concatenate((basis, block)))
@@ -439,7 +443,8 @@ def minimality_summary(v: Variety, budget: int | None = None) -> dict:
         # an over-budget cross-check is skipped, not a reason to drop
         # the answers above
         try:
-            bf = minimality_bruteforce(code_from_variety(v), budget)
+            # weights_from_sections has read spanning already
+            bf = minimality_bruteforce(LinearCode(v.ctx, v.space.rows(v.indices)), budget)
         except BudgetError as e:
             out["bruteforce"] = {"status": "SKIP", "reason": str(e)}
             out["agree"] = None

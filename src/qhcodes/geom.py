@@ -215,11 +215,14 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
     sqrt(SUBSPACE_BLOCK) z, so that the sizes take a chunk's counts in
     runs of that many; each pattern's rows for a chunk are gathered into
     one uint8 buffer and added to the chunk's counts before the next
-    pattern's are made.
+    pattern's are made.  At nrows = r + 1 the one subspace is the whole
+    space, which holds all of V.
     """
     ctx, r, q = space.ctx, space.r, space.ctx.order
     total = gaussian_binomial(r + 1, nrows, q)
     check_budget(f"enumerating {total} subspaces of PG({r},{q})", total, budget)
+    if nrows == r + 1:
+        return np.array([len(indices)], dtype=np.min_scalar_type(space.n_points))
     mask = np.zeros(2 * q ** r, dtype=np.uint8)
     mask[space.keys_of(indices)] = 1
     weight = [q ** (r - c) for c in range(r + 1)]

@@ -528,8 +528,12 @@ def _limbs(M: int, radix: int) -> tuple:
 
 def _widest_radix(p: int) -> int:
     """The radix of the transform's passes where the digits left allow
-    it: p <= 5 takes two digits a pass, a larger p one."""
-    return p * p if p <= 5 else p
+    it: p <= 7 takes two digits a pass, a larger p one.  A two-digit
+    pass costs p^2 products per entry against 2 p for two one-digit
+    passes, but reads the block once: at p = 7 it was the faster (a
+    7^8 chart in 97 ms against 112 ms, best of 7 on 2 shared vCPUs),
+    at p = 11 the slower (11^6: 31 ms against 27 ms)."""
+    return p * p if p <= 7 else p
 
 
 @lru_cache(maxsize=8)
@@ -608,8 +612,9 @@ def _radix_p_transform(f: np.ndarray, p: int, M: int, zeta: int,
     vectors z, y of the row indices of f read as (f.size / cols, cols),
     each column alone; zeta = -1 exactly when p = 2, else mod M, with f
     and the result int32 residues in [0, M) (_residue_pass).  A pass
-    takes _widest_radix(p) where the digits left allow it, else one
-    digit.  The columns run along the contiguous axis of every pass."""
+    takes two digits (_widest_radix: p <= 7) where the digits left
+    allow it, else one.  The columns run along the contiguous axis of
+    every pass."""
     n = f.size // cols
     # p = 2 on short rows: the high digits over rows of low * cols
     # entries, then the low ones on a transposed copy, so that no pass
@@ -874,6 +879,30 @@ def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
 PENCIL_KINDS = ("twisted", "quasi-hermitian")
 
 
+def _cone_line_counts(v: Variety, budget: int | None = None) -> Counter:
+    """{size: lines} over the lines at infinity (X_0 = 0) of a
+    PENCIL_KINDS v, the lines of PG(r-1, Q), whose indices are those of
+    PG(r) below theta_(r-1).  v meets X_0 = 0 in the cone with vertex
+    P0 = (0, .., 0, 1), index 0, over S_inf, which is read from v's
+    points with X_0 = X_r = 0 as points of PG(r-2, Q) on
+    X_1 .. X_(r-1).  A line through P0 holds Q + 1 points of v if its
+    point of PG(r-2, Q) lies in S_inf, else 1.  The plane P0 v l' over
+    a line l' of PG(r-2, Q) holds Q^2 lines off P0, each meeting the
+    cone in |l' meet S_inf| points.  So the one pass is
+    geom.subspace_counts over the lines of PG(r-2, Q) (Hirschfeld,
+    Projective Geometries over Finite Fields: cones)."""
+    Q, r = v.ctx.order, v.r
+    inf, base = pg_space(v.ctx, r - 1), pg_space(v.ctx, r - 2)
+    at = int(np.searchsorted(v.indices, inf.n_points))
+    pts = inf.rows(v.indices[:at])
+    s_inf = base.index_array(pts[pts[:, -1] == 0, :-1])
+    assert v.indices[0] == 0 and at == 1 + Q * len(s_inf)
+    counts = Counter({Q + 1: len(s_inf), 1: base.n_points - len(s_inf)})
+    for size, lines in size_counts(subspace_counts(base, s_inf, 2, budget)).items():
+        counts[size] += Q * Q * lines
+    return counts
+
+
 def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
     """{size: lines} of a twisted or quasi-Hermitian v, from the lines
     through the affine origin O = (1, 0, .., 0).
@@ -890,31 +919,36 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
       the pairs (P, l) over G's orbit of O;
     - the other affine lines, of size b, are the Q^(r-1) affine lines
       through each infinity point of class b, less those above;
-    - the lines at infinity are the lines of PG(r-1, Q), whose indices
-      are those of PG(r) below theta_(r-1), by geom.subspace_counts.
-    One budget check meters the affine points read plus the lines at
-    infinity, before any row is read or any line counted.
+    - the lines at infinity are those of the cone P0 v S_inf, counted
+      from its vertex (_cone_line_counts) by one pass over the lines of
+      PG(r-2, Q).
+    One budget check meters the affine points read, the points at
+    infinity and the lines of PG(r-2, Q), before any row is read or any
+    line counted.
     """
     if v.kind not in PENCIL_KINDS:
         raise ValueError(f"no pencil count for kind {v.kind!r}")
     ctx, r, Q = v.ctx, v.r, v.ctx.order
     inf = pg_space(ctx, r - 1)
     at = int(np.searchsorted(v.indices, inf.n_points))
-    n_aff, inf_lines = v.n - at, gaussian_binomial(r, 2, Q)
-    check_budget(f"counting lines from {n_aff} affine points and {inf_lines} lines "
-                 f"at infinity", n_aff + inf_lines, budget)
+    n_aff, base_lines = v.n - at, gaussian_binomial(r - 1, 2, Q)
+    check_budget(f"counting lines from {n_aff} affine points, {inf.n_points} points at "
+                 f"infinity and {base_lines} line{'s' * (base_lines != 1)} of "
+                 f"PG({r - 2},{Q})", n_aff + inf.n_points + base_lines, budget)
     # G's orbit of O is the whole affine part
     assert n_aff == v.base_order ** (2 * r - 1) and v.indices[at] == inf.n_points
     a = np.ones(inf.n_points, dtype=np.int64)
+    # GF(Q)'s product table scales each direction to lead 1 in one gather
+    prod = product_table(ctx, np.min_scalar_type(Q - 1))
     for lo in range(at + 1, v.n, SUBSPACE_BLOCK):
         x = v.space.rows(v.indices[lo:lo + SUBSPACE_BLOCK])[:, 1:]
         lead = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
         inv = ctx.exp[-ctx.log[lead] % (Q - 1)]
-        a += np.bincount(inf.index_array(ctx.vmul(x, inv[:, None])), minlength=inf.n_points)
+        a += np.bincount(inf.index_array(prod[inv[:, None], x]), minlength=inf.n_points)
     b = np.zeros(inf.n_points, dtype=np.int64)
     b[v.indices[:at]] = 1
     pencil = np.bincount(2 * a + b, minlength=2 * (Q + 1)).reshape(Q + 1, 2)
-    counts = Counter(size_counts(subspace_counts(inf, v.indices[:at], 2, budget)))
+    counts = _cone_line_counts(v, budget)
     for cls, points in ((0, inf.n_points - at), (1, at)):
         missing = points * Q ** (r - 1)
         for size in range(1, Q + 1):
@@ -932,10 +966,12 @@ def section_counts(v: Variety, nrows: int, budget: int | None = None) -> tuple:
     """({size: count}, engine) of |S meet v| over the subspaces S of
     vector dimension nrows, 1 <= nrows <= r + 1 (`variety lines` at r = 1
     asks for nrows = 2): the points in closed form, the lines of
-    PENCIL_KINDS from the pencil through O (pencil_line_counts), and
-    every other case by the full pass, geom.subspace_counts, which takes
-    the lines through line_section_sizes so that perfbench's tracer
-    times the line pass.  Each route makes its own budget check first."""
+    PENCIL_KINDS from the pencil through O and, at infinity, from the
+    cone's vertex, with one pass over the lines of PG(r-2, Q)
+    (pencil_line_counts), and every other case by the full pass over
+    PG(r, Q), geom.subspace_counts, which takes the lines through
+    line_section_sizes so that perfbench's tracer times the line pass.
+    Each route makes its own budget check first."""
     if nrows == 1:
         return {s: c for s, c in ((0, v.space.n_points - v.n), (1, v.n)) if c}, "closed-form"
     if nrows == 2 and v.kind in PENCIL_KINDS:

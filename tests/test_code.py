@@ -105,12 +105,8 @@ def test_no_weights_for_a_point_set_inside_a_hyperplane(kind, monkeypatch):
     assert len(calls) == 1
 
 
-def test_span_is_read_block_by_block(monkeypatch):
-    # blocks of 256, 1024 and 4096 rows: the cone lies in X_0 = 0, so all
-    # 3151 points are read before the refusal; the last point of the
-    # space, appended, lies off X_0 = 0 and spans in the last block
-    cone = build_variety("cone", 5, 4)
-    assert cone.n == 3151
+def _spy_reductions(monkeypatch):
+    """[(rows, rank)] of each row reduction code.py makes from now on."""
     reduced, real = [], code_mod.row_reduce
 
     def spy(ctx, mat):
@@ -118,14 +114,37 @@ def test_span_is_read_block_by_block(monkeypatch):
         reduced.append((len(mat), rank))
         return rank, basis
     monkeypatch.setattr(code_mod, "row_reduce", spy)
+    return reduced
+
+
+def test_span_is_read_block_by_block(monkeypatch):
+    # blocks of 256, 1024 and 4096 rows, the first with the last point:
+    # the cone lies in X_0 = 0, so all 3151 points are read before the
+    # refusal; the last point of the space, appended, lies off X_0 = 0
+    # and spans in the first block
+    cone = build_variety("cone", 5, 4)
+    assert cone.n == 3151
+    reduced = _spy_reductions(monkeypatch)
     with pytest.raises(CodeError, match="spans a proper subspace: rank 4 < 5"):
         code_mod._require_span(cone)
     ranks = [0] + [rank for _, rank in reduced]
-    assert [rows - ranks[i] for i, (rows, _) in enumerate(reduced)] == [256, 1024, 1871]
+    assert [rows - ranks[i] for i, (rows, _) in enumerate(reduced)] == [257, 1024, 1871]
     reduced.clear()
     idx = np.append(cone.indices, cone.space.n_points - 1)
     code_mod._require_span(Variety("subset", cone.ctx, 4, cone.space, idx))
-    assert [rank for _, rank in reduced] == [4, 4, 5]
+    assert reduced == [(257, 5)]
+
+
+@pytest.mark.parametrize("kind", ["twisted", "quasi-hermitian"])
+def test_span_of_a_pencil_kind_is_one_block(kind, monkeypatch):
+    # the points at infinity come first, 651 (twisted) or 3151
+    # (quasi-Hermitian) at (5,4), all in X_0 = 0: without the last,
+    # affine point no block before the third could reach rank 5
+    v = build_variety(kind, 5, 4)
+    assert np.searchsorted(v.indices, v.space.starts[4]) > 256
+    reduced = _spy_reductions(monkeypatch)
+    code_mod._require_span(v)
+    assert reduced == [(257, 5)]
 
 
 def test_higher_weights_33(tw33):
@@ -163,7 +182,8 @@ def test_hermitian_24_higher_weights():
 
 
 @pytest.mark.parametrize("kind, q, r, k, refusal", [
-    ("twisted", 3, 3, 2, "counting lines from 243 affine points and 91 lines at infinity"),
+    ("twisted", 3, 3, 2, "counting lines from 243 affine points, 91 points at infinity "
+                         "and 1 line of PG(1,9)"),
     ("hermitian", 2, 4, 2, "enumerating 5797 subspaces of PG(4,4)"),
     ("hermitian", 2, 4, 3, "enumerating 5797 subspaces of PG(4,4)")], ids=str)
 def test_dk_budget_refuses_with_one_check(kind, q, r, k, refusal, monkeypatch):
@@ -415,6 +435,15 @@ def test_minimality_summary_keeps_its_engine(monkeypatch):
     out = minimality_summary(v)
     assert out["cutting"]["ok"] and out["agree"]
     assert calls == ["_sizes_wht"]
+
+
+def test_minimality_summary_reads_spanning_once(monkeypatch):
+    v = build_variety("twisted", 3, 3)
+    calls, real = [], code_mod._require_span
+    monkeypatch.setattr(code_mod, "_require_span", lambda w: calls.append(w) or real(w))
+    # "agree" is set only when the brute force ran
+    assert minimality_summary(v)["agree"] is not None
+    assert calls == [v]
 
 
 def test_bruteforce_minimality_finds_the_15_words():

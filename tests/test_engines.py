@@ -266,7 +266,7 @@ def test_moduli_span_one_and_two_limbs():
 @pytest.mark.parametrize("which", range(3))
 @pytest.mark.parametrize("p, digits", [(3, 5), (5, 3), (7, 3), (11, 2), (61, 2)])
 def test_odd_passes_equal_the_int64_reference(p, digits, which, cols, block, monkeypatch):
-    # two-digit passes and a last one-digit pass (p = 3, 5), blocks
+    # two-digit passes and a last one-digit pass (p = 3, 5, 7), blocks
     # that split both axes, and moduli of one limb, of two just past
     # the edge, and at the range's limit, whose residues fill 31 bits
     monkeypatch.setattr(variety_mod, "SUBSPACE_BLOCK", block)

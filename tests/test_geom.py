@@ -288,7 +288,7 @@ KEY_SPACES = ((4, 3), (4, 4), (16, 2), (9, 3), (25, 2), (3, 4), (7, 3), (8, 3))
 
 
 @pytest.mark.parametrize("Q,r,nrows",
-                         [(Q, r, s) for Q, r in KEY_SPACES for s in range(2, r + 1)])
+                         [(Q, r, s) for Q, r in KEY_SPACES for s in range(2, r + 2)])
 def test_subspace_keys_match_the_points(Q, r, nrows, monkeypatch):
     """subspace_counts of one point is that point's incidence with the
     subspaces of subspace_points, subspace by subspace, on a seeded

@@ -16,6 +16,7 @@ over every line and, beyond the full pass's reach, with the line count,
 the pair count and the third moment of test_moments.py.
 """
 
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -25,9 +26,9 @@ from qhcodes import budget as budget_mod
 from qhcodes import variety as variety_mod
 from qhcodes.budget import BudgetError
 from qhcodes.code import higher_weight
-from qhcodes.geom import gaussian_binomial, num_points
-from qhcodes.variety import (TwistedParams, build_quasi_hermitian, build_twisted,
-                             build_variety, default_params, line_section_sizes,
+from qhcodes.geom import gaussian_binomial, num_points, pg_space, subspace_counts
+from qhcodes.variety import (TwistedParams, _cone_line_counts, build_quasi_hermitian,
+                             build_twisted, build_variety, default_params, line_section_sizes,
                              line_spectrum, pencil_line_counts, predicted_spectrum,
                              size_counts, validate_params)
 
@@ -189,11 +190,37 @@ def test_higher_weight_on_lines_reads_the_pencil():
     assert rep.subspaces == sum(SPECTRUM_54.values())
 
 
+@pytest.mark.parametrize("kind, q, r", [("twisted", 4, 4), ("twisted", 5, 4), ("twisted", 3, 5),
+                                        ("quasi-hermitian", 4, 4), ("quasi-hermitian", 7, 4)])
+def test_vertex_count_equals_the_pass_at_infinity(kind, q, r):
+    """The lines at infinity from the cone's vertex equal the full pass
+    over the lines of PG(r-1, Q) it replaces."""
+    v = build_variety(kind, q, r)
+    inf = pg_space(v.ctx, r - 1)
+    at = np.searchsorted(v.indices, inf.n_points)
+    assert _cone_line_counts(v) == Counter(size_counts(subspace_counts(inf, v.indices[:at], 2)))
+
+
+@pytest.mark.parametrize("kind, q, r", [("twisted", 3, 3), ("twisted", 4, 4),
+                                        ("quasi-hermitian", 5, 3), ("twisted", 3, 5)])
+def test_pencil_passes_one_dimension_down(kind, q, r, monkeypatch):
+    """The only subspace pass of the pencil runs over PG(r-2, Q), never
+    over the lines of PG(r-1, Q) at infinity."""
+    v = build_variety(kind, q, r)
+    want = size_counts(line_section_sizes(v))
+    dims = []
+    monkeypatch.setattr(variety_mod, "subspace_counts",
+                        lambda space, *a: dims.append(space.r) or subspace_counts(space, *a))
+    assert pencil_line_counts(v) == want
+    assert dims == [r - 2]
+
+
 def test_pencil_budget_refuses_first(monkeypatch):
-    """One check meters the affine points plus the lines at infinity,
-    before any row is read or any line at infinity is counted."""
+    """One check meters the affine points, the points at infinity and
+    the lines of PG(r-2, Q), before any row is read or any line at
+    infinity is counted."""
     v = build_variety("twisted", 3, 3)
-    need = 3 ** 5 + gaussian_binomial(3, 2, 9)
+    need = 3 ** 5 + num_points(2, 9) + gaussian_binomial(2, 2, 9)
     assert pencil_line_counts(v, need) == size_counts(line_section_sizes(v))
 
     def forbidden(*args, **kwargs):
@@ -203,7 +230,8 @@ def test_pencil_budget_refuses_first(monkeypatch):
     checks = []
     monkeypatch.setattr(variety_mod, "check_budget",
                         lambda *a: checks.append(a) or budget_mod.check_budget(*a))
-    with pytest.raises(BudgetError, match=f"counting lines from 243 affine points and "
-                                          f"91 lines at infinity: needs {need} units"):
+    with pytest.raises(BudgetError, match=r"counting lines from 243 affine points, 91 points "
+                                          r"at infinity and 1 line of PG\(1,9\): "
+                                          f"needs {need} units"):
         line_spectrum(v, need - 1)
     assert len(checks) == 1
