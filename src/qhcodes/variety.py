@@ -871,20 +871,27 @@ def count_rows(mapping: dict, key: str, value: str) -> list:
 def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
     """|ell meet v| over all lines, in the order of geom.rref_bases, as
     geom.subspace_counts gives them: np.min_scalar_type(q^2 + 1), so
-    uint8 up to q = 15."""
+    uint8 up to q = 15: the full pass, the pencil's reference."""
     return subspace_counts(v.space, v.indices, 2, budget)
 
 
-# the kinds whose lines pencil_line_counts counts from one point's pencil
-PENCIL_KINDS = ("twisted", "quasi-hermitian")
+def _siegel_hermitian(ctx: FiniteField, r: int, budget: int | None = None) -> Variety:
+    """X_0^q X_r + X_0 X_r^q + sum_{i=1}^{r-1} X_i^{q+1} = 0, the Siegel
+    form of build_hermitian's variety (Bose & Chakravarti, Canad. J.
+    Math. 18, 1966): sum N(x_i) + Tr(x_r) = 0, Tr(t) = t + t^q, on
+    X_0 = 1 and the cone F off it."""
+    norms = _norms(ctx)
+    trace = ctx.vadd(ctx.pow_row(ctx.sub_order), np.arange(ctx.order))
+    return _build("hermitian", ctx, r, budget, (np.zeros_like(norms), norms, trace),
+                  _off_chart(ctx, norms))
 
 
 def _cone_line_counts(v: Variety, budget: int | None = None) -> Counter:
-    """{size: lines} over the lines at infinity (X_0 = 0) of a
-    PENCIL_KINDS v, the lines of PG(r-1, Q), whose indices are those of
-    PG(r) below theta_(r-1).  v meets X_0 = 0 in the cone with vertex
-    P0 = (0, .., 0, 1), index 0, over S_inf, which is read from v's
-    points with X_0 = X_r = 0 as points of PG(r-2, Q) on
+    """{size: lines} over the lines at infinity (X_0 = 0) of a v that
+    meets X_0 = 0 in the cone with vertex P0 = (0, .., 0, 1), index 0,
+    over S_inf (pencil_line_counts): the lines of PG(r-1, Q), whose
+    indices are those of PG(r) below theta_(r-1).  S_inf is read from
+    v's points with X_0 = X_r = 0 as points of PG(r-2, Q) on
     X_1 .. X_(r-1).  A line through P0 holds Q + 1 points of v if its
     point of PG(r-2, Q) lies in S_inf, else 1.  The plane P0 v l' over
     a line l' of PG(r-2, Q) holds Q^2 lines off P0, each meeting the
@@ -904,16 +911,20 @@ def _cone_line_counts(v: Variety, budget: int | None = None) -> Counter:
 
 
 def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
-    """{size: lines} of a twisted or quasi-Hermitian v, from the lines
-    through the affine origin O = (1, 0, .., 0).
+    """{size: lines} of a v, r >= 3, that meets X_0 = 0 in a cone
+    P0 v S_inf and whose affine part is empty or G's orbit of the affine
+    origin O = (1, 0, .., 0), from the lines through O.
 
-    The collineations (X_0, X_i, X_r) -> (X_0, X_i + y_i X_0,
-    X_r + sum_i mu_i X_i + c X_0), mu_i = -(2 alpha y_i + B y_i^q) with
-    B = beta^q - beta and L(c) = -sum_i h(y_i), form a group G of order
-    q^(2r-1) that preserves v and X_0 = 0 and acts regularly on the
-    q^(2r-1) affine points of v.  For a direction d of PG(r-1, Q), let
-    a(d) count v's affine points on O + <d>, O included, and
-    b(d) = [(0, d) in v].  Then:
+    On the twisted and quasi-Hermitian kinds the collineations
+    (X_0, X_i, X_r) -> (X_0, X_i + y_i X_0, X_r + sum_i mu_i X_i + c X_0),
+    mu_i = -(2 alpha y_i + B y_i^q) with B = beta^q - beta and
+    L(c) = -sum_i h(y_i), form a group G of order q^(2r-1) that
+    preserves v and X_0 = 0 and acts regularly on the q^(2r-1) affine
+    points of v.  On the Hermitian Siegel form (_siegel_hermitian) G is
+    x_i -> x_i + y_i, x_r -> x_r - sum_i y_i^q x_i + c, Tr(c) =
+    -sum_i N(y_i); the cone and twisted-infinity kinds have no affine
+    point.  For a direction d of PG(r-1, Q), let a(d) count v's affine
+    points on O + <d>, O included, and b(d) = [(0, d) in v].  Then:
     - affine lines with a >= 1 affine points of v and b at infinity
       number q^(2r-1) #{d : a(d) = a, b(d) = b} / a, by double counting
       the pairs (P, l) over G's orbit of O;
@@ -922,21 +933,21 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
     - the lines at infinity are those of the cone P0 v S_inf, counted
       from its vertex (_cone_line_counts) by one pass over the lines of
       PG(r-2, Q).
-    One budget check meters the affine points read, the points at
-    infinity and the lines of PG(r-2, Q), before any row is read or any
-    line counted.
+    Any other affine part raises ValueError.  Then one budget check
+    meters the affine points read, the points at infinity and the lines
+    of PG(r-2, Q), before any row is read or any line counted.
     """
-    if v.kind not in PENCIL_KINDS:
-        raise ValueError(f"no pencil count for kind {v.kind!r}")
     ctx, r, Q = v.ctx, v.r, v.ctx.order
     inf = pg_space(ctx, r - 1)
     at = int(np.searchsorted(v.indices, inf.n_points))
     n_aff, base_lines = v.n - at, gaussian_binomial(r - 1, 2, Q)
+    # no affine point, or G's orbit of O, whose index is theta_(r-1)
+    orbit = v.base_order ** (2 * r - 1)
+    if (n_aff, v.indices[at:at + 1].tolist()) not in ((0, []), (orbit, [inf.n_points])):
+        raise ValueError(f"no pencil count for {v.label}: {n_aff} affine points")
     check_budget(f"counting lines from {n_aff} affine points, {inf.n_points} points at "
                  f"infinity and {base_lines} line{'s' * (base_lines != 1)} of "
                  f"PG({r - 2},{Q})", n_aff + inf.n_points + base_lines, budget)
-    # G's orbit of O is the whole affine part
-    assert n_aff == v.base_order ** (2 * r - 1) and v.indices[at] == inf.n_points
     a = np.ones(inf.n_points, dtype=np.int64)
     # GF(Q)'s product table scales each direction to lead 1 in one gather
     prod = product_table(ctx, np.min_scalar_type(Q - 1))
@@ -965,26 +976,23 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
 def section_counts(v: Variety, nrows: int, budget: int | None = None) -> tuple:
     """({size: count}, engine) of |S meet v| over the subspaces S of
     vector dimension nrows, 1 <= nrows <= r + 1 (`variety lines` at r = 1
-    asks for nrows = 2): the points in closed form, the lines of
-    PENCIL_KINDS from the pencil through O and, at infinity, from the
-    cone's vertex, with one pass over the lines of PG(r-2, Q)
-    (pencil_line_counts), and every other case by the full pass over
-    PG(r, Q), geom.subspace_counts, which takes the lines through
-    line_section_sizes so that perfbench's tracer times the line pass.
-    Each route makes its own budget check first."""
+    asks for nrows = 2): the points in closed form; the lines at r >= 3
+    from the pencil through O (pencil_line_counts), the Hermitian kind
+    in its Siegel form, which has the same line spectrum and whose build
+    repeats v's scan check; every other case, lines at r <= 2 included,
+    by the full pass over PG(r, Q), geom.subspace_counts.  Each route
+    makes its own budget check first."""
     if nrows == 1:
         return {s: c for s, c in ((0, v.space.n_points - v.n), (1, v.n)) if c}, "closed-form"
-    if nrows == 2 and v.kind in PENCIL_KINDS:
-        return pencil_line_counts(v, budget), "pencil"
-    sizes = (line_section_sizes(v, budget) if nrows == 2
-             else subspace_counts(v.space, v.indices, nrows, budget))
-    return size_counts(sizes), "batched"
+    if nrows == 2 < v.r:
+        twin = _siegel_hermitian(v.ctx, v.r, budget) if v.kind == "hermitian" else v
+        return pencil_line_counts(twin, budget), "pencil"
+    return size_counts(subspace_counts(v.space, v.indices, nrows, budget)), "batched"
 
 
 def line_spectrum(v: Variety, budget: int | None = None) -> SpectrumReport:
     """The line spectrum, counted by section_counts: from the pencil
-    through O for the twisted and quasi-Hermitian kinds, by the full
-    pass for the others."""
+    through O at r >= 3, by the full pass at r <= 2."""
     return SpectrumReport(v.meta(), "line", *section_counts(v, 2, budget))
 
 

@@ -116,21 +116,23 @@ def check_02_spectra(budget=None) -> tuple:
 
 
 def check_03_lines(budget=None) -> tuple:
-    """The (3,3) line spectrum from the pencil through O, against the
-    full pass over every line and the predicted sizes."""
+    """The pencil's line spectra of twisted (3,3) and, by its Siegel form,
+    hermitian (2,3) against the full pass; (3,3)'s against its sizes."""
     v = get_variety("twisted", 3, 3, budget)
     sp = var_mod.line_spectrum(v, budget)
-    full = var_mod.size_counts(var_mod.line_section_sizes(v, budget))
+    herm = get_variety("hermitian", 2, 3, budget)
     allowed = set(var_mod.predicted_line_sizes(3))
     bad = []
-    if sp.counts != full:
-        bad.append(f"{sp.engine} line spectrum {sp.counts} != full pass {full}")
+    for w, s in ((v, sp), (herm, var_mod.line_spectrum(herm, budget))):
+        full = var_mod.size_counts(var_mod.line_section_sizes(w, budget))
+        if s.counts != full:
+            bad.append(f"{w.label} {s.engine} line spectrum {s.counts} != full pass {full}")
     if sp.total != 7462:
         bad.append(f"line count {sp.total} != 7462")
     extra = set(sp.counts) - allowed
     if extra:
         bad.append(f"line sizes outside prediction: {sorted(extra)}")
-    return bad, f"7462 lines, sizes {sorted(sp.counts)} all allowed"
+    return bad, f"7462 lines, sizes {sorted(sp.counts)} all allowed; both match the full pass"
 
 
 def check_04_weights(budget=None) -> tuple:

@@ -347,15 +347,17 @@ def test_recover_non_integer_share_table_exit_2(capsys, tmp_path, field, value):
     assert "malformed share table" in err
 
 
-def _child_peak_mb(argv):
-    """Run the command line on argv in a child process: its exit code,
-    its peak resident memory in MB, and its stderr.
+def _child_peak_mb(argv, expr=None):
+    """Run the command line on argv in a child process, or evaluate expr
+    there with qhcodes.variety imported as variety: its exit code (or
+    expr's value), its peak resident memory in MB, and its stderr.
 
     The child reports its own peak, VmHWM, where Linux has it: its
     ru_maxrss also carries the peak of this test process, which the
     spawn (vfork and exec) hands down."""
     code = ("import os, resource; from qhcodes.cli import main; "
-            f"rc = main({argv!r}); "
+            "from qhcodes import variety; "
+            f"rc = {expr or f'main({argv!r})'}; "
             "hwm = [int(line.split()[1]) for line in open('/proc/self/status') "
             "if line.startswith('VmHWM:')] if os.path.exists('/proc/self/status') "
             "else []; "
@@ -395,10 +397,11 @@ def test_variety_lines_44_in_little_memory():
 
 
 def test_variety_lines_hermitian_73_in_little_memory():
-    # 5,887,302 lines of PG(3, 49); the table of sums holds 49^4 keys
-    rc, peak_mb, _ = _child_peak_mb(["variety", "lines", "--q", "7", "--r", "3",
-                                     "--variety", "hermitian"])
-    assert rc == 0
+    # the full pass over the 5,887,302 lines of PG(3, 49), whose table
+    # of sums holds 49^4 keys; `variety lines` counts them by the pencil
+    rc, peak_mb, _ = _child_peak_mb(None, "len(variety.line_section_sizes("
+                                          "variety.build_variety('hermitian', 7, 3)))")
+    assert rc == 5887302
     assert peak_mb < 100
 
 

@@ -185,7 +185,7 @@ def test_hermitian_24_higher_weights():
     ("twisted", 3, 3, 2, "counting lines from 243 affine points, 91 points at infinity "
                          "and 1 line of PG(1,9)"),
     ("hermitian", 2, 4, 2, "enumerating 5797 subspaces of PG(4,4)"),
-    ("hermitian", 2, 4, 3, "enumerating 5797 subspaces of PG(4,4)")], ids=str)
+    ("hermitian", 2, 4, 3, "scanning 341 points")], ids=str)
 def test_dk_budget_refuses_with_one_check(kind, q, r, k, refusal, monkeypatch):
     checks = []
     for mod in (code_mod, variety_mod, geom_mod):

@@ -39,17 +39,17 @@ def test_tracer_wraps_every_layer():
 
 
 def test_tracer_times_the_line_pass():
-    """A Hermitian variety: its line spectrum runs the full pass, which
-    the tracer wraps; the twisted kind counts from one point's pencil."""
+    """The full pass over every line, which the tracer wraps; line
+    spectra at r >= 3 count from one point's pencil instead."""
     tr = spans.Tracer()
     try:
         spans.install(tr, [time.perf_counter()])
         v = variety.build_variety("hermitian", 3, 3)
-        sp = variety.line_spectrum(v)
+        sizes = variety.line_section_sizes(v)
     finally:
         tr.restore()
     assert "variety.lines" in {span[0] for span in tr.spans}
-    assert tr.counters["variety.lines.count"] == sp.total == gaussian_binomial(4, 2, 9)
+    assert tr.counters["variety.lines.count"] == len(sizes) == gaussian_binomial(4, 2, 9)
 
 
 def test_tracer_counts_direct_incidences():

@@ -279,19 +279,20 @@ def test_line_spectrum_33(tw33):
 
 
 SECTION_CASES = [("twisted", 3, 3), ("twisted", 4, 3), ("quasi-hermitian", 3, 3),
-                 ("hermitian", 2, 3), ("hermitian", 2, 4), ("cone", 3, 3)]
+                 ("hermitian", 2, 3), ("hermitian", 2, 4), ("hermitian", 3, 4), ("cone", 3, 3),
+                 ("twisted-infinity", 3, 3)]
 
 
 @pytest.mark.parametrize("kind, q, r", SECTION_CASES, ids=str)
 def test_section_counts_match_the_full_pass(kind, q, r):
     """Every route section_counts picks, for points, lines and every
     subspace up to the hyperplanes, against the full pass; only the lines
-    of the twisted and quasi-Hermitian kinds come from the pencil."""
+    at r >= 3, of every kind, come from the pencil."""
     v = get_variety(kind, q, r)
     for nrows in range(1, r + 1):
         counts, engine = section_counts(v, nrows)
         assert counts == size_counts(subspace_counts(v.space, v.indices, nrows))
-        assert (engine == "pencil") == (nrows == 2 and kind in ("twisted", "quasi-hermitian"))
+        assert (engine == "pencil") == (nrows == 2 < r)
 
 
 def test_surgery_identity_exact():
