@@ -33,7 +33,7 @@ import json
 import sys
 
 from .budget import BudgetError
-from .code import (CodeError, LinearCode, divisibility_report, higher_weight,
+from .code import (CodeError, bruteforce_or_skip, divisibility_report, higher_weight,
                    minimality_summary, weights_bruteforce, weights_from_sections)
 from .gf import FieldError
 from .sss import (InconsistentSharesError, NotQualifiedError, Scheme,
@@ -199,13 +199,16 @@ def cmd_variety_lines(args, v) -> tuple:
 
 def cmd_code_weights(args, v) -> tuple:
     dist = weights_from_sections(v, budget=args.budget)
-    verdict = None
-    cross = None
+    verdict = cross = None
     if args.cross_check:
         # weights_from_sections has read spanning already
-        bf = weights_bruteforce(LinearCode(v.ctx, v.space.rows(v.indices)), args.budget)
-        cross = {"source": bf.source, "match": bf.weights == dist.weights}
-        verdict = PASS if cross["match"] else FAIL
+        bf = bruteforce_or_skip(v, weights_bruteforce, args.budget)
+        if isinstance(bf, dict):
+            _status(f"brute-force cross-check skipped: {bf['reason']}")
+            cross, verdict = bf, SKIP
+        else:
+            cross = {"source": bf.source, "match": bf.weights == dist.weights}
+            verdict = PASS if cross["match"] else FAIL
     report = {"variety": v.meta(), "distribution": dist.as_dict(),
               "d_min": dist.w_min, "cross_check": cross}
     return (report, verdict, ["weight", "count"],
@@ -216,18 +219,14 @@ def cmd_code_minimality(args, v) -> tuple:
     summary = minimality_summary(v, budget=args.budget)
     ab_ok = summary["ab"]["passes"]
     cut_ok = summary["cutting"]["ok"]
-    agree = summary.get("agree")
     # AB is sufficient, so AB pass with a cutting failure is a real bug
-    consistent = ((not ab_ok) or cut_ok) and agree is not False
-    verdict = PASS if consistent else FAIL
+    verdict = PASS if ((not ab_ok) or cut_ok) and summary["agree"] is not False else FAIL
     summary["minimal"] = cut_ok
-    rows = [["ab", ab_ok], ["cutting", cut_ok]]
-    bf = summary.get("bruteforce")
-    if bf is not None:
-        rows.append(["bruteforce", bf.get("ok", bf.get("status"))])
-        if "status" in bf:
-            _status(f"brute-force cross-check skipped: {bf['reason']}")
-    rows.append(["minimal", cut_ok])
+    bf = summary["bruteforce"]
+    if "status" in bf:
+        _status(f"brute-force cross-check skipped: {bf['reason']}")
+    rows = [["ab", ab_ok], ["cutting", cut_ok],
+            ["bruteforce", bf.get("ok", bf.get("status"))], ["minimal", cut_ok]]
     if not cut_ok:
         wit = summary["cutting"]
         _status(f"not minimal: hyperplane {wit['witness_coords']} section has "

@@ -81,16 +81,27 @@ class LinearCode:
         """The words of the normalized messages, the points of
         PG(k-1, q) in canonical order, SUBSPACE_BLOCK // n + 1 rows at a
         time: one word per class of nonzero scalar multiples.  The budget
-        meters all q^k words; it and the hard cap refuse here, before
-        the generator is returned."""
-        n_words = self.ctx.order ** self.k
-        check_budget(f"enumerating {n_words} codewords", n_words, budget)
-        if n_words > WORDS_HARD_CAP:
-            raise CodeError(f"codeword enumeration of {n_words} words exceeds "
-                            f"the hard cap {WORDS_HARD_CAP}")
+        and WORDS_HARD_CAP meter all q^k words and refuse here, alike,
+        before the generator is returned."""
+        _check_words(self.ctx.order, self.k, budget)
         space, step = pg_space(self.ctx, self.k - 1), SUBSPACE_BLOCK // self.n + 1
         return (self.codeword_block(space.rows(np.arange(lo, min(lo + step, space.n_points))))
                 for lo in range(0, space.n_points, step))
+
+
+def _check_words(q: int, k: int, budget: int | None = None) -> None:
+    n_words = q ** k
+    check_budget(f"enumerating {n_words} codewords", n_words, budget, WORDS_HARD_CAP)
+
+
+def bruteforce_or_skip(v: Variety, brute, budget: int | None = None):
+    """brute(code, budget) on the code of v, which must span, or the
+    SKIP entry of its refusal; the words are metered before the rows."""
+    try:
+        _check_words(v.ctx.order, v.r + 1, budget)
+        return brute(LinearCode(v.ctx, v.space.rows(v.indices)), budget)
+    except BudgetError as e:
+        return {"status": "SKIP", "reason": str(e)}
 
 
 def code_from_variety(v: Variety, p0: int | None = None) -> LinearCode:
@@ -438,17 +449,9 @@ def minimality_summary(v: Variety, budget: int | None = None) -> dict:
     cut = cutting_blocking_check(v, budget)
     out = {"variety": v.meta(), "weights": dist.as_dict(),
            "ab": ab.as_dict(), "cutting": cut.as_dict()}
-    n_words = v.ctx.order ** (v.r + 1)
-    if n_words <= WORDS_HARD_CAP:
-        # an over-budget cross-check is skipped, not a reason to drop
-        # the answers above
-        try:
-            # weights_from_sections has read spanning already
-            bf = minimality_bruteforce(LinearCode(v.ctx, v.space.rows(v.indices)), budget)
-        except BudgetError as e:
-            out["bruteforce"] = {"status": "SKIP", "reason": str(e)}
-            out["agree"] = None
-        else:
-            out["bruteforce"] = bf.as_dict()
-            out["agree"] = bool(cut.ok == bf.ok)
+    # a refused cross-check is skipped, not a reason to drop the answers
+    bf = bruteforce_or_skip(v, minimality_bruteforce, budget)
+    skipped = isinstance(bf, dict)
+    out["bruteforce"] = bf if skipped else bf.as_dict()
+    out["agree"] = None if skipped else bool(cut.ok == bf.ok)
     return out

@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import check_budget
 from .code import (LinearCode, _unique_rows, code_from_variety,
                    cutting_blocking_check, first_inside)
 from .geom import row_reduce
@@ -320,10 +320,10 @@ def perfectness_check(scheme: Scheme, subset, secret: int = 0, seed: int = 0,
     vectors that agree there by the secret they carry, the exhaustive
     route to recover's verdict: a qualified subset pins one secret, an
     unqualified one sees each equally often.  class_blocks refuses by
-    budget and hard cap before the deal, then enumerates C's q^k words;
-    the q^d - 1 nonzero ones supported on {0} and the subset give the
-    equations of consistent_secrets, and each consistent secret stands
-    for q^(n - k - (|subset| + 1 - d)) share vectors."""
+    budget or WORDS_HARD_CAP before the deal, then enumerates C's q^k
+    words; the q^d - 1 nonzero ones supported on {0} and the subset give
+    the equations of consistent_secrets, and each consistent secret
+    stands for q^(n - k - (|subset| + 1 - d)) share vectors."""
     ids = _participant_ids(scheme, subset)
     q, code = scheme.q, scheme.code
     blocks = code.class_blocks(budget)
@@ -356,26 +356,19 @@ class PermGroup:
 
 
 def _closure(gens, degree, budget=None) -> tuple:
-    cap = CLOSURE_CAP if budget is None else min(budget, CLOSURE_CAP)
-    why = None if cap == budget else (f"needs {cap + 1} elements, beyond the closure's "
-                                      f"ceiling of {cap}, whatever the budget")
-    # every element is metered as it joins, the identity first, so a
-    # budget equal to the group's order suffices
-    check_budget("group closure", 1, cap)
+    # every element is metered against the budget and CLOSURE_CAP as it
+    # joins, the identity first: the group's order is budget enough
+    check_budget("group closure", 1, budget, CLOSURE_CAP)
     ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                img = tuple(g[x] for x in p)
-                if img not in seen:
-                    if len(seen) == cap:
-                        raise BudgetError("group closure", cap + 1, cap, why)
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    seen, todo = {ident}, [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            img = tuple(g[x] for x in p)
+            if img not in seen:
+                check_budget("group closure", len(seen) + 1, budget, CLOSURE_CAP)
+                seen.add(img)
+                todo.append(img)
     return tuple(sorted(seen))
 
 

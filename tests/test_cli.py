@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qhcodes.cli as cli_mod
+import qhcodes.code as code_mod
 import qhcodes.variety as variety_mod
 from qhcodes.cli import main
 from qhcodes.geom import num_points
@@ -164,6 +165,47 @@ def test_code_minimality_skips_an_over_budget_cross_check(capsys):
     assert rep["ab"]["passes"] is False
     assert rep["cutting"]["ok"] is False and rep["minimal"] is False
     assert "skipped" in err
+
+
+# WORDS_HARD_CAP one below twisted (3,3)'s 9^4 codewords
+WORDS_REFUSAL_33 = ("refusing enumerating 6561 codewords: needs 6561 units, "
+                    "beyond the fixed ceiling of 6560, whatever the budget")
+
+
+@pytest.fixture
+def words_ceiling_below_33(monkeypatch):
+    """Lower the codeword ceiling below twisted (3,3)'s words, and fail
+    if the brute force's code is built before it refuses."""
+    monkeypatch.setattr(code_mod, "WORDS_HARD_CAP", 9 ** 4 - 1)
+    monkeypatch.setattr(code_mod, "LinearCode", lambda *a: pytest.fail(
+        "the brute force's code was built before its words were metered"))
+
+
+def test_code_minimality_skips_a_cross_check_above_the_ceiling(capsys, words_ceiling_below_33):
+    rc, doc, err = run_json(capsys, "code", "minimality", "--q", "3", "--r", "3")
+    assert rc == 0
+    assert doc["verdict"] == "PASS"
+    rep = doc["report"]
+    assert rep["bruteforce"] == {"status": "SKIP", "reason": WORDS_REFUSAL_33}
+    assert rep["agree"] is None
+    assert rep["ab"]["passes"] is True
+    assert rep["cutting"]["ok"] is True and rep["minimal"] is True
+    assert f"skipped: {WORDS_REFUSAL_33}" in err
+
+
+def test_code_weights_cross_check_above_the_ceiling_exit_3(capsys, words_ceiling_below_33):
+    rc, doc, err = run_json(capsys, "code", "weights", "--q", "3", "--r", "3",
+                            "--cross-check")
+    assert rc == 3
+    assert doc["verdict"] == "SKIP"
+    assert doc["report"]["cross_check"] == {"status": "SKIP", "reason": WORDS_REFUSAL_33}
+    # the section-based distribution is still written
+    assert doc["report"]["d_min"] == 225
+    assert f"skipped: {WORDS_REFUSAL_33}" in err
+    rc, out, _ = run(capsys, "code", "weights", "--q", "3", "--r", "3", "--cross-check",
+                     "--format", "csv")
+    assert rc == 3
+    assert "# verdict=SKIP\nweight,count\n" in out and "\n225,144\n" in out
 
 
 def test_transform_budget_refuses_before_allocating(capsys, monkeypatch):

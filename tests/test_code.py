@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qhcodes.code as code_mod
 import qhcodes.geom as geom_mod
+import qhcodes.sss as sss_mod
 import qhcodes.variety as variety_mod
 from qhcodes import budget as budget_mod
 from qhcodes.budget import BudgetError
@@ -21,9 +22,9 @@ from qhcodes.geom import (SUBSPACE_BLOCK, _digit_matrix, dot_rows, gaussian_bino
                           num_points, pg_space, rref_bases, span_rank, subspace_counts,
                           subspace_points)
 from qhcodes.gf import field_for_order, make_field
-from qhcodes.sss import perfectness_check
+from qhcodes.sss import access_structure, group_closure, perfectness_check
 from qhcodes.variety import Variety, build_variety, hyperplane_section_sizes
-from qhcodes.verify import CROSS_FIXTURES, get_variety
+from qhcodes.verify import CROSS_FIXTURES, get_code, get_scheme, get_variety
 
 
 def test_code_shape(tw33):
@@ -473,10 +474,51 @@ def test_bruteforce_hard_cap_refuses_before_enumerating(brute, monkeypatch):
     real = LinearCode.codeword_block
     monkeypatch.setattr(LinearCode, "codeword_block",
                         lambda self, msgs: calls.append(1) or real(self, msgs))
-    with pytest.raises(CodeError, match="hard cap"):
+    with pytest.raises(BudgetError, match="beyond the fixed ceiling of 16777216, "
+                                          "whatever the budget"):
         brute(code, budget=2 ** 40)
     with pytest.raises(BudgetError, match="codewords"):
         brute(code, budget=0)
+    assert calls == []
+
+
+H23 = ("hermitian", 2, 3)     # a code of 4^4 = 256 words
+
+# each exhaustive route with its fixed ceiling lowered: (module, ceiling
+# name, ceiling, first count past it, run at a budget); S_4 has 24
+# elements, so the closure passes a ceiling of 10 at its eleventh
+CEILING_STAGES = {
+    "weights_bruteforce": (code_mod, "WORDS_HARD_CAP", 100, 256,
+                           lambda b: weights_bruteforce(get_code(*H23), b)),
+    "minimality_bruteforce": (code_mod, "WORDS_HARD_CAP", 100, 256,
+                              lambda b: minimality_bruteforce(get_code(*H23), b)),
+    "perfectness_check": (code_mod, "WORDS_HARD_CAP", 100, 256,
+                          lambda b: perfectness_check(get_scheme(*H23), (1, 2), budget=b)),
+    "access_structure": (code_mod, "WORDS_HARD_CAP", 100, 256,
+                         lambda b: access_structure(get_variety(*H23), budget=b)),
+    "group_closure": (sss_mod, "CLOSURE_CAP", 10, 11,
+                      lambda b: group_closure(["(1,2)", "(1,2,3,4)"], 4, b)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(CEILING_STAGES))
+def test_a_fixed_ceiling_refuses_like_the_budget(stage, monkeypatch):
+    """The smaller of budget and ceiling binds, through one check_budget
+    call, before any codeword is built or the closure passes its limit."""
+    module, name, ceiling, first_past, run = CEILING_STAGES[stage]
+    monkeypatch.setattr(module, name, ceiling)
+    calls = []
+    real = LinearCode.codeword_block
+    monkeypatch.setattr(LinearCode, "codeword_block",
+                        lambda self, msgs: calls.append(1) or real(self, msgs))
+    with pytest.raises(BudgetError, match=re.escape(
+            f"needs {first_past} units, beyond the fixed ceiling of {ceiling}, "
+            "whatever the budget")) as err:
+        run(10 ** 9)
+    assert (err.value.needed, err.value.cap) == (first_past, ceiling)
+    # below the ceiling the budget binds, with the budget's text
+    with pytest.raises(BudgetError, match=rf"needs \d+ units, budget is {ceiling // 2}$"):
+        run(ceiling // 2)
     assert calls == []
 
 

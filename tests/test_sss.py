@@ -356,8 +356,8 @@ def test_group_closure_ceiling_binds_whatever_the_budget(budget, monkeypatch):
     # S_4 has 24 elements; a ceiling of 10 refuses the eleventh, and the
     # refusal names the ceiling, not the caller's budget
     monkeypatch.setattr(sss_mod, "CLOSURE_CAP", 10)
-    with pytest.raises(BudgetError, match=r"group closure: needs 11 elements, beyond the "
-                                          r"closure's ceiling of 10, whatever the budget"):
+    with pytest.raises(BudgetError, match=r"group closure: needs 11 units, beyond the "
+                                          r"fixed ceiling of 10, whatever the budget"):
         group_closure(["(1,2)", "(1,2,3,4)"], 4, budget=budget)
     with pytest.raises(BudgetError, match="group closure: needs 11 units, budget is 10"):
         group_closure(["(1,2)", "(1,2,3,4)"], 4, budget=10)
