@@ -64,8 +64,8 @@ class LinearCode:
     @cached_property
     def row_tables(self) -> tuple:
         """Table i holds a times row i of the generator matrix in row a,
-        in the narrowest unsigned dtype that holds q - 1."""
-        prod = product_table(self.ctx, np.min_scalar_type(self.ctx.order - 1))
+        in the field's dtype."""
+        prod = product_table(self.ctx, self.ctx.dtype)
         return tuple(prod[:, self.cols[:, i]] for i in range(self.k))
 
     def codeword_block(self, msgs: np.ndarray) -> np.ndarray:

@@ -186,10 +186,12 @@ def rref_bases(ctx: FiniteField, r: int, nrows: int, budget: int | None = None):
 def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
                     budget: int | None = None) -> np.ndarray:
     """|S meet V| for V the points with canonical indices `indices` and
-    every subspace S of vector dimension nrows, in rref_bases order,
-    without the rows of rref_bases or subspace_points.
+    every subspace S of vector dimension nrows, with no basis or point of
+    S built, in the order of _pivot_choices: by choice of pivot columns,
+    then by the base-q counter of the free entries of the reduced row
+    echelon basis, row by row, the most significant digit first.
 
-    Makes the budget check of rref_bases before anything is built.  The
+    The budget meters every subspace before anything is built.  The
     sizes are np.min_scalar_type(theta), theta = (q^nrows - 1) / (q - 1)
     the number of points of one S.  V is a uint8 mask over all 2 q^r
     keys.  The subspaces of one choice of pivot columns, counted from
@@ -228,7 +230,7 @@ def subspace_counts(space: ProjectiveSpace, indices, nrows: int,
     weight = [q ** (r - c) for c in range(r + 1)]
     # the widest sum is that of row 1 of pivots 0, 1, ..., nrows-1
     width = r + 1 - nrows if nrows > 1 else 0
-    digit = np.arange(q if width else 1, dtype=np.min_scalar_type(q - 1))
+    digit = np.arange(q if width else 1, dtype=ctx.dtype)
     add = ctx.vadd(digit[:, None], digit[None, :])
     hi = _low_adder(add, max(width - 1, 0))
     # scaled[0, c, d] q + scaled[1, c, d]: key of c times the digits d,

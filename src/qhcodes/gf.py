@@ -165,7 +165,8 @@ def _add_digits(p: int, m: int, a, b):
 
 
 class FiniteField:
-    """Arithmetic context for GF(p^m).  Elements are ints in [0, p^m)."""
+    """Arithmetic context for GF(p^m).  Elements are ints in [0, p^m);
+    dtype is the narrowest unsigned dtype that holds every one."""
 
     def __init__(self, p: int, m: int, modulus=None):
         # only prime p and m >= 1 are tabulated; the table bounds the
@@ -180,6 +181,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.order = p ** m
+        self.dtype = np.min_scalar_type(self.order - 1)
         self.modulus = modulus
         self._build_tables()
         self._add_flat = None
@@ -352,12 +354,12 @@ class FiniteField:
 
     @property
     def add_flat(self):
-        """Flattened addition table in the narrowest unsigned dtype, or
-        None above ADD_TABLE_MAX_ORDER, where vadd adds digit by digit."""
+        """Flattened addition table in the field's dtype, or None above
+        ADD_TABLE_MAX_ORDER, where vadd adds digit by digit."""
         if self._add_flat is None and self.order <= ADD_TABLE_MAX_ORDER:
             e = np.arange(self.order)
             out = _add_digits(self.p, self.m, e[:, None], e[None, :])
-            self._add_flat = out.reshape(-1).astype(np.min_scalar_type(self.order - 1))
+            self._add_flat = out.reshape(-1).astype(self.dtype)
         return self._add_flat
 
     def vmul(self, a, b):

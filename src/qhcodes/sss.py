@@ -374,17 +374,9 @@ def _closure(gens, degree, budget=None) -> tuple:
 
 def group_closure(gens, degree: int, budget: int | None = None) -> PermGroup:
     """Materialized group generated by the given permutations, each a
-    one-line tuple of length `degree` or a cycle-notation string."""
-    parsed = []
-    for g in gens:
-        if isinstance(g, str):
-            parsed.append(parse_cycles(g, degree))
-        else:
-            t = tuple(int(x) for x in g)
-            if sorted(t) != list(range(degree)):
-                raise SSSError("not a permutation in one-line notation")
-            parsed.append(t)
-    return PermGroup(degree, tuple(parsed), _closure(parsed, degree, budget))
+    cycle-notation string on the labels 1 .. degree (parse_cycles)."""
+    parsed = tuple(parse_cycles(g, degree) for g in gens)
+    return PermGroup(degree, parsed, _closure(parsed, degree, budget))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

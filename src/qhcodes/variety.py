@@ -248,7 +248,8 @@ class Variety:
         return mask
 
     def affine_count(self) -> int:
-        # the affine chart X_0 = 1 holds the indices from theta_(r-1) on
+        """The points with X_0 != 0, the last of v in canonical order:
+        the affine chart X_0 = 1 holds the indices from theta_(r-1) on."""
         at = np.searchsorted(self.indices, self.space.starts[self.r])
         return self.n - int(at)
 
@@ -278,12 +279,11 @@ def _build(kind, ctx, r, budget, affine, infinity, params=None) -> Variety:
     n = num_points(r, q)
     check_budget(f"scanning {n} points", n, budget)
     space = pg_space(ctx, r)
-    dtype = np.min_scalar_type(q - 1)
     charts = []
     for w in range(r + 1):
         part = affine if w == r else infinity
         if part is not None:
-            first, middle, last = (t.astype(dtype) for t in part)
+            first, middle, last = (t.astype(ctx.dtype) for t in part)
             g = ([first] + [middle] * (r - 1) + [last])[r - w:]
             charts.append((space.starts[w], g[0][1], g[1:]))
     return Variety(kind, ctx, r, space, _chart_zeros(ctx, charts), params)
@@ -292,7 +292,7 @@ def _build(kind, ctx, r, budget, affine, infinity, params=None) -> Variety:
 def _chart_zeros(ctx: FiniteField, charts) -> np.ndarray:
     """The indices of the zeros of lead + sum_c g_c(a_c) over the charts
     (start, lead, [g_1 .. g_w]): the point start + i, for i the base-Q
-    number a_1 .. a_w, with the tables in the narrowest dtype of GF(Q).
+    number a_1 .. a_w, with the tables in ctx.dtype.
 
     The sums over the trailing columns, at most SUBSPACE_BLOCK of them,
     form the tail and those over the leading ones, with lead, the head,
@@ -466,12 +466,14 @@ def _sizes_direct(ctx: FiniteField, space: ProjectiveSpace,
 # beyond four such blocks, is made.
 
 
+@lru_cache(maxsize=8)
 def _transform_modulus(p: int, bound: int) -> tuple:
     """(M, zeta): the least prime M = 1 (mod p) above 2 * bound, and a
     primitive p-th root of unity zeta modulo M.
 
     Integers of absolute value at most bound are then determined by
-    their residues mod M, read in (-M/2, M/2].
+    their residues mod M, read in (-M/2, M/2].  Cached: a spectrum's
+    range check and its transform search for the same (p, bound).
     """
     M = 2 * bound + 1
     M += (1 - M) % p
@@ -869,8 +871,8 @@ def count_rows(mapping: dict, key: str, value: str) -> list:
 # line spectra
 
 def line_section_sizes(v: Variety, budget: int | None = None) -> np.ndarray:
-    """|ell meet v| over all lines, in the order of geom.rref_bases, as
-    geom.subspace_counts gives them: np.min_scalar_type(q^2 + 1), so
+    """|ell meet v| over all lines, in the order of geom._pivot_choices,
+    as geom.subspace_counts gives them: np.min_scalar_type(q^2 + 1), so
     uint8 up to q = 15: the full pass, the pencil's reference."""
     return subspace_counts(v.space, v.indices, 2, budget)
 
@@ -900,7 +902,7 @@ def _cone_line_counts(v: Variety, budget: int | None = None) -> Counter:
     Projective Geometries over Finite Fields: cones)."""
     Q, r = v.ctx.order, v.r
     inf, base = pg_space(v.ctx, r - 1), pg_space(v.ctx, r - 2)
-    at = int(np.searchsorted(v.indices, inf.n_points))
+    at = v.n - v.affine_count()
     pts = inf.rows(v.indices[:at])
     s_inf = base.index_array(pts[pts[:, -1] == 0, :-1])
     assert v.indices[0] == 0 and at == 1 + Q * len(s_inf)
@@ -939,8 +941,8 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
     """
     ctx, r, Q = v.ctx, v.r, v.ctx.order
     inf = pg_space(ctx, r - 1)
-    at = int(np.searchsorted(v.indices, inf.n_points))
-    n_aff, base_lines = v.n - at, gaussian_binomial(r - 1, 2, Q)
+    n_aff, base_lines = v.affine_count(), gaussian_binomial(r - 1, 2, Q)
+    at = v.n - n_aff
     # no affine point, or G's orbit of O, whose index is theta_(r-1)
     orbit = v.base_order ** (2 * r - 1)
     if (n_aff, v.indices[at:at + 1].tolist()) not in ((0, []), (orbit, [inf.n_points])):
@@ -950,7 +952,7 @@ def pencil_line_counts(v: Variety, budget: int | None = None) -> dict:
                  f"PG({r - 2},{Q})", n_aff + inf.n_points + base_lines, budget)
     a = np.ones(inf.n_points, dtype=np.int64)
     # GF(Q)'s product table scales each direction to lead 1 in one gather
-    prod = product_table(ctx, np.min_scalar_type(Q - 1))
+    prod = product_table(ctx, ctx.dtype)
     for lo in range(at + 1, v.n, SUBSPACE_BLOCK):
         x = v.space.rows(v.indices[lo:lo + SUBSPACE_BLOCK])[:, 1:]
         lead = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]

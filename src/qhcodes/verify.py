@@ -82,7 +82,7 @@ def check_01_sizes(budget=None) -> tuple:
     """Sizes of the twisted hypersurface and the one-refusal case."""
     bad = []
     for (q, r), expect in EXPECTED_SIZES.items():
-        v = var_mod.build_twisted(var_mod.default_params(q, r), budget)
+        v = get_variety("twisted", q, r, budget)
         if v.n != expect:
             bad.append(f"|({q},{r})| = {v.n} != {expect}")
     try:

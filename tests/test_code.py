@@ -629,7 +629,7 @@ def test_codeword_block_above_the_addition_table_cutoff():
     ctx = make_field(61, 2)
     rng = np.random.default_rng(3721)
     code = LinearCode(ctx, rng.integers(0, ctx.order, size=(30, 3)))
-    assert code.row_tables[0].dtype == np.uint16
+    assert code.row_tables[0].dtype == ctx.dtype == np.uint16
     msgs = rng.integers(0, ctx.order, size=(500, 3))
     assert np.array_equal(code.codeword_block(msgs),
                           _codeword_block_by_columns(code, msgs))

@@ -145,6 +145,22 @@ def test_transform_modulus(p, bound):
     assert not any(_prime(c) for c in range(M - p, 2 * bound, -p))
 
 
+@pytest.mark.parametrize("kind, q, r", [("hermitian", 7, 3), ("twisted", 5, 3)])
+def test_a_cold_spectrum_searches_its_modulus_once(kind, q, r, monkeypatch):
+    """The range check before the transform and the transform itself
+    need the same modulus: a cold spectrum tests the same candidates for
+    primality as one search, once each."""
+    v = build_variety(kind, q, r)
+    calls, is_prime = [], variety_mod._is_prime
+    monkeypatch.setattr(variety_mod, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    _transform_modulus.cache_clear()
+    _transform_modulus(v.ctx.p, (v.ctx.order - 1) * v.n)
+    search, calls[:] = list(calls), []
+    _transform_modulus.cache_clear()
+    hyperplane_spectrum(v)
+    assert search and calls == search
+
+
 @pytest.mark.parametrize("q", [16, 31, 61])
 def test_auto_engine_is_the_transform(q, monkeypatch):
     # Hermitian curves, q + 1 of the q^2 + 1 points of PG(1, q^2): a
@@ -168,6 +184,72 @@ def test_auto_engine_matches_the_prediction_at_hermitian_9_3():
     sp = hyperplane_spectrum(build_variety("hermitian", 9, 3))
     assert sp.engine == "wht"
     assert sp.counts == predicted_spectrum(9, 3, "hermitian").counts
+
+
+def _sizes_from_one_coordinate_tables(v):
+    """|H meet v| for every hyperplane H = a . X of PG(r, Q), in canonical
+    order, for a twisted or quasi-Hermitian v, from the tables (0, h, L)
+    of its affine equation sum h(x_i) + L(x_r) = 0 and the points of
+    S_inf, v's points with X_0 = X_r = 0 read in PG(r-2, Q).
+
+    With a_r != 0 the affine points of H solve sum (h - L(b_i .))(x_i) =
+    L(b_0), b = a / a_r; h - L(b .) takes h's values shifted by -kappa(b),
+    so there are D[L(b_0) + sum kappa(b_i)] of them, D the (r-1)-fold
+    convolution of h's histogram, and H meets the cone at infinity in
+    n_inf points, one on each line through P0.  With a_r = 0, H is X_0 =
+    0, holding 1 + Q n_inf points, or meets v in q^(2r-3) affine points,
+    P0 and Q points on each line through P0 over a' meet S_inf, a' =
+    (a_1 .. a_(r-1)), whose sizes _sizes_direct counts in PG(r-2, Q)."""
+    ctx, r, Q, q = v.ctx, v.r, v.ctx.order, v.base_order
+    elems = np.arange(Q)
+    add = ctx.vadd(elems[:, None], elems)
+    _, h, lin = variety_mod._twisted_affine(v.params)
+    hist = np.bincount(h, minlength=Q)
+    kappa = np.empty(Q, dtype=np.int64)
+    for b in range(Q):
+        shifted = np.bincount(ctx.vadd(h, ctx.vneg(lin[ctx.scalar_mul_row(b)])), minlength=Q)
+        # column c of hist[add] is t -> hist[t + c]
+        [shifts] = np.nonzero(np.all(hist[add] == shifted[:, None], axis=0))
+        assert shifts.size, f"no shift turns h - L({b} x)'s histogram into h's"
+        kappa[b] = shifts[0]
+    conv = hist
+    for _ in range(r - 2):
+        nxt = np.zeros(Q, dtype=np.int64)
+        np.add.at(nxt, add, conv[:, None] * hist)
+        conv = nxt
+    base = pg_space(ctx, r - 2)
+    pts = v.space.rows(v.indices)
+    s_inf = base.index_array(pts[(pts[:, 0] == 0) & (pts[:, r] == 0), 1:r])
+    meet = _sizes_direct(ctx, base, s_inf)
+    hyps = v.space.rows(np.arange(v.space.n_points))
+    sizes = np.empty(len(hyps), dtype=np.int64)
+    on = np.flatnonzero(hyps[:, r])
+    b = ctx.vmul(hyps[on, :r], ctx.exp[-ctx.log[hyps[on, r]] % (Q - 1)][:, None])
+    key = lin[b[:, 0]]
+    for i in range(1, r):
+        key = ctx.vadd(key, kappa[b[:, i]])
+    sizes[on] = len(s_inf) + conv[key]
+    off = np.flatnonzero(hyps[:, r] == 0)
+    rest = hyps[off, 1:r]
+    x0 = ~rest.any(axis=1)
+    assert hyps[off[x0]].tolist() == [[1] + [0] * r]
+    sizes[off[x0]] = 1 + Q * len(s_inf)
+    rest = rest[~x0]
+    lead = rest[np.arange(len(rest)), np.argmax(rest != 0, axis=1)]
+    rest = ctx.vmul(rest, ctx.exp[-ctx.log[lead] % (Q - 1)][:, None])
+    sizes[off[~x0]] = q ** (2 * r - 3) + 1 + Q * meet[base.index_array(rest)]
+    return sizes
+
+
+@pytest.mark.parametrize("kind, q, r", [("twisted", 5, 3), ("twisted", 8, 3), ("twisted", 4, 4),
+                                        ("twisted", 5, 4), ("quasi-hermitian", 5, 3),
+                                        ("quasi-hermitian", 7, 3)])
+def test_transform_equals_one_coordinate_tables_per_hyperplane(kind, q, r):
+    """Every hyperplane's size, not only the histogram the moment checks
+    see, is the sum of one-coordinate tables predicted_spectrum's
+    decomposition gives."""
+    v = build_variety(kind, q, r)
+    assert np.array_equal(_sizes_from_one_coordinate_tables(v), hyperplane_section_sizes(v))
 
 
 @pytest.mark.parametrize("Q, r", SPACES)

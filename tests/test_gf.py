@@ -224,10 +224,18 @@ def test_irreducible_but_imprimitive_modulus_is_refused():
 
 
 def test_tabulated_moduli_all_construct():
+    """Every tabulated field up to order 2^16 builds, with dtype, the one
+    statement of an element's dtype, the narrowest unsigned one that
+    holds its encodings: uint8 up to order 256, else uint16.  The
+    addition table is kept in it."""
     for (p, m) in CONWAY_POLYNOMIALS:
-        if p ** m <= 256:
+        if p ** m <= 2 ** 16:
             ctx = make_field(p, m)
             assert ctx.order == p ** m
+            assert ctx.dtype == np.min_scalar_type(ctx.order - 1), (p, m)
+    for p, m in ((2, 8), (3, 2), (31, 2)):
+        ctx = make_field(p, m)
+        assert ctx.add_flat.dtype == ctx.dtype == (np.uint8 if p ** m <= 256 else np.uint16)
 
 
 def test_serialize_shape():

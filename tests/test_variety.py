@@ -8,7 +8,7 @@ import pytest
 import qhcodes.geom as geom_mod
 import qhcodes.variety as variety_mod
 from qhcodes.budget import DEFAULT_BUDGET, BudgetError
-from qhcodes.code import (cutting_blocking_check, higher_weight, minimality_summary,
+from qhcodes.code import (LinearCode, cutting_blocking_check, higher_weight, minimality_summary,
                           weights_from_sections)
 from qhcodes.geom import SUBSPACE_BLOCK, ProjectiveSpace, num_points, subspace_counts
 from qhcodes.gf import FieldError, factor_prime_power, make_field
@@ -415,6 +415,33 @@ def test_builders_match_reference_masks(kind, q, r):
             pts = v.space.rows(np.arange(v.space.n_points))
         ref = np.nonzero(REFERENCE_MASKS[kind](v.params, v.ctx, r, pts))[0]
         assert np.array_equal(v.indices, ref), (alpha, beta)
+
+
+@pytest.mark.parametrize("kind, q, r", [(kind, 3, 3) for kind in REFERENCE_MASKS]
+                         + [(kind, 2, 4) for kind in PLAIN_KINDS])
+def test_affine_count_is_the_points_off_x0_zero(kind, q, r):
+    """affine_count, the one reading of canonical order's split at
+    X_0 = 0, counts the points whose rows have X_0 != 0."""
+    v = build_variety(kind, q, r)
+    assert v.affine_count() == np.count_nonzero(v.space.rows(v.indices)[:, 0])
+
+
+@pytest.mark.parametrize("q", [2, 16, 31])
+def test_build_and_code_tables_are_in_the_field_dtype(q, monkeypatch):
+    """A build's one-coordinate tables and a code's row tables hold
+    elements of GF(Q) in FiniteField.dtype: uint8 up to Q = 256, uint16
+    at Q = 961."""
+    ctx, dtypes = make_field(*factor_prime_power(q * q)), set()
+    chart_zeros = variety_mod._chart_zeros
+
+    def spy(ctx, charts):
+        dtypes.update(t.dtype for _, lead, tables in charts for t in (lead, *tables))
+        return chart_zeros(ctx, charts)
+    monkeypatch.setattr(variety_mod, "_chart_zeros", spy)
+    v = build_hermitian(ctx, 2)
+    code = LinearCode(ctx, v.space.rows(v.indices))
+    dtypes.update(t.dtype for t in code.row_tables)
+    assert dtypes == {ctx.dtype} == {np.dtype(np.uint8 if q <= 16 else np.uint16)}
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_MASKS))
